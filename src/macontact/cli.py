@@ -11,6 +11,7 @@ consistency gate failed.
 import argparse
 import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,47 +34,87 @@ DEFAULT_GRID = "x1=-1:1:5,x2=-1:1:5"
 
 # --- deterministic serialization ----------------------------------------------
 
+class NonFiniteError(ValueError):
+    """A NaN or infinity reached the writer; JSON and the CSV have no spelling for it."""
+
+
+# JSON must escape every control character below U+0020, besides \ and "
+_STRING_ESCAPES = str.maketrans(
+    {**{chr(i): f"\\u{i:04x}" for i in range(0x20)},
+     "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+     "\\": "\\\\", '"': '\\"'})
+
+
 def _format_float(value: float) -> str:
+    if not math.isfinite(value):
+        raise NonFiniteError(value)
     return format(value, ".17g")
 
 
+@lru_cache(maxsize=4096)
+def _quote(text: str) -> str:
+    return '"' + text.translate(_STRING_ESCAPES) + '"'
+
+
 def dumps(obj) -> str:
-    """JSON with floats at 17 significant digits (bitwise reproducible)."""
+    """JSON with floats at 17 significant digits (bitwise reproducible).
+
+    Raises NonFiniteError on a NaN or infinity; ``find_nan`` names where.
+    """
     parts = []
-    _dump(obj, parts)
+    append = parts.append
+
+    def walk(obj):
+        kind = type(obj)
+        if kind is float:
+            append(_format_float(obj))
+        elif kind is str:
+            append(_quote(obj))
+        elif kind is int:
+            append(str(obj))
+        elif kind is dict:
+            append("{")
+            sep = ""
+            for key, value in obj.items():
+                append(sep)
+                append(_quote(str(key)))
+                append(": ")
+                walk(value)
+                sep = ", "
+            append("}")
+        elif kind is list or kind is tuple or kind is np.ndarray:
+            append("[")
+            sep = ""
+            for value in (obj.tolist() if kind is np.ndarray else obj):
+                append(sep)
+                walk(value)
+                sep = ", "
+            append("]")
+        elif obj is None:
+            append("null")
+        elif isinstance(obj, bool):
+            append("true" if obj else "false")
+        elif isinstance(obj, (int, np.integer)):
+            append(str(int(obj)))
+        elif isinstance(obj, (float, np.floating)):
+            append(_format_float(float(obj)))
+        elif isinstance(obj, str):
+            append(_quote(obj))
+        elif isinstance(obj, dict):
+            walk(dict(obj))
+        elif isinstance(obj, (list, tuple)):
+            walk(list(obj))
+        else:
+            raise TypeError(f"cannot serialize {type(obj)!r}")
+
+    walk(obj)
     return "".join(parts)
 
 
-def _dump(obj, parts):
-    if obj is None:
-        parts.append("null")
-    elif isinstance(obj, bool):
-        parts.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append(_format_float(float(obj)))
-    elif isinstance(obj, str):
-        parts.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    elif isinstance(obj, dict):
-        parts.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                parts.append(", ")
-            _dump(str(key), parts)
-            parts.append(": ")
-            _dump(value, parts)
-        parts.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        parts.append("[")
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        for i, value in enumerate(seq):
-            if i:
-                parts.append(", ")
-            _dump(value, parts)
-        parts.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
+def _csv(rows) -> str:
+    """Comma-separated rows; floats as in ``dumps``, everything else by str."""
+    return "".join(",".join(_format_float(c) if isinstance(c, float) else str(c)
+                            for c in row) + "\n" for row in rows)
 
 
 def find_nan(obj, path="$"):
@@ -95,31 +136,18 @@ def find_nan(obj, path="$"):
     return None
 
 
-def _emit(payload, args) -> int:
-    hit = find_nan(payload)
-    if hit:
-        print(f"error: non-finite value at {hit}", file=sys.stderr)
+def _emit(payload, args, csv=False) -> int:
+    """Write ``payload`` as JSON (or, with ``csv``, its rows) to --out or stdout.
+
+    Rendering is the only walk over the payload; if it meets a non-finite
+    float, nothing is written, ``find_nan`` names the place and the exit
+    code is 3.
+    """
+    try:
+        text = _csv(payload) if csv else dumps(payload) + "\n"
+    except NonFiniteError:
+        print(f"error: non-finite value at {find_nan(payload)}", file=sys.stderr)
         return EXIT_NUMERIC
-    text = dumps(payload) + "\n"
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
-
-
-def _emit_csv(rows, args) -> int:
-    for row in rows:
-        for cell in row:
-            if isinstance(cell, float) and not math.isfinite(cell):
-                print("error: non-finite value in CSV output", file=sys.stderr)
-                return EXIT_NUMERIC
-    lines = []
-    for row in rows:
-        lines.append(",".join(
-            _format_float(c) if isinstance(c, float) else str(c) for c in row))
-    text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(text)
@@ -129,6 +157,16 @@ def _emit_csv(rows, args) -> int:
 
 
 # --- argument helpers ----------------------------------------------------------
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
 
 def _parse_grid(text: str) -> GridSpec:
     if text == "default":
@@ -210,7 +248,7 @@ def cmd_classify(args) -> int:
             rows.append([";".join(str(i) for i in cell.index),
                          cell.delta if cell.delta is not None else "",
                          cell.type or "", cell.error or ""])
-        return _emit_csv(rows, args)
+        return _emit(rows, args, csv=True)
     return _emit(region.to_json_dict(), args)
 
 
@@ -346,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_coefficient_flags(p)
     p.add_argument("--f", required=True,
                    help="candidate solution as an expression in x1, x2")
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--samples", type=_positive_int, default=50)
     p.add_argument("--range", type=float, default=1.0,
                    help="base points drawn uniformly from [-range, range]^2")
     p.add_argument("--residual-tol", type=float, default=1e-9)
@@ -375,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("minus", "zero", "plus"), required=True)
     p.add_argument("--report", choices=("singular",), default="singular")
     p.add_argument("--radius", type=float, default=0.5)
-    p.add_argument("--samples", type=int, default=16)
+    p.add_argument("--samples", type=_positive_int, default=16)
     p.add_argument("--export", default=None,
                    help="write a CSV point cloud to this path instead")
     p.add_argument("--count", type=int, default=100)

@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 __all__ = [
     "ParseError",
     "EvalDomainError",
@@ -393,6 +395,26 @@ class Expr:
         except (OverflowError, ZeroDivisionError) as exc:
             raise EvalDomainError(f"evaluation overflow: {exc}") from exc
 
+    def eval_columns(self, columns) -> tuple:
+        """Evaluate at many points at once: one array per declared variable.
+
+        Returns ``(values, flagged)``.  On every unflagged lane ``values``
+        is bitwise equal to :meth:`eval` at that point.  A lane is flagged
+        where it divides by zero, raises zero to a negative power, leaves
+        the domain of ``ln`` or ``sqrt``, makes a ``math`` call raise, or
+        has any non-finite intermediate; its value is then meaningless and
+        the caller re-runs :meth:`eval` there.
+        """
+        if len(columns) != len(self.variables):
+            raise ValueError(f"got {len(columns)} columns for "
+                             f"{len(self.variables)} variables")
+        columns = [np.asarray(c, dtype=float) for c in columns]
+        size = len(columns[0]) if columns else 1
+        flagged = np.zeros(size, dtype=bool)
+        with np.errstate(all="ignore"):
+            values = _columns_node(self.node, columns, flagged)
+        return np.broadcast_to(values, (size,)).copy(), flagged
+
     def eval_jet(self, base, order: int) -> Jet:
         """Degree-``order`` Taylor truncation at the base point."""
         base = tuple(float(b) for b in base)
@@ -464,6 +486,58 @@ def _eval_node(node, point) -> float:
     if isinstance(node, Call):
         return _apply_func(node.func, _eval_node(node.arg, point))
     raise TypeError(f"bad node {node!r}")
+
+
+def _columns_node(node, columns, flagged):
+    """Column twin of ``_eval_node``: same operations in the same order.
+
+    ``+ - * /`` on float64 arrays round exactly like Python floats, so the
+    arithmetic runs elementwise; the functions go through ``_apply_func``
+    lane by lane, because ``np.sin`` and friends may differ from ``math``
+    by an ulp.  Lanes whose function call raises (domain, overflow) or
+    whose result is not finite are or-ed into ``flagged`` in place; a
+    division by zero or a zero to a negative power leaves an inf or NaN,
+    so the finiteness test flags those too.
+    """
+    if isinstance(node, Num):
+        out = np.float64(node.value)  # numpy scalars divide by 0 without raising
+    elif isinstance(node, Var):
+        out = columns[node.index]
+    elif isinstance(node, Neg):
+        out = -_columns_node(node.child, columns, flagged)
+    elif isinstance(node, BinOp):
+        a = _columns_node(node.left, columns, flagged)
+        b = _columns_node(node.right, columns, flagged)
+        if node.op == "+":
+            out = a + b
+        elif node.op == "-":
+            out = a - b
+        elif node.op == "*":
+            out = a * b
+        else:
+            out = a / b
+    elif isinstance(node, Pow):
+        base = _columns_node(node.child, columns, flagged)
+        k = node.exponent
+        if k < 0:
+            base, k = 1.0 / base, -k
+        out = 1.0
+        for _ in range(k):
+            out = out * base
+    elif isinstance(node, Call):
+        arg = np.broadcast_to(_columns_node(node.arg, columns, flagged),
+                              flagged.shape).tolist()
+        out = [0.0] * len(arg)
+        for i in np.flatnonzero(~flagged).tolist():
+            try:
+                out[i] = _apply_func(node.func, arg[i])
+            except (ArithmeticError, ValueError):
+                flagged[i] = True
+        out = np.array(out)
+    else:
+        raise TypeError(f"bad node {node!r}")
+    flagged |= ~np.isfinite(out)
+    return out
 
 
 def _jet_node(node, base, order) -> Jet:

@@ -12,6 +12,7 @@ Legendrian lift is structure_operator-invariant there.
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,6 +31,7 @@ __all__ = [
     "darboux_space",
     "lift_point",
     "discriminant",
+    "delta_type",
     "classify",
     "structure_operator",
     "residual",
@@ -98,11 +100,26 @@ def discriminant(eq: MAEquation, pt: DarbouxPoint) -> float:
     return b * b - 4.0 * a * c + 4.0 * n * d
 
 
-def classify(eq: MAEquation, pt: DarbouxPoint, band: float = 1e-9) -> EquationType:
-    delta = discriminant(eq, pt)
+def delta_type(delta: float, band: float) -> str:
+    """The Delta-to-type rule: 'elliptic', 'parabolic', 'band' or 'hyperbolic'.
+
+    An exact zero is 'parabolic' and 0 < |Delta| <= band is 'band'.  A
+    non-finite Delta (say inf - inf from overflowing coefficients) has no
+    sign to read, so it is a domain error rather than a type.
+    """
+    if not math.isfinite(delta):
+        raise EvalDomainError(f"non-finite discriminant {delta!r}")
+    if delta == 0.0:
+        return "parabolic"
     if abs(delta) <= band:
-        return EquationType.PARABOLIC
-    return EquationType.ELLIPTIC if delta < 0 else EquationType.HYPERBOLIC
+        return "band"
+    return "elliptic" if delta < 0 else "hyperbolic"
+
+
+def classify(eq: MAEquation, pt: DarbouxPoint, band: float = 1e-9) -> EquationType:
+    """Equation type at a point; the band around Delta = 0 counts as parabolic."""
+    kind = delta_type(discriminant(eq, pt), band)
+    return EquationType.PARABOLIC if kind == "band" else EquationType(kind)
 
 
 def structure_operator(eq: MAEquation, pt: DarbouxPoint) -> Operator:
@@ -237,18 +254,22 @@ class GridSpec:
         lo, hi, count = self.axes[name]
         return np.linspace(lo, hi, count)
 
-    def points(self):
-        """Yield (index, DarbouxPoint) in row-major order over the axes."""
+    def indices(self):
+        """Cell indices in row-major order over the axes (last axis fastest)."""
+        return itertools.product(*(range(self.axes[n][2]) for n in self.axis_names()))
+
+    def columns(self) -> tuple:
+        """The five chart coordinates of every cell, one array each, in the
+        order of :meth:`indices`.  A fixed value wins over an axis of the
+        same name; a variable that is neither sits at 0.
+        """
         names = self.axis_names()
-        grids = [self.axis_values(n) for n in names]
-        for idx in itertools.product(*(range(len(g)) for g in grids)):
-            values = {}
-            for n, g, i in zip(names, grids, idx):
-                values[n] = float(g[i])
-            for n, v in self.fixed.items():
-                values[n] = float(v)
-            coords = [values.get(v, 0.0) for v in CHART_VARIABLES]
-            yield idx, DarbouxPoint(*coords)
+        mesh = np.meshgrid(*(self.axis_values(n) for n in names), indexing="ij")
+        size = math.prod(self.axes[n][2] for n in names)
+        by_name = {n: m.ravel() for n, m in zip(names, mesh)}
+        for n, v in self.fixed.items():
+            by_name[n] = np.full(size, float(v))
+        return tuple(by_name.get(v, np.zeros(size)) for v in CHART_VARIABLES)
 
 
 @dataclass(frozen=True)
@@ -290,26 +311,35 @@ class RegionClassification:
 
 def classify_region(eq: MAEquation, grid: GridSpec,
                     band: float = 1e-9) -> RegionClassification:
-    """Pointwise type over the grid; |Delta| <= band cells are flagged 'band'.
+    """Pointwise type over the grid by ``delta_type``.
 
-    An exact zero discriminant is reported as 'parabolic'; evaluation
-    failures are recorded per cell and never abort the sweep.
+    The coefficients are evaluated as columns over all cells at once;
+    cells the column pass flags are re-run through the scalar
+    ``discriminant``, so every value and error text is the scalar one.
+    Evaluation failures and non-finite discriminants are recorded per cell
+    and never abort the sweep.
     """
+    columns = grid.columns()
+    flagged = np.zeros(len(columns[0]), dtype=bool)
+    coeffs = []
+    for coeff in (eq.N, eq.A, eq.B, eq.C, eq.D):
+        values, bad = coeff.eval_columns(columns)
+        coeffs.append(values)
+        flagged |= bad
+    n, a, b, c, d = coeffs
+    with np.errstate(all="ignore"):
+        deltas = b * b - 4.0 * a * c + 4.0 * n * d
+
     cells = []
-    for idx, pt in grid.points():
+    for i, (idx, delta, bad) in enumerate(zip(grid.indices(), deltas.tolist(),
+                                              flagged.tolist())):
         try:
-            delta = discriminant(eq, pt)
+            if bad:
+                delta = discriminant(eq, DarbouxPoint(*(float(col[i]) for col in columns)))
+            kind = delta_type(delta, band)
         except EvalDomainError as exc:
             cells.append(CellResult(idx, None, None, str(exc)))
             continue
-        if delta == 0.0:
-            kind = "parabolic"
-        elif abs(delta) <= band:
-            kind = "band"
-        elif delta < 0:
-            kind = "elliptic"
-        else:
-            kind = "hyperbolic"
         cells.append(CellResult(idx, delta, kind))
     return RegionClassification(grid, band, tuple(cells))
 

@@ -296,6 +296,8 @@ def singular_point_report(spec: RManifoldSpec, radius: float = 0.5,
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     pos = _layout_pos(spec.k)
     kept, excluded = [], []
     for rho in (radius, 2.0 * radius):
@@ -313,6 +315,9 @@ def singular_point_report(spec: RManifoldSpec, radius: float = 0.5,
             det = float(np.linalg.det(block))
             kept.append(((a, b), det, ratio, bool(ratio > 1e-6)))
 
+    if not kept:
+        raise ValueError(f"all {2 * samples} sample directions fall in the "
+                         "excluded null-cone sector; use more samples")
     ta0, tb0 = _raw_tangents(spec, 0.0, 0.0, h)
     base_mag = float(max(abs(ta0[pos["x"]]), abs(ta0[pos["y"]]),
                          abs(tb0[pos["x"]]), abs(tb0[pos["y"]])))

@@ -178,3 +178,64 @@ def test_out_flag_writes_file(tmp_path):
     code = main(["classify", "--A", "1", "--C", "1", "--out", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["cells"]
+
+
+# --- regressions ---------------------------------------------------------------------------
+
+def test_dumps_escapes_control_characters():
+    text = "tab\there, newline\nthere, bell\x07, nul\x00, quote\" and \\"
+    encoded = dumps({"s": text})
+    assert json.loads(encoded) == {"s": text}
+    assert all(ord(ch) >= 0x20 for ch in encoded)
+
+
+def test_verify_echoes_tab_as_valid_json(capsys):
+    f = "x1^2\t- x2^2"
+    code = main(["verify", "--A", "1", "--C", "1", "--f", f, "--samples", "2"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["solution"] == f
+
+
+def test_dumps_rejects_non_finite_floats():
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            dumps({"a": [1.0, value]})
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--A", "1", "--C", "1", "--f", "x1*x2", "--samples", "0"],
+    ["rmanifold", "--k", "2", "--l", "2", "--kind", "minus", "--samples", "0"],
+])
+def test_zero_samples_is_an_input_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--samples: must be at least 1" in capsys.readouterr().err
+
+
+def test_rmanifold_rejects_samples_that_all_fall_in_the_null_cone(capsys):
+    # for C+ with 4 samples every direction sits on |a| = |b|, so no rank check is left
+    code = main(["rmanifold", "--k", "2", "--l", "2", "--kind", "plus", "--samples", "4"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "null-cone" in captured.err
+
+
+def test_classify_non_finite_delta_marks_error_cells(capsys):
+    code = main(["classify", "--A", "exp(700*x1)", "--B", "exp(700*x1)",
+                 "--C", "exp(700*x1)", "--grid", "x1=0:1:5",
+                 "--max-error-fraction", "0.5"])
+    assert code == 0
+    cells = json.loads(capsys.readouterr().out)["cells"]
+    errors = [c for c in cells if "error" in c]
+    assert [c["index"] for c in errors] == [[3], [4]]
+    assert all(c["delta"] is None and c["type"] is None for c in errors)
+
+
+def test_non_finite_output_names_its_path_and_writes_nothing(capsys):
+    code = main(["contact", "--nu", "u*1e200*1e200"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite value at $.components[" in captured.err

@@ -1,0 +1,100 @@
+"""Column evaluation against the scalar reference ``Expr.eval``."""
+
+import math
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from macontact.expr import (FUNCTIONS, BinOp, Call, EvalDomainError, Expr, Neg,
+                            Num, Pow, Var, parse)
+
+VARS = ("x", "y", "z")
+
+numbers = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0, 0.5, 1e300]),
+                    st.floats(-5, 5, allow_nan=False))
+leaves = st.one_of(numbers.map(Num),
+                   st.sampled_from([Var(i, n) for i, n in enumerate(VARS)]))
+
+
+def _extend(children):
+    return st.one_of(
+        children.map(Neg),
+        st.builds(BinOp, st.sampled_from("+-*/"), children, children),
+        st.builds(Pow, children, st.integers(-3, 4)),
+        st.builds(Call, st.sampled_from(FUNCTIONS), children),
+    )
+
+
+trees = st.recursive(leaves, _extend, max_leaves=12)
+lanes = st.lists(st.tuples(numbers, numbers, numbers), min_size=1, max_size=8)
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees, lanes)
+def test_columns_match_scalar_eval_bitwise(node, points):
+    expr = Expr(node, VARS)
+    columns = [np.array(c) for c in zip(*points)]
+    values, flagged = expr.eval_columns(columns)
+    assert values.shape == flagged.shape == (len(points),)
+    for lane, point in enumerate(points):
+        try:
+            expected = expr.eval(point)
+        except (EvalDomainError, ValueError):
+            assert flagged[lane], (expr.to_string(), point)
+            continue
+        if not flagged[lane]:
+            assert math.isfinite(values[lane])
+            assert _bits(values[lane]) == _bits(expected), (expr.to_string(), point)
+
+
+def _columns(text, *columns):
+    expr = parse(text, VARS[:len(columns)])
+    values, flagged = expr.eval_columns([np.array(c, dtype=float) for c in columns])
+    return values.tolist(), flagged.tolist()
+
+
+def test_division_by_zero_flags_only_its_lane():
+    values, flagged = _columns("1/x", [2.0, 0.0, -0.0, 4.0])
+    assert flagged == [False, True, True, False]
+    assert values[0] == 0.5 and values[3] == 0.25
+
+
+def test_zero_to_negative_power_is_flagged():
+    assert _columns("x^-2", [0.0, 2.0])[1] == [True, False]
+
+
+def test_ln_and_sqrt_domains_are_flagged():
+    assert _columns("ln(x)", [0.0, -1.0, 1.0])[1] == [True, True, False]
+    assert _columns("sqrt(x)", [0.0, -1e-300, 4.0]) == ([0.0, 0.0, 2.0], [False, True, False])
+
+
+def test_math_overflow_and_non_finite_intermediates_are_flagged():
+    assert _columns("exp(x)", [1000.0, 1.0])[1] == [True, False]
+    # x*x overflows to inf; 1/inf would be a finite 0, the lane is flagged anyway
+    assert _columns("1/(x*x)", [1e200, 2.0])[1] == [True, False]
+
+
+def test_transcendental_lanes_use_math():
+    xs = np.linspace(-3, 3, 101)
+    for func in ("sin", "cos", "exp"):
+        values, flagged = _columns(f"{func}(x)", xs)
+        assert not any(flagged)
+        assert values == [getattr(math, func)(x) for x in xs.tolist()]
+
+
+def test_constant_expression_fills_every_lane():
+    values, flagged = _columns("2^3 - 1/4", [0.0, 1.0, 2.0])
+    assert values == [7.75] * 3 and flagged == [False] * 3
+    assert _columns("1/0 + x", [1.0, 2.0])[1] == [True, True]
+
+
+def test_column_count_must_match_variables():
+    with pytest.raises(ValueError, match="2 variables"):
+        parse("x + y", VARS[:2]).eval_columns([np.zeros(3)])

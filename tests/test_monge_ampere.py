@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,9 @@ from macontact.monge_ampere import (EquationType, GridSpec, MAEquation,
                                     invariance_defect, legendre_swap,
                                     legendre_swap_point, lift_point, residual,
                                     tangent_frame)
+from macontact.contact import CHART_VARIABLES
+from macontact.expr import EvalDomainError
+from macontact.monge_ampere import CellResult, delta_type
 from macontact.symplectic import OperatorType, classify_dim4, is_self_adjoint
 
 XY = ("x1", "x2")
@@ -292,3 +297,79 @@ def test_legendre_swap_of_laplace_is_det_equation():
     swapped = legendre_swap(LAPLACE)
     vals = swapped.coefficients_at(DarbouxPoint(0.3, 0.4, 0.5, 0.6, 0.7))
     assert vals == (-1.0, 0.0, 0.0, 0.0, 1.0)
+
+
+# --- column evaluation of regions -------------------------------------------------
+
+def _scalar_region(eq, grid, band):
+    """Cell by cell through ``discriminant``, the reference for classify_region."""
+    names = grid.axis_names()
+    axes = [grid.axis_values(n) for n in names]
+    cells = []
+    for idx in itertools.product(*(range(len(a)) for a in axes)):
+        values = {n: float(a[i]) for n, a, i in zip(names, axes, idx)}
+        values.update({n: float(v) for n, v in grid.fixed.items()})
+        pt = DarbouxPoint(*(values.get(v, 0.0) for v in CHART_VARIABLES))
+        try:
+            delta = discriminant(eq, pt)
+            cells.append(CellResult(idx, delta, delta_type(delta, band)))
+        except EvalDomainError as exc:
+            cells.append(CellResult(idx, None, None, str(exc)))
+    return tuple(cells)
+
+
+def test_grid_columns_are_row_major_with_fixed_values():
+    grid = GridSpec({"x1": (0, 1, 2), "u": (-1, 1, 3)}, fixed={"p2": 0.5})
+    x1, x2, u, p1, p2 = grid.columns()
+    assert list(grid.indices()) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+    assert x1.tolist() == [0, 0, 0, 1, 1, 1]
+    assert u.tolist() == [-1, 0, 1, -1, 0, 1]
+    assert x2.tolist() == p1.tolist() == [0.0] * 6
+    assert p2.tolist() == [0.5] * 6
+
+
+def test_grid_without_axes_is_one_cell():
+    grid = GridSpec({}, fixed={"u": 2.0})
+    assert list(grid.indices()) == [()]
+    assert [c.tolist() for c in grid.columns()] == [[0.0], [0.0], [2.0], [0.0], [0.0]]
+
+
+@pytest.mark.parametrize("coeffs", [
+    dict(N="x1*x2 - u^2", A="1 + x1^2*p1 - 2*u", B="1.3*sin(0.7*x2 + 0.2)",
+         C="x1*x2*u + 3*p2^3", D="-0.8*cos(x1*u) + 0.5*ln(x2 + 0.1)"),
+    dict(A="exp(3*x1)/(x2 - 0.25)", B="sqrt(u + 0.5)", C="x1^-1", D="u"),
+])
+def test_classify_region_matches_scalar_reference(coeffs):
+    eq = MAEquation.from_strings(**coeffs)
+    grid = GridSpec({"x1": (-1, 1, 9), "x2": (-1, 1, 5), "u": (-1, 1, 7)},
+                    fixed={"p1": 0.3, "p2": -0.2})
+    region = classify_region(eq, grid, band=0.5)
+    assert region.cells == _scalar_region(eq, grid, 0.5)
+    assert 0 < region.error_fraction < 1
+
+
+def test_one_rule_for_point_and_region_types():
+    assert [delta_type(d, 0.5) for d in (-1.0, -0.25, 0.0, -0.0, 0.25, 1.0)] == [
+        "elliptic", "band", "parabolic", "parabolic", "band", "hyperbolic"]
+    eq = MAEquation.from_strings(A="1", C="u")
+    for u, expected in ((-1.0, "HYPERBOLIC"), (-0.1, "PARABOLIC"), (0.0, "PARABOLIC"),
+                        (0.1, "PARABOLIC"), (1.0, "ELLIPTIC")):
+        assert classify(eq, DarbouxPoint(0, 0, u, 0, 0), band=0.5) is EquationType[expected]
+
+
+OVERFLOW = MAEquation.from_strings(A="exp(700*x1)", B="exp(700*x1)", C="exp(700*x1)")
+
+
+def test_non_finite_discriminant_is_an_error_cell():
+    # B^2 and 4AC both overflow to inf on the last two cells: Delta = inf - inf
+    region = classify_region(OVERFLOW, GridSpec({"x1": (0, 1, 5)}))
+    assert [c.type for c in region.cells[:3]] == ["elliptic"] * 3
+    for cell in region.cells[3:]:
+        assert cell.delta is None and cell.type is None
+        assert cell.error == "non-finite discriminant nan"
+    assert region.error_fraction == pytest.approx(0.4)
+
+
+def test_classify_rejects_non_finite_discriminant():
+    with pytest.raises(EvalDomainError, match="non-finite discriminant"):
+        classify(OVERFLOW, DarbouxPoint(1, 0, 0, 0, 0))
