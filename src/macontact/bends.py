@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import null_space, subspace_angles
 
 from .errors import ConsistencyError
-from .symplectic import _fix_signs
+from .symplectic import _nullspace, _orth
 from .zeta import ZetaKind
 
 __all__ = [
@@ -106,8 +105,22 @@ def poly_from_fiber_vector(k: int, components: dict) -> HomPoly:
 
 
 def span_angle(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
-    """Largest principal angle between the column spans."""
-    return float(np.max(subspace_angles(basis_a, basis_b)))
+    """Largest principal angle between the column spans.
+
+    Below pi/4 it comes from the largest sine (Bjorck & Golub, Math. Comp.
+    1973; Knyazev & Argentati, SIAM J. Sci. Comput. 2002): the arccos of a
+    cosine near 1 resolves angles only down to about 1e-8.
+    """
+    qa, qb = (_orth(m, max(m.shape) * np.finfo(float).eps)
+              for m in (basis_a, basis_b))
+    if qa.shape[1] < qb.shape[1]:
+        qa, qb = qb, qa
+    cross = qa.T @ qb
+    cos_min = np.linalg.svd(cross, compute_uv=False)[-1]
+    if cos_min * cos_min >= 0.5:
+        sin_max = np.linalg.svd(qb - qa @ cross, compute_uv=False)[0]
+        return float(np.arcsin(min(sin_max, 1.0)))
+    return float(np.arccos(min(cos_min, 1.0)))
 
 
 def _derivative_matrices(degree: int) -> tuple:
@@ -130,7 +143,7 @@ def _prolongation_space(k: int, q1: HomPoly, q2: HomPoly) -> np.ndarray:
     proj_out = np.eye(k + 1) - q @ q.T
     dx, dy = _derivative_matrices(k + 1)
     constraints = np.vstack([proj_out @ dx, proj_out @ dy])
-    return _fix_signs(null_space(constraints, rcond=1e-10))
+    return _nullspace(constraints, 1e-10)
 
 
 def _spanning_probe(space: np.ndarray, k: int):

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import bends, monge_ampere, rmanifold, symplectic
-from .contact import ContactChart, DarbouxPoint, contact_field
+from .contact import ContactChart, DarbouxPoint, contact_field, contact_form_value
 from .errors import ConsistencyError
 from .expr import EvalDomainError, ParseError, parse
 from .monge_ampere import GridSpec, MAEquation
@@ -215,6 +215,8 @@ def _homogeneous_poly(text: str, degree: int) -> bends.HomPoly:
             coeffs[alpha[0]] = value
         elif abs(value) > 1e-12:
             raise ValueError(f"{text!r} is not homogeneous of degree {degree}")
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError(f"{text!r} has a non-finite coefficient")
     return bends.HomPoly(degree, coeffs)
 
 
@@ -253,6 +255,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.tol is not None:
+        args.residual_tol = args.defect_tol = args.tol
     eq = _equation_from_args(args)
     f = parse(args.f, ("x1", "x2"))
     rng = np.random.default_rng(args.seed)
@@ -308,8 +312,7 @@ def cmd_contact(args) -> int:
         "nu": args.nu,
         "point": list(pt.as_tuple()),
         "components": list(field.components),
-        "omega": float(field.components[2] - pt.p1 * field.components[0]
-                       - pt.p2 * field.components[1]),
+        "omega": float(contact_form_value(pt, field)),
     }
     return _emit(payload, args)
 
@@ -360,13 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monge-Ampere equations through contact geometry")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the default tolerance")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--out", default=None, help="write output to a file")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-
     p = sub.add_parser("classify", help="type map of an equation over a grid")
     _add_coefficient_flags(p)
     p.add_argument("--grid", default="default",
@@ -377,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--band", type=float, default=1e-9,
                    help="parabolic band half-width on the discriminant")
     p.add_argument("--max-error-fraction", type=float, default=0.25)
-    common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="check a candidate solution")
@@ -389,14 +385,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="base points drawn uniformly from [-range, range]^2")
     p.add_argument("--residual-tol", type=float, default=1e-9)
     p.add_argument("--defect-tol", type=float, default=1e-8)
-    common(p)
+    p.add_argument("--tol", type=float, default=None,
+                   help="set both --residual-tol and --defect-tol")
+    p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bend", help="bend test for a polynomial pair")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q1", required=True, help="polynomial in x, y")
     p.add_argument("--q2", required=True, help="polynomial in x, y")
-    common(p)
     p.set_defaults(func=cmd_bend)
 
     p = sub.add_parser("contact", help="contact field of a generating function")
@@ -404,21 +401,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="generating function in x1, x2, u, p1, p2")
     p.add_argument("--point", default="0,0,0,0,0",
                    help="chart point, 5 comma-separated values")
-    common(p)
     p.set_defaults(func=cmd_contact)
 
     p = sub.add_parser("rmanifold", help="singular solution family reports")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--kind", choices=("minus", "zero", "plus"), required=True)
-    p.add_argument("--report", choices=("singular",), default="singular")
     p.add_argument("--radius", type=float, default=0.5)
     p.add_argument("--samples", type=_positive_int, default=16)
     p.add_argument("--export", default=None,
                    help="write a CSV point cloud to this path instead")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--param-range", type=float, default=1.0)
-    common(p)
+    p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=cmd_rmanifold)
 
     p = sub.add_parser("selfadjoint", help="classify a 4x4 operator")
@@ -426,21 +421,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="16 comma-separated entries, row-major")
     p.add_argument("--space", choices=("standard", "darboux"),
                    default="standard")
-    common(p)
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="residual tolerance of the classification")
     p.set_defaults(func=cmd_selfadjoint)
+
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None, help="write output to a file")
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "tol", None) is None:
-        args.tol = 1e-9
-    else:
-        # --tol overrides the per-check defaults where they exist
-        for name in ("residual_tol", "defect_tol"):
-            if hasattr(args, name):
-                setattr(args, name, args.tol)
     try:
         return args.func(args)
     except ParseError as exc:

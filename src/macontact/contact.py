@@ -155,8 +155,7 @@ def bracket_fields(x_field: list, y_field: list) -> list:
 
 def omega_of_field(pt: DarbouxPoint, field: list) -> float:
     """omega applied to a jet field, evaluated at the base point."""
-    return (field[_DU].value - pt.p1 * field[_DX1].value
-            - pt.p2 * field[_DX2].value)
+    return contact_form_value(pt, [jet.value for jet in field])
 
 
 # --- operations ---------------------------------------------------------------

@@ -279,11 +279,9 @@ def _series_for(func: str, c0: float, order: int):
     if func == "exp":
         e = math.exp(c0)
         return [e / math.factorial(m) for m in range(order + 1)]
-    if func == "sin":
-        cycle = [math.sin(c0), math.cos(c0), -math.sin(c0), -math.cos(c0)]
-        return [cycle[m % 4] / math.factorial(m) for m in range(order + 1)]
-    if func == "cos":
-        cycle = [math.cos(c0), -math.sin(c0), -math.cos(c0), math.sin(c0)]
+    if func in ("sin", "cos"):
+        s, c = _apply_func("sin", c0), _apply_func("cos", c0)
+        cycle = [s, c, -s, -c] if func == "sin" else [c, -s, -c, s]
         return [cycle[m % 4] / math.factorial(m) for m in range(order + 1)]
     if func == "ln":
         if c0 <= 0.0:
@@ -301,10 +299,10 @@ def _series_for(func: str, c0: float, order: int):
 
 
 def _apply_func(func: str, x: float) -> float:
-    if func == "sin":
-        return math.sin(x)
-    if func == "cos":
-        return math.cos(x)
+    if func in ("sin", "cos"):
+        if not math.isfinite(x):  # math raises a bare ValueError on an infinity
+            raise EvalDomainError(f"{func} of non-finite value {x}")
+        return math.sin(x) if func == "sin" else math.cos(x)
     if func == "exp":
         return math.exp(x)
     if func == "ln":

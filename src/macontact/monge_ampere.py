@@ -26,7 +26,6 @@ from .symplectic import ClassificationResult, Operator, SymplecticSpace
 __all__ = [
     "EquationType",
     "MAEquation",
-    "CandidateSolution",
     "GridSpec",
     "darboux_space",
     "lift_point",
@@ -45,12 +44,6 @@ __all__ = [
     "legendre_swap",
     "legendre_swap_point",
 ]
-
-# a candidate solution is an expression in the two base variables (x1, x2)
-CandidateSolution = Expr
-
-SOLUTION_VARIABLES = ("x1", "x2")
-
 
 class EquationType(enum.Enum):
     ELLIPTIC = "elliptic"
@@ -88,7 +81,7 @@ def darboux_space() -> SymplecticSpace:
     return SymplecticSpace(curvature_gram(ContactChart(), DarbouxPoint(0, 0, 0, 0, 0)))
 
 
-def lift_point(f: CandidateSolution, base) -> DarbouxPoint:
+def lift_point(f: Expr, base) -> DarbouxPoint:
     """Legendrian lift (x1, x2, f, f_x1, f_x2) of a base point."""
     jet = f.eval_jet(base, 1)
     return DarbouxPoint(base[0], base[1], jet.value,
@@ -134,31 +127,33 @@ def structure_operator(eq: MAEquation, pt: DarbouxPoint) -> Operator:
     return Operator(m, darboux_space())
 
 
-def residual(eq: MAEquation, f: CandidateSolution, base) -> float:
-    """E = N (f11 f22 - f12^2) + A f11 + B f12 + C f22 + D at the lift."""
+def _lift_2jet(f: Expr, base) -> tuple:
+    """(lifted point, f11, f12, f22) from one order-2 jet of f at the base."""
     jet = f.eval_jet(base, 2)
-    f11 = jet.derivative((2, 0))
-    f12 = jet.derivative((1, 1))
-    f22 = jet.derivative((0, 2))
     pt = DarbouxPoint(base[0], base[1], jet.value,
                       jet.derivative((1, 0)), jet.derivative((0, 1)))
-    n, a, b, c, d = eq.coefficients_at(pt)
+    return pt, jet.derivative((2, 0)), jet.derivative((1, 1)), jet.derivative((0, 2))
+
+
+def _equation_value(coeffs, f11, f12, f22) -> float:
+    n, a, b, c, d = coeffs
     return n * (f11 * f22 - f12 * f12) + a * f11 + b * f12 + c * f22 + d
 
 
-def tangent_frame(f: CandidateSolution, base) -> tuple:
+def residual(eq: MAEquation, f: Expr, base) -> float:
+    """E = N (f11 f22 - f12^2) + A f11 + B f12 + C f22 + D at the lift."""
+    pt, f11, f12, f22 = _lift_2jet(f, base)
+    return _equation_value(eq.coefficients_at(pt), f11, f12, f22)
+
+
+def tangent_frame(f: Expr, base) -> tuple:
     """The two tangent fields of the Legendrian graph at the lifted point:
 
     Z1 = e1 + f11 e3 + f12 e4,  Z2 = e2 + f12 e3 + f22 e4.
     """
-    jet = f.eval_jet(base, 2)
-    f11 = jet.derivative((2, 0))
-    f12 = jet.derivative((1, 1))
-    f22 = jet.derivative((0, 2))
-    p1, p2 = jet.derivative((1, 0)), jet.derivative((0, 1))
-    pt = DarbouxPoint(base[0], base[1], jet.value, p1, p2)
-    z1 = VectorFieldValue((1.0, 0.0, p1, f11, f12), pt)
-    z2 = VectorFieldValue((0.0, 1.0, p2, f12, f22), pt)
+    pt, f11, f12, f22 = _lift_2jet(f, base)
+    z1 = VectorFieldValue((1.0, 0.0, pt.p1, f11, f12), pt)
+    z2 = VectorFieldValue((0.0, 1.0, pt.p2, f12, f22), pt)
     return z1, z2
 
 
@@ -169,7 +164,7 @@ class InvarianceReport:
     residual: float
 
 
-def invariance_defect(eq: MAEquation, f: CandidateSolution, base) -> InvarianceReport:
+def invariance_defect(eq: MAEquation, f: Expr, base) -> InvarianceReport:
     """How far structure_operator moves the tangent plane of the Legendrian graph.
 
     Z1, Z2 and e3, e4 form a basis of the distribution along the graph, so
@@ -181,14 +176,10 @@ def invariance_defect(eq: MAEquation, f: CandidateSolution, base) -> InvarianceR
 
     which holds identically (solution or not); the deviation is returned.
     """
-    jet = f.eval_jet(base, 2)
-    f11 = jet.derivative((2, 0))
-    f12 = jet.derivative((1, 1))
-    f22 = jet.derivative((0, 2))
-    pt = DarbouxPoint(base[0], base[1], jet.value,
-                      jet.derivative((1, 0)), jet.derivative((0, 1)))
-    n, a, b, c, d = eq.coefficients_at(pt)
-    e_val = n * (f11 * f22 - f12 * f12) + a * f11 + b * f12 + c * f22 + d
+    pt, f11, f12, f22 = _lift_2jet(f, base)
+    coeffs = eq.coefficients_at(pt)
+    n, _, b, c, _ = coeffs
+    e_val = _equation_value(coeffs, f11, f12, f22)
 
     m = structure_operator(eq, pt).matrix
     z1 = np.array([1.0, 0.0, f11, f12])

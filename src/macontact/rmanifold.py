@@ -37,6 +37,7 @@ import numpy as np
 
 from .bends import HomPoly, normal_form, poly_from_fiber_vector, span_angle
 from .errors import ConsistencyError
+from .expr import EvalDomainError
 from .zeta import ZetaKind, ZetaNum, frac_factorial
 
 __all__ = [
@@ -338,13 +339,22 @@ def singular_point_report(spec: RManifoldSpec, radius: float = 0.5,
 
 
 def write_point_cloud(spec: RManifoldSpec, params, path) -> None:
-    """CSV with one row per parameter pair: a, b, x, y, u_{p,q} (graded-lex)."""
+    """CSV with one row per parameter pair: a, b, x, y, u_{p,q} (graded-lex).
+
+    Every point is computed before the file is opened; a NaN or infinity
+    (say from overflowing powers) raises EvalDomainError and writes nothing.
+    """
     keys = jet_indices(spec.k)
+    rows = []
+    for a, b in params:
+        pt = family_point(spec, a, b)
+        row = [float(v) for v in [a, b, pt.x, pt.y] + [pt.u[pq] for pq in keys]]
+        if not all(map(math.isfinite, row)):
+            raise EvalDomainError("non-finite point of the family at "
+                                  f"(a, b) = ({row[0]!r}, {row[1]!r})")
+        rows.append([f"{v:.17g}" for v in row])
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["a", "b", "x", "y"]
                         + [f"u_{{{p},{q}}}" for p, q in keys])
-        for a, b in params:
-            pt = family_point(spec, a, b)
-            row = [a, b, pt.x, pt.y] + [pt.u[pq] for pq in keys]
-            writer.writerow([f"{float(v):.17g}" for v in row])
+        writer.writerows(rows)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import null_space
 
 __all__ = [
     "SymplecticSpace",
@@ -123,8 +122,16 @@ def _fix_signs(basis: np.ndarray) -> np.ndarray:
     return out
 
 
+def _orth(m: np.ndarray, rtol: float) -> np.ndarray:
+    """Orthonormal basis of the column span, cut at rtol * largest singular value."""
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    return u[:, :int(np.sum(s > rtol * s[0]))]
+
+
 def _nullspace(m: np.ndarray, rtol: float = _RANK_TOL) -> np.ndarray:
-    return _fix_signs(null_space(m, rcond=rtol))
+    """Orthonormal null-space basis, rank cut at rtol * largest singular value."""
+    _, s, vh = np.linalg.svd(m)
+    return _fix_signs(vh[int(np.sum(s > rtol * s[0])):].T)
 
 
 def cyclic_subspace(sp: SymplecticSpace, a: Operator, v) -> np.ndarray:
@@ -137,10 +144,7 @@ def cyclic_subspace(sp: SymplecticSpace, a: Operator, v) -> np.ndarray:
     for _ in range(sp.dim):
         cols.append(w)
         w = a.matrix @ w
-    stack = np.column_stack(cols)
-    u, s, _ = np.linalg.svd(stack, full_matrices=False)
-    rank = int(np.sum(s > _RANK_TOL * s[0]))
-    return _fix_signs(u[:, :rank])
+    return _fix_signs(_orth(np.column_stack(cols), _RANK_TOL))
 
 
 def is_lagrangian(sp: SymplecticSpace, plane) -> bool:

@@ -69,14 +69,6 @@ class ZetaNum:
         return out
 
 
-def mul(a: ZetaNum, b: ZetaNum) -> ZetaNum:
-    return a * b
-
-
-def pow(z: ZetaNum, k: int) -> ZetaNum:  # noqa: A001 - mirrors the operation name
-    return z ** k
-
-
 def frac_factorial(s: int, l: int) -> float:
     """(s + 1/l)! read as the product (1 + 1/l)(2 + 1/l)...(s + 1/l).
 

@@ -239,3 +239,59 @@ def test_non_finite_output_names_its_path_and_writes_nothing(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "non-finite value at $.components[" in captured.err
+
+
+def test_classify_sin_of_infinity_marks_error_cells(capsys):
+    code = main(["classify", "--A", "1", "--C", "1", "--B", "sin(x1*1e308*10)",
+                 "--grid", "x1=0:1:3", "--max-error-fraction", "1"])
+    assert code == 0
+    cells = json.loads(capsys.readouterr().out)["cells"]
+    assert cells[0]["type"] == "elliptic"
+    assert [c["error"] for c in cells[1:]] == ["sin of non-finite value inf"] * 2
+
+
+def test_point_cloud_export_rejects_non_finite_rows(tmp_path, capsys):
+    path = tmp_path / "cloud.csv"
+    code = main(["rmanifold", "--k", "8", "--l", "5", "--kind", "minus",
+                 "--export", str(path), "--count", "3", "--param-range", "1e10"])
+    assert code == 3
+    assert not path.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite point of the family" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bend", "--k", "2", "--q1", "x^2", "--q2", "x*y", "--format", "csv"],
+    ["contact", "--nu", "u", "--seed", "1"],
+    ["classify", "--A", "1", "--C", "1", "--tol", "1"],
+    ["rmanifold", "--k", "2", "--l", "2", "--kind", "minus", "--report", "singular"],
+    ["selfadjoint", "--matrix", ",".join(["1"] + ["0"] * 15), "--seed", "1"],
+])
+def test_flags_without_effect_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("own_tol, tol, code", [
+    ("10", None, 0),
+    ("0", "5", 0),  # passes only if --tol lifts both tolerances
+    ("10", "1e-3", 1),
+])
+def test_verify_tol_sets_both_tolerances(own_tol, tol, code, capsys):
+    # x1^2 misses the Laplace equation by E = 2; its invariance defect is 4
+    argv = ["verify", "--A", "1", "--C", "1", "--f", "x1^2", "--samples", "2",
+            "--residual-tol", own_tol, "--defect-tol", own_tol]
+    if tol is not None:
+        argv += ["--tol", tol]
+    assert main(argv) == code
+    data = json.loads(capsys.readouterr().out)
+    assert (data["max_residual"], data["max_defect"]) == (2.0, 4.0)
+
+
+def test_bend_rejects_overflowing_coefficients(capsys):
+    code = main(["bend", "--k", "2", "--q1", "x^2*1e300*1e300", "--q2", "x*y"])
+    assert code == 2
+    assert "non-finite coefficient" in capsys.readouterr().err

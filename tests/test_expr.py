@@ -231,3 +231,14 @@ def test_substitution():
     e = parse("x1^2 + x2", XY)
     sub = e.subs({"x1": parse("x2 + 1", XY)})
     assert sub.eval((0, 2)) == 9 + 2
+
+
+@pytest.mark.parametrize("func", ["sin", "cos"])
+def test_sin_cos_of_infinity_is_a_domain_error(func):
+    # x * 1e308 * 10 overflows to inf; math.sin(inf) raises a bare ValueError
+    expr = parse(f"{func}(x1 * 1e308 * 10)", XY)
+    with pytest.raises(EvalDomainError, match="non-finite"):
+        expr.eval((1.0, 0.0))
+    with pytest.raises(EvalDomainError, match="non-finite"):
+        expr.eval_jet((1.0, 0.0), 2)
+    assert expr.eval((0.0, 0.0)) == (0.0 if func == "sin" else 1.0)
