@@ -30,6 +30,7 @@ EXIT_NUMERIC = 3
 EXIT_GATE = 4
 
 DEFAULT_GRID = "x1=-1:1:5,x2=-1:1:5"
+MAX_POLY_DEGREE = 32  # largest jet order of a `bend` input (README)
 
 
 # --- deterministic serialization ----------------------------------------------
@@ -207,8 +208,21 @@ def _parse_kind(text: str) -> ZetaKind:
 
 
 def _homogeneous_poly(text: str, degree: int) -> bends.HomPoly:
+    """The polynomial as a form of the given degree, rejecting any other term.
+
+    The jet is taken to order max(degree, degree bound of the input), so
+    every term of the input is seen; an order above MAX_POLY_DEGREE, which
+    would make that jet costly, is refused.
+    """
     expr = parse(text, ("x", "y"))
-    jet = expr.eval_jet((0.0, 0.0), degree + 3)
+    bound = expr.degree_bound()
+    if bound is None:
+        raise ValueError(f"{text!r} is not a polynomial in x, y")
+    order = max(degree, bound)
+    if order > MAX_POLY_DEGREE:
+        raise ValueError(f"{text!r} at --k {degree} needs a jet of order "
+                         f"{order}, above the cap {MAX_POLY_DEGREE}")
+    jet = expr.eval_jet((0.0, 0.0), order)
     coeffs = np.zeros(degree + 1)
     for alpha, value in jet.coeffs.items():
         if sum(alpha) == degree:
@@ -391,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bend", help="bend test for a polynomial pair")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--q1", required=True, help="polynomial in x, y")
     p.add_argument("--q2", required=True, help="polynomial in x, y")
     p.set_defaults(func=cmd_bend)

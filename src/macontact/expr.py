@@ -380,6 +380,15 @@ class Expr:
             raise ValueError(f"unknown function {func!r}")
         return Expr(Call(func, self.node), self.variables)
 
+    def degree_bound(self):
+        """An upper bound on the total degree, or None if not a polynomial.
+
+        Numbers, variables, ``+ - *`` and nonnegative integer powers keep a
+        polynomial; so do division by, negative powers of and functions of
+        subexpressions free of variables, which are constants.
+        """
+        return _degree_node(self.node)
+
     # -- evaluation
 
     def eval(self, point) -> float:
@@ -560,6 +569,34 @@ def _jet_node(node, base, order) -> Jet:
     if isinstance(node, Call):
         arg = _jet_node(node.arg, base, order)
         return arg.compose_series(_series_for(node.func, arg.value, order))
+    raise TypeError(f"bad node {node!r}")
+
+
+def _degree_node(node):
+    if isinstance(node, Num):
+        return 0
+    if isinstance(node, Var):
+        return 1
+    if isinstance(node, Neg):
+        return _degree_node(node.child)
+    if isinstance(node, BinOp):
+        left, right = _degree_node(node.left), _degree_node(node.right)
+        if left is None or right is None:
+            return None
+        if node.op in "+-":
+            return max(left, right)
+        if node.op == "*":
+            return left + right
+        return left if right == 0 else None
+    if isinstance(node, Pow):
+        child = _degree_node(node.child)
+        if child == 0:
+            return 0
+        if child is None or node.exponent < 0:
+            return None
+        return child * node.exponent
+    if isinstance(node, Call):
+        return 0 if _degree_node(node.arg) == 0 else None
     raise TypeError(f"bad node {node!r}")
 
 

@@ -38,7 +38,7 @@ import numpy as np
 from .bends import HomPoly, normal_form, poly_from_fiber_vector, span_angle
 from .errors import ConsistencyError
 from .expr import EvalDomainError
-from .zeta import ZetaKind, ZetaNum, frac_factorial
+from .zeta import ZetaKind, frac_factorial
 
 __all__ = [
     "JetChartPoint",
@@ -57,6 +57,8 @@ __all__ = [
     "SingularPointReport",
     "write_point_cloud",
 ]
+
+_CONSISTENCY_TOL = 1e-9  # largest |residual| of the prolonged equation on L_{k,l}
 
 
 @lru_cache(maxsize=None)
@@ -110,13 +112,18 @@ class RManifoldSpec:
             raise ValueError("l must be an integer >= 2")
 
 
+def _residual_rows(k: int, kind: ZetaKind, cols: np.ndarray) -> np.ndarray:
+    """u_{2+r,s} - zeta^2 u_{r,s+2} per (r, s), graded-lex, of coordinates in
+    ``layout_keys(k)`` order (a vector, or one column per point)."""
+    pos = _layout_pos(k)
+    sq = kind.square
+    return np.array([cols[pos[(2 + r, s)]] - sq * cols[pos[(r, s + 2)]]
+                     for r, s in jet_indices(k - 2)])
+
+
 def prolonged_residuals(pt: JetChartPoint, kind: ZetaKind) -> np.ndarray:
     """One residual u_{2+r,s} - zeta^2 u_{r,s+2} per (r, s), graded-lex."""
-    sq = kind.square
-    out = []
-    for r, s in jet_indices(pt.k - 2):
-        out.append(pt.u[(2 + r, s)] - sq * pt.u[(r, s + 2)])
-    return np.array(out)
+    return _residual_rows(pt.k, kind, pt.as_array())
 
 
 @dataclass(frozen=True)
@@ -156,38 +163,77 @@ def fiber_tangent_basis(k: int, kind: ZetaKind) -> FiberTangentBasis:
     return FiberTangentBasis(vec1, vec2, poly1, poly2)
 
 
-def family_point(spec: RManifoldSpec, a: float, b: float) -> JetChartPoint:
-    """The point of L_{k,l} at parameters (a, b) = (u_{k,0}, u_{k-1,1})."""
+def _family_columns(spec: RManifoldSpec, a, b) -> np.ndarray:
+    """Coordinates of L_{k,l} at the parameter pairs (a[i], b[i]).
+
+    One column per pair, rows in ``layout_keys(k)`` order.  Every power of
+    s = a + zeta*b is a prefix of one ladder from (1, 0),
+    ``re, im = re*a + zeta^2*im*b, re*b + im*a``, which is the left-to-right
+    product of ``ZetaNum.__pow__``; with the same float64 operations in the
+    same order, each value is bitwise the one the per-point product gives.
+    The consistency gate checks every column and names the first failing
+    one, as point-by-point evaluation would.
+    """
     k, l, kind = spec.k, spec.l, spec.kind
     sq = kind.square
-    s = ZetaNum(float(a), float(b), kind)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     cap_f = frac_factorial(k, l)
+    try:
+        base_scale = cap_f ** l
+        scales = [frac_factorial(r, l) * cap_f ** (l * r) for r in range(1, k + 1)]
+    except OverflowError:
+        base_scale, scales = math.inf, []
+    if not all(map(math.isfinite, [base_scale] + scales)):
+        raise ValueError(f"the scaling constants of L_{{k,l}} overflow for "
+                         f"k={k}, l={l}")
 
-    u = {(k, 0): float(a), (k - 1, 1): float(b)}
-    base = s ** l
-    x = base.re / cap_f ** l
-    y = sq * base.im / cap_f ** l
-    for r in range(1, k + 1):
-        scale = frac_factorial(r, l) * cap_f ** (l * r)
-        w = s ** (l * r + 1)
-        u[(k - r, 0)] = w.re / scale
-        if k - r - 1 >= 0:
-            u[(k - r - 1, 1)] = w.im / scale
-    for q in range(2, k + 1):
-        for p in range(k - q + 1):
-            u[(p, q)] = sq * u[(p + 2, q - 2)]
+    pos = _layout_pos(k)
+    out = np.empty((len(pos), a.size))
+    out[pos[(k, 0)]] = a
+    out[pos[(k - 1, 1)]] = b
+    re, im = 1.0, 0.0
+    with np.errstate(all="ignore"):
+        for m in range(1, l * k + 2):
+            re, im = re * a + sq * im * b, re * b + im * a
+            r, rest = divmod(m - 1, l)
+            if m == l:
+                out[pos["x"]] = re / base_scale
+                out[pos["y"]] = sq * im / base_scale
+            elif rest == 0 and r >= 1:
+                out[pos[(k - r, 0)]] = re / scales[r - 1]
+                if k - r - 1 >= 0:
+                    out[pos[(k - r - 1, 1)]] = im / scales[r - 1]
+        for q in range(2, k + 1):
+            for p in range(k - q + 1):
+                out[pos[(p, q)]] = sq * out[pos[(p + 2, q - 2)]]
+        if kind is not ZetaKind.ZERO:
+            _check_consistency(k, kind, out)
+    return out
 
-    pt = JetChartPoint(k, x, y, u)
-    if kind is not ZetaKind.ZERO:
-        bad = family_consistency(pt, kind)
-        if bad:
-            idx, value = bad[0]
-            raise ConsistencyError(f"prolonged equation violated at {idx}: "
-                                   f"residual {value}")
-    return pt
+
+def _check_consistency(k: int, kind: ZetaKind, cols: np.ndarray) -> None:
+    """Raise ConsistencyError at the first column violating the prolonged
+    equation, naming its first offending (index, residual) pair."""
+    res = _residual_rows(k, kind, cols)
+    bad = np.abs(res) > _CONSISTENCY_TOL
+    if bad.any():
+        col = int(bad.any(axis=0).argmax())
+        row = int(bad[:, col].argmax())
+        raise ConsistencyError(f"prolonged equation violated at "
+                               f"{jet_indices(k - 2)[row]}: residual "
+                               f"{float(res[row, col])}")
 
 
-def family_consistency(pt: JetChartPoint, kind: ZetaKind, tol: float = 1e-9) -> list:
+def family_point(spec: RManifoldSpec, a: float, b: float) -> JetChartPoint:
+    """The point of L_{k,l} at parameters (a, b) = (u_{k,0}, u_{k-1,1})."""
+    col = _family_columns(spec, [float(a)], [float(b)])[:, 0].tolist()
+    return JetChartPoint(spec.k, col[0], col[1],
+                         dict(zip(jet_indices(spec.k), col[2:])))
+
+
+def family_consistency(pt: JetChartPoint, kind: ZetaKind,
+                       tol: float = _CONSISTENCY_TOL) -> list:
     """Offending (index, residual) pairs of the prolonged equation, if any."""
     res = prolonged_residuals(pt, kind)
     out = []
@@ -197,12 +243,21 @@ def family_consistency(pt: JetChartPoint, kind: ZetaKind, tol: float = 1e-9) -> 
     return out
 
 
-def _raw_tangents(spec: RManifoldSpec, a: float, b: float, h: float) -> tuple:
-    def diff(da, db):
-        plus = family_point(spec, a + da, b + db).as_array()
-        minus = family_point(spec, a - da, b - db).as_array()
-        return (plus - minus) / (2.0 * h)
-    return diff(h, 0.0), diff(0.0, h)
+def _tangent_lanes(a: float, b: float, h: float) -> list:
+    """Parameter pairs of the central differences in a, then in b.
+
+    The zero steps are not no-ops: ``-0.0 + 0.0`` is ``0.0``, so they fix
+    the sign of zero coordinates, as stepping (a, b) by (h, 0) does.
+    """
+    return [(a + h, b + 0.0), (a - h, b - 0.0), (a + 0.0, b + h), (a - 0.0, b - h)]
+
+
+def _lane_tangents(cols: np.ndarray, h: float) -> tuple:
+    """Raw tangents in a and in b, one column per point, from the columns of
+    consecutive groups of ``_tangent_lanes``."""
+    with np.errstate(all="ignore"):
+        return ((cols[:, 0::4] - cols[:, 1::4]) / (2.0 * h),
+                (cols[:, 2::4] - cols[:, 3::4]) / (2.0 * h))
 
 
 def tangent_vectors(spec: RManifoldSpec, a: float, b: float,
@@ -210,7 +265,9 @@ def tangent_vectors(spec: RManifoldSpec, a: float, b: float,
     """Unit central-difference tangents of the parametrization in a and b."""
     if h <= 0:
         raise ValueError("step h must be positive")
-    ta, tb = _raw_tangents(spec, a, b, h)
+    lanes = _tangent_lanes(a, b, h)
+    ta, tb = _lane_tangents(_family_columns(spec, *zip(*lanes)), h)
+    ta, tb = ta[:, 0], tb[:, 0]
     return ta / np.linalg.norm(ta), tb / np.linalg.norm(tb)
 
 
@@ -272,17 +329,23 @@ class SingularPointReport:
         }
 
 
-def _origin_bend_basis(spec: RManifoldSpec, h: float) -> np.ndarray:
+def _require_finite(what: str, cols: np.ndarray, params) -> None:
+    """Raise EvalDomainError naming the parameters of the first column
+    holding a NaN or infinity."""
+    bad = ~np.isfinite(cols).all(axis=0)
+    if bad.any():
+        a, b = (float(v) for v in params[int(bad.argmax())])
+        raise EvalDomainError(f"non-finite {what} of the family at "
+                              f"(a, b) = ({a!r}, {b!r})")
+
+
+def _origin_bend_basis(k: int, tangents) -> np.ndarray:
     """Fiber parts (top order) of the tangent plane at the origin."""
-    ta, tb = _raw_tangents(spec, 0.0, 0.0, h)
-    pos = _layout_pos(spec.k)
+    pos = _layout_pos(k)
     cols = []
-    for t in (ta, tb):
-        comp = {(p, q): t[pos[(p, q)]] for p, q in jet_indices(spec.k)
-                if p + q == spec.k}
-        full = {(r, spec.k - r): comp.get((r, spec.k - r), 0.0)
-                for r in range(spec.k + 1)}
-        cols.append(poly_from_fiber_vector(spec.k, full).coeffs)
+    for t in tangents:
+        full = {(r, k - r): t[pos[(r, k - r)]] for r in range(k + 1)}
+        cols.append(poly_from_fiber_vector(k, full).coeffs)
     return np.column_stack(cols)
 
 
@@ -294,12 +357,15 @@ def singular_point_report(spec: RManifoldSpec, radius: float = 0.5,
     the double numbers, directions within the sector |a^2 - b^2| <
     0.2 (a^2 + b^2) around the null cone are excluded from the rank-2 check
     and listed separately (the base Jacobian genuinely degenerates there).
+    The report reads the base rows (x, y) of the tangents at every sample
+    and the origin, and the fiber rows of the origin's; a NaN or infinity
+    there (say from overflowing powers) raises EvalDomainError naming its
+    parameters, while other rows may overflow.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    pos = _layout_pos(spec.k)
     kept, excluded = [], []
     for rho in (radius, 2.0 * radius):
         for i in range(samples):
@@ -307,34 +373,47 @@ def singular_point_report(spec: RManifoldSpec, radius: float = 0.5,
             a, b = rho * math.cos(theta), rho * math.sin(theta)
             if spec.kind is ZetaKind.PLUS and abs(a * a - b * b) < 0.2 * rho * rho:
                 excluded.append((a, b))
-                continue
-            ta, tb = _raw_tangents(spec, a, b, h)
-            block = np.array([[ta[pos["x"]], ta[pos["y"]]],
-                              [tb[pos["x"]], tb[pos["y"]]]])
-            sig = np.linalg.svd(block, compute_uv=False)
-            ratio = float(sig[1] / sig[0]) if sig[0] > 0 else 0.0
-            det = float(np.linalg.det(block))
-            kept.append(((a, b), det, ratio, bool(ratio > 1e-6)))
-
+            else:
+                kept.append((a, b))
     if not kept:
         raise ValueError(f"all {2 * samples} sample directions fall in the "
                          "excluded null-cone sector; use more samples")
-    ta0, tb0 = _raw_tangents(spec, 0.0, 0.0, h)
-    base_mag = float(max(abs(ta0[pos["x"]]), abs(ta0[pos["y"]]),
-                         abs(tb0[pos["x"]]), abs(tb0[pos["y"]])))
+
+    # four central-difference lanes per kept sample, then the origin's
+    points = kept + [(0.0, 0.0)]
+    lanes = [lane for a, b in points for lane in _tangent_lanes(a, b, h)]
+    ta, tb = _lane_tangents(_family_columns(spec, *zip(*lanes)), h)
+    pos = _layout_pos(spec.k)
+    px, py = pos["x"], pos["y"]
+    fiber = [pos[(r, spec.k - r)] for r in range(spec.k + 1)]
+    _require_finite("tangent", np.vstack([ta[[px, py]], tb[[px, py]]]), points)
+    _require_finite("tangent", np.vstack([ta[fiber, -1:], tb[fiber, -1:]]),
+                    points[-1:])
+
+    # one 2x2 base block [[t_a[x], t_a[y]], [t_b[x], t_b[y]]] per kept sample
+    blocks = np.stack([ta[[px, py], :-1], tb[[px, py], :-1]]).transpose(2, 0, 1)
+    sigmas = np.linalg.svd(blocks, compute_uv=False)
+    dets = np.linalg.det(blocks)
+    samples_out = []
+    for (a, b), sig, det in zip(kept, sigmas, dets):
+        ratio = float(sig[1] / sig[0]) if sig[0] > 0 else 0.0
+        samples_out.append(((a, b), float(det), ratio, bool(ratio > 1e-6)))
+
+    ta0, tb0 = ta[:, -1], tb[:, -1]
+    base_mag = float(max(abs(ta0[px]), abs(ta0[py]), abs(tb0[px]), abs(tb0[py])))
     rank0_ok = base_mag <= 100.0 * h
 
-    bend = _origin_bend_basis(spec, h)
+    bend = _origin_bend_basis(spec.k, (ta0, tb0))
     nf = normal_form(spec.k, spec.kind).basis_matrix()
     swapped = nf[::-1, :]  # reversing coefficients swaps x and y
     angle = span_angle(bend, nf)
     angle_swapped = span_angle(bend, swapped)
     bend_ok = bool(angle <= 1e-8)
 
-    unique = bool(all(ok for *_, ok in kept) and rank0_ok and
+    unique = bool(all(ok for *_, ok in samples_out) and rank0_ok and
                   (bend_ok or spec.kind is ZetaKind.ZERO))
     return SingularPointReport(
-        spec, radius, tuple(kept), tuple(excluded), base_mag, rank0_ok,
+        spec, radius, tuple(samples_out), tuple(excluded), base_mag, rank0_ok,
         float(angle), float(angle_swapped), bend_ok, unique)
 
 
@@ -345,16 +424,14 @@ def write_point_cloud(spec: RManifoldSpec, params, path) -> None:
     (say from overflowing powers) raises EvalDomainError and writes nothing.
     """
     keys = jet_indices(spec.k)
-    rows = []
-    for a, b in params:
-        pt = family_point(spec, a, b)
-        row = [float(v) for v in [a, b, pt.x, pt.y] + [pt.u[pq] for pq in keys]]
-        if not all(map(math.isfinite, row)):
-            raise EvalDomainError("non-finite point of the family at "
-                                  f"(a, b) = ({row[0]!r}, {row[1]!r})")
-        rows.append([f"{v:.17g}" for v in row])
+    pairs = np.array([(float(a), float(b)) for a, b in params]).reshape(-1, 2)
+    cols = _family_columns(spec, pairs[:, 0], pairs[:, 1])
+    _require_finite("point", cols, pairs)
+    # numbers need no CSV quoting: a row is 17-digit values joined by
+    # commas, ended like the csv module's rows
+    row = ",".join(["%.17g"] * (2 + len(cols))) + "\r\n"
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["a", "b", "x", "y"]
-                        + [f"u_{{{p},{q}}}" for p, q in keys])
-        writer.writerows(rows)
+        csv.writer(handle).writerow(["a", "b", "x", "y"]
+                                    + [f"u_{{{p},{q}}}" for p, q in keys])
+        for pair, col in zip(pairs.tolist(), cols.T):
+            handle.write(row % (*pair, *col.tolist()))

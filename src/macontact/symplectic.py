@@ -30,6 +30,9 @@ __all__ = [
 ]
 
 _RANK_TOL = 1e-10
+# ||A||_F above this makes ||A||^2, A^2 or the discriminant overflow, and
+# every tolerance scaled by them vacuous
+_MAX_NORM = 1e150
 
 
 @dataclass(frozen=True)
@@ -186,7 +189,15 @@ def classify_dim4(sp: SymplecticSpace, a: Operator, tol: float = 1e-9,
     if sp.dim != 4:
         raise ValueError("classification implemented for dimension 4 only")
     m = a.matrix
-    norm = float(np.linalg.norm(m))
+    bad = np.argwhere(~np.isfinite(m))
+    if bad.size:
+        i, j = (int(v) for v in bad[0])
+        raise ValueError(f"operator entry ({i}, {j}) is not finite: {float(m[i, j])!r}")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(m))
+    if not norm <= _MAX_NORM:
+        raise ValueError(f"operator too large to classify: ||A||_F = {norm!r} "
+                         f"exceeds {_MAX_NORM:g}, so ||A||^2 and A^2 overflow")
     scale = max(1.0, norm)
     if not is_self_adjoint(sp, a, tol * scale):
         raise ValueError("operator is not self-adjoint within tolerance")

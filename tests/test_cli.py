@@ -295,3 +295,46 @@ def test_bend_rejects_overflowing_coefficients(capsys):
     code = main(["bend", "--k", "2", "--q1", "x^2*1e300*1e300", "--q2", "x*y"])
     assert code == 2
     assert "non-finite coefficient" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["rmanifold", "--k", "40", "--l", "2", "--kind", "minus"], 2, b"k=40, l=2"),
+    (["rmanifold", "--k", "20", "--l", "5", "--kind", "plus"], 2, b"k=20, l=5"),
+    (["rmanifold", "--k", "3", "--l", "2", "--kind", "minus", "--radius", "1e200"], 3,
+     b"non-finite tangent of the family at (a, b) = (9.8"),
+    (["selfadjoint", "--matrix", ",".join(["inf"] + ["0"] * 15)], 2,
+     b"entry (0, 0) is not finite: inf"),
+    (["selfadjoint", "--matrix", ",".join(["0"] * 5 + ["nan"] + ["0"] * 10)], 2,
+     b"entry (1, 1) is not finite: nan"),
+    (["selfadjoint", "--matrix", "1e300,0,0,0,0,2e300,0,0,0,0,1e300,0,0,0,0,2e300"], 2,
+     b"overflow"),
+    (["bend", "--k", "2", "--q1", "x^2 + x^6", "--q2", "x*y"], 2,
+     b"not homogeneous of degree 2"),
+    (["bend", "--k", "2", "--q1", "x*sin(y)", "--q2", "x*y"], 2, b"not a polynomial"),
+    (["bend", "--k", "2", "--q1", "x^2/y", "--q2", "x*y"], 2, b"not a polynomial"),
+    (["bend", "--k", "2", "--q1", "x^1000000", "--q2", "x*y"], 2, b"above the cap 32"),
+    (["bend", "--k", "2", "--q1", "(1+x+y)^33", "--q2", "x*y"], 2,
+     b"needs a jet of order 33, above the cap 32"),
+    # a dense input at the cap still evaluates its whole jet (about 0.2 s)
+    (["bend", "--k", "32", "--q1", "(1+x+y)^32", "--q2", "(1+x+y)^32"], 2,
+     b"not homogeneous of degree 32"),
+    (["bend", "--k", "0", "--q1", "1", "--q2", "2"], 2, b"must be at least 1"),
+    (["bend", "--k", "100000", "--q1", "0", "--q2", "0"], 2,
+     b"at --k 100000 needs a jet of order 100000, above the cap 32"),
+])
+def test_out_of_range_input_ends_in_its_exit_code_without_warnings(argv, code, message):
+    proc = run_cli(*argv)
+    assert proc.returncode == code
+    assert proc.stdout == b""
+    assert message in proc.stderr
+    assert b"Warning" not in proc.stderr and b"Traceback" not in proc.stderr
+
+
+def test_bend_accepts_constant_factors_and_cancelling_terms(capsys):
+    # division by and functions of constants keep a polynomial; x^6 - x^6
+    # raises the jet order to 6 and cancels exactly
+    argv = ["bend", "--k", "2", "--q1", "x^2/2 + sqrt(4)*y^2 + x^6 - x^6",
+            "--q2", "x*y"]
+    assert main(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["is_bend"] is True

@@ -242,3 +242,18 @@ def test_sin_cos_of_infinity_is_a_domain_error(func):
     with pytest.raises(EvalDomainError, match="non-finite"):
         expr.eval_jet((1.0, 0.0), 2)
     assert expr.eval((0.0, 0.0)) == (0.0 if func == "sin" else 1.0)
+
+
+@pytest.mark.parametrize("text, bound", [
+    ("3", 0), ("x1", 1), ("-x1*x2^2", 3), ("x1^2 + x1^6 - x1^6", 6),
+    ("(x1 + x2)^3 * x2", 4), ("x1^2/2 + sqrt(2)*x2", 2), ("2^-1*x1", 1),
+    ("(x1^2)^3", 6), ("sin(1)*x1^0", 0),
+])
+def test_degree_bound_of_polynomials(text, bound):
+    assert parse(text, XY).degree_bound() == bound
+
+
+@pytest.mark.parametrize("text", ["sin(x1)", "1/x1", "x1^-2", "x1/(x2 + 1)",
+                                  "exp(x1 - x1)", "x1*sqrt(x2)"])
+def test_degree_bound_rejects_non_polynomials(text):
+    assert parse(text, XY).degree_bound() is None

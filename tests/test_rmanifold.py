@@ -3,15 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macontact.bends import normal_form, span_angle
-from macontact.rmanifold import (JetChartPoint, RManifoldSpec,
+from macontact.errors import ConsistencyError
+from macontact.expr import EvalDomainError
+from macontact.rmanifold import (JetChartPoint, RManifoldSpec, _check_consistency,
+                                 _family_columns,
                                  cartan_defect_at, cartan_tangency_defect,
                                  jet_indices, layout_keys, family_consistency,
                                  family_point, fiber_tangent_basis, prolonged_residuals,
                                  singular_point_report, tangent_vectors,
                                  write_point_cloud)
-from macontact.zeta import ZetaKind, frac_factorial
+from macontact.zeta import ZetaKind, ZetaNum, frac_factorial
 
 
 def jet_point(k, x=0.0, y=0.0, **values):
@@ -232,3 +237,98 @@ def test_point_cloud_csv(tmp_path):
     assert len(rows) == 3
     pt = family_point(spec, 0.1, 0.2)
     assert float(rows[1][2]) == pytest.approx(pt.x, rel=1e-15)
+
+
+# --- column evaluation of L_{k,l} ------------------------------------------------------------
+
+def _oracle_point(spec, a, b):
+    """The family point from one ZetaNum power chain per coordinate, in layout order."""
+    k, l, kind = spec.k, spec.l, spec.kind
+    sq = kind.square
+    s = ZetaNum(a, b, kind)
+    cap_f = frac_factorial(k, l)
+    u = {(k, 0): a, (k - 1, 1): b}
+    base = s ** l
+    x = base.re / cap_f ** l
+    y = sq * base.im / cap_f ** l
+    for r in range(1, k + 1):
+        scale = frac_factorial(r, l) * cap_f ** (l * r)
+        w = s ** (l * r + 1)
+        u[(k - r, 0)] = w.re / scale
+        if k - r - 1 >= 0:
+            u[(k - r - 1, 1)] = w.im / scale
+    for q in range(2, k + 1):
+        for p in range(k - q + 1):
+            u[(p, q)] = sq * u[(p + 2, q - 2)]
+    return np.array([x, y] + [u[pq] for pq in jet_indices(k)])
+
+
+_param = st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(2, 8), l=st.integers(2, 5), kind=st.sampled_from(list(ZetaKind)),
+       pairs=st.lists(st.tuples(_param, _param), min_size=1, max_size=4),
+       h=st.sampled_from([1e-4, 1e-3, 0.5]))
+def test_family_columns_bitwise_equal_to_zetanum_powers(k, l, kind, pairs, h):
+    spec = RManifoldSpec(k, l, kind)
+    # the pairs, then the central-difference lanes around each (a +- 0.0 among them)
+    lanes = list(pairs)
+    for a, b in pairs:
+        lanes += [(a + h, b + 0.0), (a - h, b - 0.0), (a + 0.0, b + h), (a - 0.0, b - h)]
+    cols = _family_columns(spec, *zip(*lanes))
+    assert cols.shape == (len(layout_keys(k)), len(lanes))
+    for i, (a, b) in enumerate(lanes):
+        expected = _oracle_point(spec, a, b)
+        assert cols[:, i].tobytes() == expected.tobytes(), (a, b)
+        assert family_point(spec, a, b).as_array().tobytes() == expected.tobytes()
+    for j, (a, b) in enumerate(pairs):
+        first = len(pairs) + 4 * j
+        plus_a, minus_a, plus_b, minus_b = (_oracle_point(spec, *lane)
+                                            for lane in lanes[first:first + 4])
+        ta, tb = (plus_a - minus_a) / (2.0 * h), (plus_b - minus_b) / (2.0 * h)
+        unit_a, unit_b = tangent_vectors(spec, a, b, h)
+        assert unit_a.tobytes() == (ta / np.linalg.norm(ta)).tobytes()
+        assert unit_b.tobytes() == (tb / np.linalg.norm(tb)).tobytes()
+
+
+def test_consistency_gate_names_the_first_failing_point():
+    spec = RManifoldSpec(4, 3, ZetaKind.PLUS)
+    lanes = [(0.1 * i, -0.05 * i) for i in range(6)]
+    cols = _family_columns(spec, *zip(*lanes))
+    pos = layout_keys(4)
+    cols[pos.index((0, 2)), 4] += 1.0   # a later lane, residual index (0, 0)
+    cols[pos.index((2, 2)), 2] += 2.0   # the first failing lane, index (0, 2)
+    cols[pos.index((3, 0)), 2] += 1e-3  # same lane, index (1, 0), which comes first
+    points = [JetChartPoint(4, col[0], col[1], dict(zip(jet_indices(4), col[2:])))
+              for col in cols.T.tolist()]
+    first = next(family_consistency(pt, spec.kind) for pt in points
+                 if family_consistency(pt, spec.kind))
+    idx, value = first[0]
+    with pytest.raises(ConsistencyError) as exc:
+        _check_consistency(4, spec.kind, cols)
+    assert str(exc.value) == f"prolonged equation violated at {idx}: residual {value}"
+    assert idx == (1, 0)
+
+
+def test_family_point_rejects_overflowing_scaling_constants():
+    for k, l in ((40, 2), (20, 5)):
+        with pytest.raises(ValueError, match=f"k={k}, l={l}"):
+            family_point(RManifoldSpec(k, l, ZetaKind.MINUS), 0.5, 0.5)
+
+
+def test_singular_report_rejects_non_finite_tangents():
+    with pytest.raises(EvalDomainError, match=r"non-finite tangent of the family at \(a, b\)"):
+        singular_point_report(RManifoldSpec(3, 2, ZetaKind.MINUS), radius=1e200)
+
+
+def test_singular_report_ignores_overflow_in_rows_it_does_not_read():
+    # s^41 overflows the u rows at radius 1e8 while x = s^5/cap^5 stays finite
+    spec = RManifoldSpec(8, 5, ZetaKind.MINUS)
+    a, b = 1e8, 0.5e8
+    assert not np.isfinite(_family_columns(spec, [a], [b])).all()
+    report = singular_point_report(spec, radius=1e8, samples=4)
+    data = report.to_json_dict()
+    assert all(math.isfinite(s["det"]) and math.isfinite(s["sigma_ratio"])
+               for s in data["samples"])
+    assert math.isfinite(report.origin_base_derivative)

@@ -1,0 +1,95 @@
+"""Byte-identity of `macontact rmanifold` output against committed goldens.
+
+The goldens in ``tests/golden`` were written by the point-by-point
+evaluator of ``L_{k,l}``, which computed each power ``s^m`` with its own
+``ZetaNum`` product chain.  They cover a double-number report with
+directions excluded around the null cone, a dual-number report (no
+consistency gate), a report whose unread rows overflow and a point-cloud
+export, so any change in the order of
+the float operations, in the lanes of the finite-difference tangents or
+in formatting shows up as a byte difference.
+
+To rewrite the goldens after a deliberate output change, run
+``PYTHONPATH=src python tests/test_rmanifold_golden.py``.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+import pytest
+
+from macontact.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+REPORTS = {
+    "rmanifold_plus.json": ["--k", "5", "--l", "3", "--kind", "plus",
+                            "--samples", "12", "--radius", "0.4"],
+    "rmanifold_zero.json": ["--k", "4", "--l", "2", "--kind", "zero",
+                            "--samples", "10", "--radius", "0.9"],
+    # the u rows overflow (s^41), the x, y rows the report reads do not
+    "rmanifold_minus_overflow.json": ["--k", "8", "--l", "5", "--kind", "minus",
+                                      "--samples", "4", "--radius", "1e8"],
+}
+EXPORT = ("rmanifold_export.csv",
+          ["--k", "6", "--l", "4", "--kind", "plus", "--count", "40",
+           "--param-range", "1.1", "--seed", "9"])
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["rmanifold"] + argv)
+    return code, out.getvalue()
+
+
+def _export(directory):
+    path = os.path.join(directory, EXPORT[0])
+    code, _ = _run(EXPORT[1] + ["--export", path])
+    with open(path, newline="") as handle:
+        return code, handle.read()
+
+
+def _golden(name):
+    with open(os.path.join(GOLDEN, name), newline="") as handle:
+        return handle.read()
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_rmanifold_report_matches_golden(name):
+    code, text = _run(REPORTS[name])
+    assert code == 0
+    assert text == _golden(name)
+
+
+def test_rmanifold_export_matches_golden(tmp_path):
+    code, text = _export(str(tmp_path))
+    assert code == 0
+    assert text == _golden(EXPORT[0])
+
+
+def test_golden_report_covers_the_null_cone_and_the_dual_numbers():
+    plus = json.loads(_golden("rmanifold_plus.json"))
+    assert plus["excluded_null_cone"] and plus["samples"]
+    zero = json.loads(_golden("rmanifold_zero.json"))
+    assert not any(s["rank2_ok"] for s in zero["samples"])
+
+
+if __name__ == "__main__":
+    os.makedirs(GOLDEN, exist_ok=True)
+    for name, argv in REPORTS.items():
+        code, text = _run(argv)
+        if code != 0:
+            sys.exit(f"{name}: exit {code}")
+        with open(os.path.join(GOLDEN, name), "w", newline="") as handle:
+            handle.write(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        code, text = _export(tmp)
+    if code != 0:
+        sys.exit(f"{EXPORT[0]}: exit {code}")
+    with open(os.path.join(GOLDEN, EXPORT[0]), "w", newline="") as handle:
+        handle.write(text)

@@ -348,3 +348,20 @@ def test_direct_sum_always_self_adjoint_and_kernel_image_pairing():
         image = u[:, :rank]
         cross = kernel.T @ sp.gram @ image
         assert np.abs(cross).max() <= 1e-10
+
+
+def test_classify_rejects_non_finite_entries():
+    sp = standard_space(2)
+    m = np.eye(4)
+    m[2, 1] = -np.inf
+    with pytest.raises(ValueError, match=r"entry \(2, 1\) is not finite: -inf"):
+        classify_dim4(sp, Operator(m, sp))
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e160])
+def test_classify_rejects_operators_whose_square_overflows(scale):
+    # scalar-looking only because overflow made every tolerance infinite
+    sp = standard_space(2)
+    m = scale * np.diag([1.0, 2.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="overflow"):
+        classify_dim4(sp, Operator(m, sp))
