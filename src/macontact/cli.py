@@ -31,6 +31,7 @@ EXIT_GATE = 4
 
 DEFAULT_GRID = "x1=-1:1:5,x2=-1:1:5"
 MAX_POLY_DEGREE = 32  # largest jet order of a `bend` input (README)
+MAX_HALF_FLOAT = sys.float_info.max / 2  # largest x with 2x finite
 
 
 # --- deterministic serialization ----------------------------------------------
@@ -166,6 +167,19 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """A positive float whose double is finite: the flags that take it
+    sample [-x, x] or a circle of radius 2x."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 < value <= MAX_HALF_FLOAT:
+        raise argparse.ArgumentTypeError(f"must be positive and at most "
+                                         f"{MAX_HALF_FLOAT!r}, got {value!r}")
     return value
 
 
@@ -395,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True,
                    help="candidate solution as an expression in x1, x2")
     p.add_argument("--samples", type=_positive_int, default=50)
-    p.add_argument("--range", type=float, default=1.0,
+    p.add_argument("--range", type=_positive_float, default=1.0,
                    help="base points drawn uniformly from [-range, range]^2")
     p.add_argument("--residual-tol", type=float, default=1e-9)
     p.add_argument("--defect-tol", type=float, default=1e-8)
@@ -421,12 +435,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--kind", choices=("minus", "zero", "plus"), required=True)
-    p.add_argument("--radius", type=float, default=0.5)
+    p.add_argument("--radius", type=_positive_float, default=0.5)
     p.add_argument("--samples", type=_positive_int, default=16)
     p.add_argument("--export", default=None,
                    help="write a CSV point cloud to this path instead")
     p.add_argument("--count", type=int, default=100)
-    p.add_argument("--param-range", type=float, default=1.0)
+    p.add_argument("--param-range", type=_positive_float, default=1.0)
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=cmd_rmanifold)
 

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
+MAX_DEPTH = 250  # deepest nesting the parser accepts (README)
 
 
 class ParseError(ValueError):
@@ -644,7 +645,21 @@ def _print_node(node) -> str:
 
 # --- parser ----------------------------------------------------------------
 
+# operator precedence; higher binds tighter, all are left-associative
+_BINARY = {"+": 0, "-": 0, "*": 1, "/": 1}
+
+
 class _Parser:
+    """Recursive descent by precedence climbing.
+
+    Every node, and every pair of parentheses, is a level of nesting; an
+    expression more than MAX_DEPTH levels deep is a ParseError.  ``expr``
+    and ``base`` return a node and its depth, and take the number of
+    levels above them, so that a deep input is refused before the recursion
+    here (at most two Python frames a level) or in a tree walker (one a
+    level) could exhaust the stack.
+    """
+
     def __init__(self, text: str, variables):
         self.text = text
         self.pos = 0
@@ -652,6 +667,11 @@ class _Parser:
 
     def error(self, message):
         raise ParseError(message, self.pos)
+
+    def check(self, depth: int) -> int:
+        if depth > MAX_DEPTH:
+            self.error(f"expression nested deeper than {MAX_DEPTH} levels")
+        return depth
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -670,63 +690,55 @@ class _Parser:
         self.skip_ws()
         if self.pos >= len(self.text):
             self.error("empty expression")
-        node = self.expr()
+        node, _ = self.expr(0)
         self.skip_ws()
         if self.pos != len(self.text):
             self.error("unexpected trailing input")
         return node
 
-    def expr(self):
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.text[self.pos]
-            self.pos += 1
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.text[self.pos]
-            self.pos += 1
-            node = BinOp(op, node, self.factor())
-        return node
-
-    def factor(self):
-        node = self.base()
+    def expr(self, level: int, precedence: int = 0):
+        """factor (op factor)* over the operators of ``precedence`` and up,
+        where factor := base ("^" integer)?."""
+        node, depth = self.base(level)
         if self.peek() == "^":
             self.pos += 1
-            node = Pow(node, self.integer())
-        return node
+            node, depth = Pow(node, self.integer()), self.check(depth + 1)
+        while _BINARY.get(self.peek(), -1) >= precedence:
+            op = self.text[self.pos]
+            self.pos += 1
+            right, right_depth = self.expr(self.check(level + 1), _BINARY[op] + 1)
+            node, depth = BinOp(op, node, right), self.check(max(depth, right_depth) + 1)
+        return node, depth
 
-    def base(self):
+    def base(self, level: int):
         ch = self.peek()
         if ch == "-":
             self.pos += 1
-            return Neg(self.base())
+            child, depth = self.base(self.check(level + 1))
+            return Neg(child), self.check(depth + 1)
         if ch == "(":
             self.pos += 1
-            node = self.expr()
+            node, depth = self.expr(self.check(level + 1))
             self.expect(")")
-            return node
+            return node, self.check(depth + 1)
         if ch.isdigit():
-            return Num(self.number())
+            return Num(self.number()), 1
         if ch.isalpha() or ch == "_":
             name = self.ident()
             if self.peek() == "(":
                 if name not in FUNCTIONS:
                     self.error(f"unknown function {name!r}")
                 self.pos += 1
-                arg = self.expr()
+                arg, depth = self.expr(self.check(level + 1))
                 self.expect(")")
-                return Call(name, arg)
+                return Call(name, arg), self.check(depth + 1)
             if name in FUNCTIONS:
                 raise ParseError(f"function {name!r} used without arguments",
                                  self.pos - len(name))
             if name not in self.variables:
                 raise ParseError(f"unknown identifier {name!r}",
                                  self.pos - len(name))
-            return Var(self.variables.index(name), name)
+            return Var(self.variables.index(name), name), 1
         self.error("expected a number, identifier or parenthesis")
 
     def ident(self):

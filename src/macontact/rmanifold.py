@@ -112,18 +112,11 @@ class RManifoldSpec:
             raise ValueError("l must be an integer >= 2")
 
 
-def _residual_rows(k: int, kind: ZetaKind, cols: np.ndarray) -> np.ndarray:
-    """u_{2+r,s} - zeta^2 u_{r,s+2} per (r, s), graded-lex, of coordinates in
-    ``layout_keys(k)`` order (a vector, or one column per point)."""
-    pos = _layout_pos(k)
-    sq = kind.square
-    return np.array([cols[pos[(2 + r, s)]] - sq * cols[pos[(r, s + 2)]]
-                     for r, s in jet_indices(k - 2)])
-
-
 def prolonged_residuals(pt: JetChartPoint, kind: ZetaKind) -> np.ndarray:
     """One residual u_{2+r,s} - zeta^2 u_{r,s+2} per (r, s), graded-lex."""
-    return _residual_rows(pt.k, kind, pt.as_array())
+    sq = kind.square
+    return np.array([pt.u[(2 + r, s)] - sq * pt.u[(r, s + 2)]
+                     for r, s in jet_indices(pt.k - 2)])
 
 
 @dataclass(frozen=True)
@@ -163,7 +156,7 @@ def fiber_tangent_basis(k: int, kind: ZetaKind) -> FiberTangentBasis:
     return FiberTangentBasis(vec1, vec2, poly1, poly2)
 
 
-def _family_columns(spec: RManifoldSpec, a, b) -> np.ndarray:
+def _family_columns(spec: RManifoldSpec, a, b, tangents: bool = False):
     """Coordinates of L_{k,l} at the parameter pairs (a[i], b[i]).
 
     One column per pair, rows in ``layout_keys(k)`` order.  Every power of
@@ -171,8 +164,10 @@ def _family_columns(spec: RManifoldSpec, a, b) -> np.ndarray:
     ``re, im = re*a + zeta^2*im*b, re*b + im*a``, which is the left-to-right
     product of ``ZetaNum.__pow__``; with the same float64 operations in the
     same order, each value is bitwise the one the per-point product gives.
-    The consistency gate checks every column and names the first failing
-    one, as point-by-point evaluation would.
+
+    With ``tangents``, returns ``(values, d/da, d/db)``, the exact
+    derivatives from the same ladder: the rung before s^m is s^(m-1), and
+    d s^m/da = m s^(m-1), d s^m/db = m zeta s^(m-1).
     """
     k, l, kind = spec.k, spec.l, spec.kind
     sq = kind.square
@@ -189,40 +184,35 @@ def _family_columns(spec: RManifoldSpec, a, b) -> np.ndarray:
                          f"k={k}, l={l}")
 
     pos = _layout_pos(k)
-    out = np.empty((len(pos), a.size))
-    out[pos[(k, 0)]] = a
-    out[pos[(k - 1, 1)]] = b
+    # rows x lanes x points: the lanes are the values, then d/da and d/db
+    out = np.empty((len(pos),) + ((3,) if tangents else ()) + a.shape)
+    out[pos[(k, 0)]] = (a, np.ones_like(a), np.zeros_like(a)) if tangents else a
+    out[pos[(k - 1, 1)]] = (b, np.zeros_like(b), np.ones_like(b)) if tangents else b
     re, im = 1.0, 0.0
     with np.errstate(all="ignore"):
         for m in range(1, l * k + 2):
+            prev_re, prev_im = re, im
             re, im = re * a + sq * im * b, re * b + im * a
             r, rest = divmod(m - 1, l)
+            if m != l and (rest != 0 or r == 0):
+                continue
+            w_re, w_im = re, im
+            if tangents:
+                w_re = np.stack([re, m * prev_re, m * sq * prev_im])
+                w_im = np.stack([im, m * prev_im, m * prev_re])
             if m == l:
-                out[pos["x"]] = re / base_scale
-                out[pos["y"]] = sq * im / base_scale
-            elif rest == 0 and r >= 1:
-                out[pos[(k - r, 0)]] = re / scales[r - 1]
+                out[pos["x"]] = w_re / base_scale
+                out[pos["y"]] = sq * w_im / base_scale
+            else:
+                out[pos[(k - r, 0)]] = w_re / scales[r - 1]
                 if k - r - 1 >= 0:
-                    out[pos[(k - r - 1, 1)]] = im / scales[r - 1]
+                    out[pos[(k - r - 1, 1)]] = w_im / scales[r - 1]
         for q in range(2, k + 1):
             for p in range(k - q + 1):
                 out[pos[(p, q)]] = sq * out[pos[(p + 2, q - 2)]]
-        if kind is not ZetaKind.ZERO:
-            _check_consistency(k, kind, out)
+    if tangents:
+        return out[:, 0], out[:, 1], out[:, 2]
     return out
-
-
-def _check_consistency(k: int, kind: ZetaKind, cols: np.ndarray) -> None:
-    """Raise ConsistencyError at the first column violating the prolonged
-    equation, naming its first offending (index, residual) pair."""
-    res = _residual_rows(k, kind, cols)
-    bad = np.abs(res) > _CONSISTENCY_TOL
-    if bad.any():
-        col = int(bad.any(axis=0).argmax())
-        row = int(bad[:, col].argmax())
-        raise ConsistencyError(f"prolonged equation violated at "
-                               f"{jet_indices(k - 2)[row]}: residual "
-                               f"{float(res[row, col])}")
 
 
 def family_point(spec: RManifoldSpec, a: float, b: float) -> JetChartPoint:
@@ -243,31 +233,18 @@ def family_consistency(pt: JetChartPoint, kind: ZetaKind,
     return out
 
 
-def _tangent_lanes(a: float, b: float, h: float) -> list:
-    """Parameter pairs of the central differences in a, then in b.
-
-    The zero steps are not no-ops: ``-0.0 + 0.0`` is ``0.0``, so they fix
-    the sign of zero coordinates, as stepping (a, b) by (h, 0) does.
-    """
-    return [(a + h, b + 0.0), (a - h, b - 0.0), (a + 0.0, b + h), (a - 0.0, b - h)]
-
-
-def _lane_tangents(cols: np.ndarray, h: float) -> tuple:
-    """Raw tangents in a and in b, one column per point, from the columns of
-    consecutive groups of ``_tangent_lanes``."""
-    with np.errstate(all="ignore"):
-        return ((cols[:, 0::4] - cols[:, 1::4]) / (2.0 * h),
-                (cols[:, 2::4] - cols[:, 3::4]) / (2.0 * h))
-
-
 def tangent_vectors(spec: RManifoldSpec, a: float, b: float,
                     h: float = 1e-4) -> tuple:
     """Unit central-difference tangents of the parametrization in a and b."""
     if h <= 0:
         raise ValueError("step h must be positive")
-    lanes = _tangent_lanes(a, b, h)
-    ta, tb = _lane_tangents(_family_columns(spec, *zip(*lanes)), h)
-    ta, tb = ta[:, 0], tb[:, 0]
+    # the zero steps are not no-ops: ``-0.0 + 0.0`` is ``0.0``, so they fix
+    # the sign of zero coordinates, as stepping (a, b) by (h, 0) does
+    lanes = [(a + h, b + 0.0), (a - h, b - 0.0), (a + 0.0, b + h), (a - 0.0, b - h)]
+    cols = _family_columns(spec, *zip(*lanes))
+    with np.errstate(all="ignore"):
+        ta = (cols[:, 0] - cols[:, 1]) / (2.0 * h)
+        tb = (cols[:, 2] - cols[:, 3]) / (2.0 * h)
     return ta / np.linalg.norm(ta), tb / np.linalg.norm(tb)
 
 
@@ -335,8 +312,7 @@ def _require_finite(what: str, cols: np.ndarray, params) -> None:
     bad = ~np.isfinite(cols).all(axis=0)
     if bad.any():
         a, b = (float(v) for v in params[int(bad.argmax())])
-        raise EvalDomainError(f"non-finite {what} of the family at "
-                              f"(a, b) = ({a!r}, {b!r})")
+        raise EvalDomainError(f"non-finite {what} at (a, b) = ({a!r}, {b!r})")
 
 
 def _origin_bend_basis(k: int, tangents) -> np.ndarray:
@@ -350,16 +326,16 @@ def _origin_bend_basis(k: int, tangents) -> np.ndarray:
 
 
 def singular_point_report(spec: RManifoldSpec, radius: float = 0.5,
-                          samples: int = 16, h: float = 1e-4) -> SingularPointReport:
+                          samples: int = 16) -> SingularPointReport:
     """Rank behavior of the base projection plus the bend at the origin.
 
     Samples parameter circles of radius ``radius`` and ``2 * radius``.  For
     the double numbers, directions within the sector |a^2 - b^2| <
     0.2 (a^2 + b^2) around the null cone are excluded from the rank-2 check
     and listed separately (the base Jacobian genuinely degenerates there).
-    The report reads the base rows (x, y) of the tangents at every sample
-    and the origin, and the fiber rows of the origin's; a NaN or infinity
-    there (say from overflowing powers) raises EvalDomainError naming its
+    The tangents are exact.  A NaN or infinity in the base rows (x, y) of
+    a sample's tangents (say from overflowing powers), in its determinant
+    or in its singular value ratio raises EvalDomainError naming its
     parameters, while other rows may overflow.
     """
     if radius <= 0:
@@ -379,29 +355,27 @@ def singular_point_report(spec: RManifoldSpec, radius: float = 0.5,
         raise ValueError(f"all {2 * samples} sample directions fall in the "
                          "excluded null-cone sector; use more samples")
 
-    # four central-difference lanes per kept sample, then the origin's
-    points = kept + [(0.0, 0.0)]
-    lanes = [lane for a, b in points for lane in _tangent_lanes(a, b, h)]
-    ta, tb = _lane_tangents(_family_columns(spec, *zip(*lanes)), h)
+    # the kept samples, then the origin
+    _, ta, tb = _family_columns(spec, *zip(*kept, (0.0, 0.0)), tangents=True)
     pos = _layout_pos(spec.k)
     px, py = pos["x"], pos["y"]
-    fiber = [pos[(r, spec.k - r)] for r in range(spec.k + 1)]
-    _require_finite("tangent", np.vstack([ta[[px, py]], tb[[px, py]]]), points)
-    _require_finite("tangent", np.vstack([ta[fiber, -1:], tb[fiber, -1:]]),
-                    points[-1:])
 
     # one 2x2 base block [[t_a[x], t_a[y]], [t_b[x], t_b[y]]] per kept sample
-    blocks = np.stack([ta[[px, py], :-1], tb[[px, py], :-1]]).transpose(2, 0, 1)
-    sigmas = np.linalg.svd(blocks, compute_uv=False)
-    dets = np.linalg.det(blocks)
-    samples_out = []
-    for (a, b), sig, det in zip(kept, sigmas, dets):
-        ratio = float(sig[1] / sig[0]) if sig[0] > 0 else 0.0
-        samples_out.append(((a, b), float(det), ratio, bool(ratio > 1e-6)))
+    base = np.vstack([ta[[px, py], :-1], tb[[px, py], :-1]])
+    _require_finite("tangent of the family", base, kept)
+    blocks = base.T.reshape(-1, 2, 2)
+    with np.errstate(all="ignore"):
+        sigmas = np.linalg.svd(blocks, compute_uv=False)
+        dets = np.linalg.det(blocks)
+        ratios = np.where(sigmas[:, 0] > 0, sigmas[:, 1] / sigmas[:, 0], 0.0)
+    _require_finite("determinant of the base projection",
+                    np.vstack([dets, ratios]), kept)
+    samples_out = [((a, b), det, ratio, ratio > 1e-6) for (a, b), det, ratio
+                   in zip(kept, dets.tolist(), ratios.tolist())]
 
     ta0, tb0 = ta[:, -1], tb[:, -1]
     base_mag = float(max(abs(ta0[px]), abs(ta0[py]), abs(tb0[px]), abs(tb0[py])))
-    rank0_ok = base_mag <= 100.0 * h
+    rank0_ok = base_mag == 0.0
 
     bend = _origin_bend_basis(spec.k, (ta0, tb0))
     nf = normal_form(spec.k, spec.kind).basis_matrix()
@@ -426,7 +400,7 @@ def write_point_cloud(spec: RManifoldSpec, params, path) -> None:
     keys = jet_indices(spec.k)
     pairs = np.array([(float(a), float(b)) for a, b in params]).reshape(-1, 2)
     cols = _family_columns(spec, pairs[:, 0], pairs[:, 1])
-    _require_finite("point", cols, pairs)
+    _require_finite("point of the family", cols, pairs)
     # numbers need no CSV quoting: a row is 17-digit values joined by
     # commas, ended like the csv module's rows
     row = ",".join(["%.17g"] * (2 + len(cols))) + "\r\n"

@@ -300,7 +300,8 @@ def test_bend_rejects_overflowing_coefficients(capsys):
 @pytest.mark.parametrize("argv, code, message", [
     (["rmanifold", "--k", "40", "--l", "2", "--kind", "minus"], 2, b"k=40, l=2"),
     (["rmanifold", "--k", "20", "--l", "5", "--kind", "plus"], 2, b"k=20, l=5"),
-    (["rmanifold", "--k", "3", "--l", "2", "--kind", "minus", "--radius", "1e200"], 3,
+    # the tangent of x is 3 s^2 / F^3, and s^2 overflows
+    (["rmanifold", "--k", "3", "--l", "3", "--kind", "minus", "--radius", "1e200"], 3,
      b"non-finite tangent of the family at (a, b) = (9.8"),
     (["selfadjoint", "--matrix", ",".join(["inf"] + ["0"] * 15)], 2,
      b"entry (0, 0) is not finite: inf"),
@@ -321,6 +322,23 @@ def test_bend_rejects_overflowing_coefficients(capsys):
     (["bend", "--k", "0", "--q1", "1", "--q2", "2"], 2, b"must be at least 1"),
     (["bend", "--k", "100000", "--q1", "0", "--q2", "0"], 2,
      b"at --k 100000 needs a jet of order 100000, above the cap 32"),
+    # the tangents of x, y are finite (about 1e198), their determinant is not
+    (["rmanifold", "--k", "3", "--l", "2", "--kind", "minus", "--radius", "1e200"], 3,
+     b"non-finite determinant of the base projection at (a, b) = (9.8"),
+    (["verify", "--A", "1", "--C", "1", "--f", "x1", "--range", "nan"], 2,
+     b"argument --range: must be positive"),
+    (["verify", "--A", "1", "--C", "1", "--f", "x1", "--range", "inf"], 2,
+     b"argument --range: must be positive"),
+    (["verify", "--A", "1", "--C", "1", "--f", "x1", "--range", "1e308"], 2,
+     b"argument --range: must be positive"),
+    (["rmanifold", "--k", "2", "--l", "2", "--kind", "minus", "--export", "f.csv",
+      "--param-range", "nan"], 2, b"argument --param-range: must be positive"),
+    (["rmanifold", "--k", "2", "--l", "2", "--kind", "minus", "--radius", "nan"], 2,
+     b"argument --radius: must be positive"),
+    (["classify", "--A", "(" * 2000 + "x1" + ")" * 2000], 2,
+     b"expression nested deeper than 250 levels"),
+    (["verify", "--A", "1", "--C", "1", "--f", "+".join(["x1"] * 20000)], 2,
+     b"expression nested deeper than 250 levels"),
 ])
 def test_out_of_range_input_ends_in_its_exit_code_without_warnings(argv, code, message):
     proc = run_cli(*argv)
@@ -338,3 +356,14 @@ def test_bend_accepts_constant_factors_and_cancelling_terms(capsys):
     assert main(argv) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["is_bend"] is True
+
+
+@pytest.mark.parametrize("k, kind", [("3", "plus"), ("2", "minus")])
+def test_rmanifold_report_at_large_radius_keeps_its_tangents(k, kind, capsys):
+    # a finite-difference step of 1e-4 vanishes next to a = 1e40
+    code = main(["rmanifold", "--k", k, "--l", "2", "--kind", kind, "--radius", "1e40"])
+    assert code == 0
+    data = json.loads(capsys.readouterr().out)
+    assert all(s["det"] != 0 and s["rank2_ok"] for s in data["samples"])
+    assert data["origin_base_derivative"] == 0 and data["origin_rank0_ok"] is True
+    assert data["unique_singular_point"] is True

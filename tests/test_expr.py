@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_poly_expr
-from macontact.expr import (BinOp, EvalDomainError, Expr, ParseError, Pow,
+from macontact.expr import (MAX_DEPTH, BinOp, EvalDomainError, Expr, ParseError, Pow,
                             multi_indices, parse)
 
 XY = ("x1", "x2")
@@ -257,3 +257,27 @@ def test_degree_bound_of_polynomials(text, bound):
                                   "exp(x1 - x1)", "x1*sqrt(x2)"])
 def test_degree_bound_rejects_non_polynomials(text):
     assert parse(text, XY).degree_bound() is None
+
+
+def _nested(shape, depth):
+    """An expression of exactly ``depth`` levels in x1."""
+    n = depth - 1
+    return {"chain": "+".join(["x1"] * depth),
+            "minus": "-" * n + "x1",
+            "calls": "sin(" * n + "x1" + ")" * n,
+            "parens": "(" * n + "x1" + ")" * n,
+            "right": "x1*(" * (n // 2) + "x1" + ")" * (n // 2) + "^1" * (n % 2)}[shape]
+
+
+@pytest.mark.parametrize("shape", ["chain", "minus", "calls", "parens", "right"])
+def test_nesting_up_to_the_cap_reaches_every_tree_walker(shape):
+    expr = parse(_nested(shape, MAX_DEPTH), ("x1", "x2"))
+    value = expr.eval((0.5, 0.0))
+    values, flagged = expr.eval_columns([np.array([0.5, 0.25]), np.zeros(2)])
+    assert values[0] == value and not flagged.any()
+    assert expr.eval_jet((0.5, 0.0), 2).value == value
+    assert expr.degree_bound() is not None or shape == "calls"
+    assert expr.to_string().count("x1") == _nested(shape, MAX_DEPTH).count("x1")
+    assert expr.subs({"x1": parse("x2", ("x1", "x2"))}).eval((0.0, 0.5)) == value
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels"):
+        parse(_nested(shape, MAX_DEPTH + 1), ("x1", "x2"))

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from macontact.bends import normal_form, span_angle
 from macontact.errors import ConsistencyError
 from macontact.expr import EvalDomainError
-from macontact.rmanifold import (JetChartPoint, RManifoldSpec, _check_consistency,
-                                 _family_columns,
+from macontact.rmanifold import (JetChartPoint, RManifoldSpec, _family_columns,
                                  cartan_defect_at, cartan_tangency_defect,
                                  jet_indices, layout_keys, family_consistency,
                                  family_point, fiber_tangent_basis, prolonged_residuals,
@@ -292,25 +291,6 @@ def test_family_columns_bitwise_equal_to_zetanum_powers(k, l, kind, pairs, h):
         assert unit_b.tobytes() == (tb / np.linalg.norm(tb)).tobytes()
 
 
-def test_consistency_gate_names_the_first_failing_point():
-    spec = RManifoldSpec(4, 3, ZetaKind.PLUS)
-    lanes = [(0.1 * i, -0.05 * i) for i in range(6)]
-    cols = _family_columns(spec, *zip(*lanes))
-    pos = layout_keys(4)
-    cols[pos.index((0, 2)), 4] += 1.0   # a later lane, residual index (0, 0)
-    cols[pos.index((2, 2)), 2] += 2.0   # the first failing lane, index (0, 2)
-    cols[pos.index((3, 0)), 2] += 1e-3  # same lane, index (1, 0), which comes first
-    points = [JetChartPoint(4, col[0], col[1], dict(zip(jet_indices(4), col[2:])))
-              for col in cols.T.tolist()]
-    first = next(family_consistency(pt, spec.kind) for pt in points
-                 if family_consistency(pt, spec.kind))
-    idx, value = first[0]
-    with pytest.raises(ConsistencyError) as exc:
-        _check_consistency(4, spec.kind, cols)
-    assert str(exc.value) == f"prolonged equation violated at {idx}: residual {value}"
-    assert idx == (1, 0)
-
-
 def test_family_point_rejects_overflowing_scaling_constants():
     for k, l in ((40, 2), (20, 5)):
         with pytest.raises(ValueError, match=f"k={k}, l={l}"):
@@ -318,8 +298,16 @@ def test_family_point_rejects_overflowing_scaling_constants():
 
 
 def test_singular_report_rejects_non_finite_tangents():
+    # the tangent of x is 3 s^2 / F^3, and s^2 overflows
     with pytest.raises(EvalDomainError, match=r"non-finite tangent of the family at \(a, b\)"):
-        singular_point_report(RManifoldSpec(3, 2, ZetaKind.MINUS), radius=1e200)
+        singular_point_report(RManifoldSpec(3, 3, ZetaKind.MINUS), radius=1e200)
+
+
+def test_singular_report_rejects_overflowing_determinants():
+    # the tangents of x, y are about 1e198, so their 2x2 determinant overflows
+    with pytest.raises(EvalDomainError, match=r"non-finite determinant of the base "
+                                              r"projection at \(a, b\) = \(6\.12"):
+        singular_point_report(RManifoldSpec(3, 2, ZetaKind.MINUS), radius=1e200, samples=2)
 
 
 def test_singular_report_ignores_overflow_in_rows_it_does_not_read():
@@ -332,3 +320,64 @@ def test_singular_report_ignores_overflow_in_rows_it_does_not_read():
     assert all(math.isfinite(s["det"]) and math.isfinite(s["sigma_ratio"])
                for s in data["samples"])
     assert math.isfinite(report.origin_base_derivative)
+
+
+# --- exact tangents ---------------------------------------------------------------------------
+
+def _relative_cartan_defect(pt, tangents):
+    """Largest |t[u_{p,q}] - u_{p+1,q} t[x] - u_{p,q+1} t[y]| over the sum of
+    the magnitudes of its three terms (terms that are all 0 count as 0)."""
+    pos = layout_keys(pt.k)
+    worst = 0.0
+    for t in tangents:
+        tx, ty = t[pos.index("x")], t[pos.index("y")]
+        for p, q in jet_indices(pt.k - 1):
+            terms = (t[pos.index((p, q))], -pt.u[(p + 1, q)] * tx, -pt.u[(p, q + 1)] * ty)
+            size = sum(abs(v) for v in terms)
+            if size:
+                worst = max(worst, abs(sum(terms)) / size)
+    return worst
+
+
+@pytest.mark.parametrize("kind", [ZetaKind.MINUS, ZetaKind.PLUS])
+def test_exact_tangents_are_cartan_tangent_at_roundoff(kind):
+    rng = np.random.default_rng(11)
+    for k in range(2, 9):
+        for l in range(2, 6):
+            spec = RManifoldSpec(k, l, kind)
+            a, b = rng.uniform(-1, 1, (2, 6))
+            values, ta, tb = _family_columns(spec, a, b, tangents=True)
+            assert values.tobytes() == _family_columns(spec, a, b).tobytes()
+            for i in range(a.size):
+                pt = family_point(spec, a[i], b[i])
+                assert _relative_cartan_defect(pt, (ta[:, i], tb[:, i])) <= 1e-12, (k, l)
+
+
+def test_exact_tangents_at_the_origin():
+    # the base rows vanish (the rank drops to 0) and the fiber rows are the
+    # unit vectors of (a, b) continued by u_{p,q} = zeta^2 u_{p+2,q-2}
+    k = 5
+    pos = layout_keys(k)
+    for kind in ZetaKind:
+        _, ta, tb = _family_columns(RManifoldSpec(k, 3, kind), [0.0], [0.0], tangents=True)
+        expected_a, expected_b = np.zeros(len(pos)), np.zeros(len(pos))
+        for r in range(k // 2 + 1):
+            expected_a[pos.index((k - 2 * r, 2 * r))] = kind.square ** r
+        for r in range((k - 1) // 2 + 1):
+            expected_b[pos.index((k - 1 - 2 * r, 2 * r + 1))] = kind.square ** r
+        assert ta[:, 0].tolist() == expected_a.tolist()
+        assert tb[:, 0].tolist() == expected_b.tolist()
+
+
+@pytest.mark.parametrize("kind", [ZetaKind.MINUS, ZetaKind.PLUS])
+def test_finite_difference_tangents_converge_to_exact_at_second_order(kind):
+    spec = RManifoldSpec(4, 3, kind)
+    _, ta, tb = _family_columns(spec, [0.5], [0.3], tangents=True)
+    exact = np.concatenate([ta[:, 0] / np.linalg.norm(ta[:, 0]),
+                            tb[:, 0] / np.linalg.norm(tb[:, 0])])
+    errors = [np.abs(np.concatenate(tangent_vectors(spec, 0.5, 0.3, h)) - exact).max()
+              for h in (4e-3, 2e-3, 1e-3)]
+    assert errors[2] < errors[1] < errors[0] < 1e-3
+    for coarse, fine in zip(errors, errors[1:]):
+        assert fine / coarse == pytest.approx(0.25, abs=0.02)
+

@@ -1,13 +1,16 @@
 """Byte-identity of `macontact rmanifold` output against committed goldens.
 
-The goldens in ``tests/golden`` were written by the point-by-point
+``rmanifold_zero.json`` and the export were written by the point-by-point
 evaluator of ``L_{k,l}``, which computed each power ``s^m`` with its own
-``ZetaNum`` product chain.  They cover a double-number report with
-directions excluded around the null cone, a dual-number report (no
-consistency gate), a report whose unread rows overflow and a point-cloud
-export, so any change in the order of
-the float operations, in the lanes of the finite-difference tangents or
-in formatting shows up as a byte difference.
+``ZetaNum`` product chain.  ``rmanifold_plus.json`` and
+``rmanifold_minus_overflow.json`` were rewritten when the reports moved
+from central differences to the exact tangents of the power ladder (each
+``det`` moved by at most 5.6e-8 and 2.5e-4 relative, the origin's base
+derivative became 0, every flag stayed).  They cover a double-number
+report with directions excluded around the null cone, a dual-number report,
+a report whose unread rows overflow and a point-cloud export, so any change
+in the order of the float operations, in the tangents or in formatting
+shows up as a byte difference.
 
 To rewrite the goldens after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_rmanifold_golden.py``.
