@@ -183,6 +183,18 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _nonneg_float(text: str) -> float:
+    """A finite float of at least 0: every tolerance and band takes it, so
+    no comparison against it turns vacuous (``x > nan`` is always false)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {value!r}")
+    return value
+
+
 def _parse_grid(text: str) -> GridSpec:
     if text == "default":
         text = DEFAULT_GRID
@@ -289,15 +301,12 @@ def cmd_verify(args) -> int:
     f = parse(args.f, ("x1", "x2"))
     rng = np.random.default_rng(args.seed)
     bases = rng.uniform(-args.range, args.range, size=(args.samples, 2))
-    entries = []
-    for base in bases:
-        report = monge_ampere.invariance_defect(eq, f, tuple(base))
-        entries.append({
-            "base": [float(base[0]), float(base[1])],
-            "residual": report.residual,
-            "defect": report.defect,
-            "decomposition_deviation": report.decomposition_deviation,
-        })
+    report = monge_ampere.invariance_defects(eq, f, bases)
+    entries = [{"base": base, "residual": res, "defect": defect,
+                "decomposition_deviation": dev}
+               for base, res, defect, dev in zip(
+                   bases.tolist(), report.residual.tolist(), report.defect.tolist(),
+                   report.decomposition_deviation.tolist())]
     max_res = max(abs(e["residual"]) for e in entries)
     max_defect = max(e["defect"] for e in entries)
     max_dev = max(e["decomposition_deviation"] for e in entries)
@@ -398,9 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
                         f"'default' means {DEFAULT_GRID}")
     p.add_argument("--fixed", default="",
                    help="fixed values for non-axis variables, var=value pairs")
-    p.add_argument("--band", type=float, default=1e-9,
+    p.add_argument("--band", type=_nonneg_float, default=1e-9,
                    help="parabolic band half-width on the discriminant")
-    p.add_argument("--max-error-fraction", type=float, default=0.25)
+    p.add_argument("--max-error-fraction", type=_nonneg_float, default=0.25)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_classify)
 
@@ -411,9 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive_int, default=50)
     p.add_argument("--range", type=_positive_float, default=1.0,
                    help="base points drawn uniformly from [-range, range]^2")
-    p.add_argument("--residual-tol", type=float, default=1e-9)
-    p.add_argument("--defect-tol", type=float, default=1e-8)
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--residual-tol", type=_nonneg_float, default=1e-9)
+    p.add_argument("--defect-tol", type=_nonneg_float, default=1e-8)
+    p.add_argument("--tol", type=_nonneg_float, default=None,
                    help="set both --residual-tol and --defect-tol")
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=cmd_verify)
@@ -439,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive_int, default=16)
     p.add_argument("--export", default=None,
                    help="write a CSV point cloud to this path instead")
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_positive_int, default=100)
     p.add_argument("--param-range", type=_positive_float, default=1.0)
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=cmd_rmanifold)
@@ -449,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="16 comma-separated entries, row-major")
     p.add_argument("--space", choices=("standard", "darboux"),
                    default="standard")
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--tol", type=_nonneg_float, default=1e-9,
                    help="residual tolerance of the classification")
     p.set_defaults(func=cmd_selfadjoint)
 

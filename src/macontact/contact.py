@@ -131,25 +131,27 @@ def contact_field_jets(nu: Expr, pt: DarbouxPoint, order: int) -> list:
     d_p1, d_p2 = jet.partial(_DP1), jet.partial(_DP2)
     p1 = Jet.variable(_DP1, base, order)
     p2 = Jet.variable(_DP2, base, order)
-    return [
-        -d_p1,
-        -d_p2,
-        jet.truncate(order) - p1 * d_p1 - p2 * d_p2,
-        d_x1 + p1 * d_u,
-        d_x2 + p2 * d_u,
-    ]
+    with np.errstate(all="ignore"):  # IEEE overflow, as with Python floats
+        return [
+            -d_p1,
+            -d_p2,
+            jet.truncate(order) - p1 * d_p1 - p2 * d_p2,
+            d_x1 + p1 * d_u,
+            d_x2 + p2 * d_u,
+        ]
 
 
 def bracket_fields(x_field: list, y_field: list) -> list:
     """Commutator [X, Y] of jet fields; the jet order drops by one."""
     order = x_field[0].order
     out = []
-    for i in range(5):
-        acc = Jet.constant(0.0, x_field[0].base, order - 1)
-        for j in range(5):
-            acc = acc + x_field[j].truncate(order - 1) * y_field[i].partial(j)
-            acc = acc - y_field[j].truncate(order - 1) * x_field[i].partial(j)
-        out.append(acc)
+    with np.errstate(all="ignore"):  # IEEE overflow, as with Python floats
+        for i in range(5):
+            acc = Jet.constant(0.0, x_field[0].base, order - 1)
+            for j in range(5):
+                acc = acc + x_field[j].truncate(order - 1) * y_field[i].partial(j)
+                acc = acc - y_field[j].truncate(order - 1) * x_field[i].partial(j)
+            out.append(acc)
     return out
 
 

@@ -121,93 +121,209 @@ def _factorial_multi(alpha) -> float:
 
 # --- jets ------------------------------------------------------------------
 
-class Jet:
-    """Degree-``order`` Taylor truncation of a function at a base point.
+@lru_cache(maxsize=None)
+def _positions(n: int, order: int) -> dict:
+    """Row of each multi-index in ``multi_indices(n, order)``."""
+    return {alpha: k for k, alpha in enumerate(multi_indices(n, order))}
 
-    Coefficients are stored for every multi-index with ``|alpha| <= order``;
-    products are truncated at the order, so a Jet is an element of the
-    truncated polynomial ring and all ring identities hold exactly up to
-    floating point roundoff.
+
+@lru_cache(maxsize=None)
+def _product_table(n: int, order: int) -> tuple:
+    """Rows (left, right, target) of every product term of two jets.
+
+    The pairs run over the left row and, inside it, over the right row, each
+    in multi-index order, keeping those whose degrees add up to at most the
+    order; the rows of degree at most ``d`` are a prefix of the index list.
+    """
+    idx = np.array(multi_indices(n, order), dtype=np.intp).reshape(-1, n)
+    degree = idx.sum(axis=1)
+    prefix = np.searchsorted(degree, np.arange(order + 1), side="right")
+    counts = prefix[order - degree]
+    left = np.repeat(np.arange(len(idx)), counts)
+    right = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    # multi-indices as numbers in base order + 1, to find each sum's row
+    radix = (order + 1) ** np.arange(n)
+    keys = idx @ radix
+    rank = np.argsort(keys)
+    target = rank[np.searchsorted(keys, (idx[left] + idx[right]) @ radix, sorter=rank)]
+    return left, right, target
+
+
+@lru_cache(maxsize=None)
+def _partial_table(n: int, order: int, i: int) -> tuple:
+    """Rows of the order-``order`` jet feeding its i-th partial, with factors."""
+    pos = _positions(n, order)
+    rows, factors = [], []
+    for beta in multi_indices(n, order - 1):
+        rows.append(pos[tuple(b + (1 if j == i else 0) for j, b in enumerate(beta))])
+        factors.append(beta[i] + 1)
+    return np.array(rows, dtype=np.intp), np.array(factors, dtype=float)
+
+
+def _point(base) -> tuple:
+    """A base point: floats, or float64 arrays with one entry per lane."""
+    return tuple(b if isinstance(b, np.ndarray) else float(b) for b in base)
+
+
+def _zero_jet(base, order: int) -> "Jet":
+    base = _point(base)
+    lanes = np.shape(base[0]) if base else ()
+    return Jet(base, order, np.zeros((len(multi_indices(len(base), order)),) + lanes))
+
+
+def _same_point(a, b) -> bool:
+    if a is b:
+        return True
+    if len(a) != len(b):
+        return False
+    if a and isinstance(a[0], np.ndarray):
+        return all(x is y or np.array_equal(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+def _lanewise(build, c0, length: int, flagged):
+    """``build(c0)``, a list of ``length`` floats computed from a constant term.
+
+    For a jet at one point ``c0`` is a float and an error propagates.  For
+    lanes, ``build`` runs lane by lane on Python floats, so each lane gets
+    exactly the scalar floats, and the result is one array per entry.  A
+    lane whose build raises is set in ``flagged`` and holds NaN; without
+    ``flagged`` the error propagates.  Lanes already flagged are skipped.
+    """
+    if not isinstance(c0, np.ndarray):
+        return build(c0)
+    values = c0.tolist()
+    lanes = range(len(values)) if flagged is None else np.flatnonzero(~flagged).tolist()
+    out = np.full((length, len(values)), np.nan)
+    for i in lanes:
+        try:
+            out[:, i] = build(values[i])
+        except (ArithmeticError, ValueError):
+            if flagged is None:
+                raise
+            flagged[i] = True
+    return list(out)
+
+
+def _nonzero(c0: float) -> list:
+    if c0 == 0.0:
+        raise EvalDomainError("division by a jet with zero constant term")
+    return [c0]
+
+
+def _reciprocal_series(c0: float, order: int) -> list:
+    _nonzero(c0)
+    return [(-1.0) ** m / c0 ** (m + 1) for m in range(order + 1)]
+
+
+class Jet:
+    """Degree-``order`` Taylor truncation of a function at base points.
+
+    ``data`` is a dense float64 array with one row per multi-index of
+    ``multi_indices(n, order)``.  A jet at one point (a base of floats)
+    is the one-lane case, a 1-D array; a jet over lanes (a base of n
+    arrays, one entry per point, as ``Expr.eval_jet_columns`` builds) has
+    one column per lane.  Every operation acts on all lanes at once with
+    the float64 operations the one-point case performs, so each lane is
+    bitwise the jet at its point.  Products are truncated at the order, so a Jet is an element of
+    the truncated polynomial ring and all ring identities hold exactly up
+    to floating point roundoff.  Arithmetic may overflow to inf or NaN;
+    the library runs it under ``np.errstate``, so numpy does not warn.
+
+    ``value``, ``coefficient``, ``derivative`` and ``coeffs`` give Python
+    floats at one point and one array per coefficient over lanes.
     """
 
-    __slots__ = ("base", "n", "order", "coeffs")
+    __slots__ = ("base", "n", "order", "data")
 
     def __init__(self, base, order, coeffs):
-        self.base = tuple(float(b) for b in base)
+        """``coeffs``: the data array, or a mapping multi-index -> value."""
+        self.base = tuple(base)
         self.n = len(self.base)
         self.order = int(order)
-        self.coeffs = coeffs  # dict multi-index -> float, complete
+        if isinstance(coeffs, dict):
+            coeffs = [coeffs[a] for a in multi_indices(self.n, self.order)]
+        self.data = np.asarray(coeffs, dtype=float)
 
     @classmethod
     def constant(cls, value, base, order):
-        base = tuple(base)
-        coeffs = {a: 0.0 for a in multi_indices(len(base), order)}
-        coeffs[(0,) * len(base)] = float(value)
-        return cls(base, order, coeffs)
+        return _zero_jet(base, order)._constant(value)
 
     @classmethod
     def variable(cls, i, base, order):
-        base = tuple(base)
-        coeffs = {a: 0.0 for a in multi_indices(len(base), order)}
-        coeffs[(0,) * len(base)] = float(base[i])
-        if order >= 1:
-            unit = tuple(1 if j == i else 0 for j in range(len(base)))
-            coeffs[unit] = 1.0
-        return cls(base, order, coeffs)
+        return _zero_jet(base, order)._variable(i)
+
+    def _constant(self, value) -> "Jet":
+        """The constant ``value`` at this jet's base point and order."""
+        data = np.zeros_like(self.data)
+        data[0] = value
+        return Jet(self.base, self.order, data)
+
+    def _variable(self, i: int) -> "Jet":
+        """The i-th coordinate at this jet's base point and order."""
+        out = self._constant(self.base[i])
+        if self.order >= 1:
+            out.data[self.n - i] = 1.0  # degree-1 rows run from e_(n-1) to e_0
+        return out
 
     # -- accessors
 
+    def _entry(self, row):
+        return float(row) if self.data.ndim == 1 else row
+
     @property
-    def value(self) -> float:
-        return self.coeffs[(0,) * self.n]
+    def value(self):
+        return self._entry(self.data[0])
 
-    def coefficient(self, alpha) -> float:
-        return self.coeffs[tuple(alpha)]
+    @property
+    def coeffs(self) -> dict:
+        """Multi-index -> coefficient, in multi-index order."""
+        rows = self.data.tolist() if self.data.ndim == 1 else list(self.data)
+        return dict(zip(multi_indices(self.n, self.order), rows))
 
-    def derivative(self, alpha) -> float:
+    def coefficient(self, alpha):
+        return self._entry(self.data[_positions(self.n, self.order)[tuple(alpha)]])
+
+    def derivative(self, alpha):
         """Partial derivative for the multi-index (coefficient times alpha!)."""
         alpha = tuple(alpha)
         if sum(alpha) > self.order:
             raise ValueError(f"jet of order {self.order} has no derivative {alpha}")
-        return self.coeffs[alpha] * _factorial_multi(alpha)
+        return self.coefficient(alpha) * _factorial_multi(alpha)
 
     def truncate(self, order: int) -> "Jet":
         if order > self.order:
             raise ValueError("cannot truncate upward")
-        keep = {a: self.coeffs[a] for a in multi_indices(self.n, order)}
-        return Jet(self.base, order, keep)
+        return Jet(self.base, order, self.data[:len(multi_indices(self.n, order))])
 
     def partial(self, i: int) -> "Jet":
         """Jet of the i-th partial derivative; the order drops by one."""
         if self.order < 1:
             raise ValueError("order-0 jet cannot be differentiated")
-        out = {}
-        for beta in multi_indices(self.n, self.order - 1):
-            up = tuple(b + (1 if j == i else 0) for j, b in enumerate(beta))
-            out[beta] = self.coeffs[up] * (beta[i] + 1)
-        return Jet(self.base, self.order - 1, out)
+        rows, factors = _partial_table(self.n, self.order, i)
+        # lanes are columns and the factors scale rows
+        return Jet(self.base, self.order - 1, (self.data[rows].T * factors).T)
 
     # -- ring operations
 
     def _check(self, other):
-        if self.base != other.base or self.order != other.order:
+        if self.order != other.order or not _same_point(self.base, other.base):
             raise ValueError("jet base point / order mismatch")
 
     def _lift(self, other):
         if isinstance(other, Jet):
             self._check(other)
             return other
-        return Jet.constant(other, self.base, self.order)
+        return self._constant(other)
 
     def __add__(self, other):
         other = self._lift(other)
-        return Jet(self.base, self.order,
-                   {a: c + other.coeffs[a] for a, c in self.coeffs.items()})
+        return Jet(self.base, self.order, self.data + other.data)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.base, self.order, {a: -c for a, c in self.coeffs.items()})
+        return Jet(self.base, self.order, -self.data)
 
     def __sub__(self, other):
         return self + (-self._lift(other))
@@ -217,63 +333,83 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.base, self.order,
-                       {a: c * other for a, c in self.coeffs.items()})
+            return Jet(self.base, self.order, self.data * other)
         self._check(other)
-        out = {a: 0.0 for a in self.coeffs}
-        for a, ca in self.coeffs.items():
-            if ca == 0.0:
-                continue
-            da = sum(a)
-            for b, cb in other.coeffs.items():
-                if cb == 0.0 or da + sum(b) > self.order:
-                    continue
-                g = tuple(x + y for x, y in zip(a, b))
-                out[g] += ca * cb
-        return Jet(self.base, self.order, out)
+        left, right, target = _product_table(self.n, self.order)
+        a, b = self.data[left], other.data[right]
+        # Each coefficient is 0.0 plus its terms in table order, skipping a
+        # term with a zero factor (so 0 * inf adds nothing): a skipped term
+        # is -0.0, the addend that leaves every sum, signed zeros included,
+        # as it was, and its product is never formed.
+        terms = np.full_like(a, -0.0)
+        np.multiply(a, b, out=terms, where=(a != 0.0) & (b != 0.0))
+        rows = len(self.data)
+        if terms.ndim == 1:
+            data = np.bincount(target, terms, minlength=rows)
+        else:
+            # flat (row, lane) positions, term by term and lane by lane
+            lanes = terms.shape[1]
+            flat = (target[:, None] * lanes + np.arange(lanes)).ravel()
+            data = np.bincount(flat, terms.ravel(), minlength=rows * lanes).reshape(rows, lanes)
+        return Jet(self.base, self.order, data)
 
     def __rmul__(self, other):
         return self * other
 
     def __truediv__(self, other):
-        other = self._lift(other)
-        if self.order == 0:
-            # keep order-0 jets bitwise identical to plain evaluation
-            if other.value == 0.0:
-                raise EvalDomainError("division by a jet with zero constant term")
-            return Jet.constant(self.value / other.value, self.base, 0)
-        return self * other.reciprocal()
+        return self.divide(other)
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other
 
     def __pow__(self, k: int):
+        return self.power(k)
+
+    def divide(self, other, flagged=None) -> "Jet":
+        """``self / other``; over lanes, a lane dividing by a zero constant
+        term is set in ``flagged`` instead of raising."""
+        other = self._lift(other)
+        if self.order == 0:
+            # keep order-0 jets bitwise identical to plain evaluation
+            _lanewise(_nonzero, other.value, 1, flagged)
+            return self._constant(self.value / other.value)
+        return self * other.reciprocal(flagged)
+
+    def power(self, k: int, flagged=None) -> "Jet":
+        """Integer power by repeated multiplication, as ``Expr.eval`` does."""
         if not isinstance(k, int):
             raise TypeError("jet exponent must be an integer")
         if k < 0:
-            return self.reciprocal() ** (-k)
-        out = Jet.constant(1.0, self.base, self.order)
+            return self.reciprocal(flagged).power(-k)
+        out = self._constant(1.0)
         for _ in range(k):
             out = out * self
         return out
 
-    def reciprocal(self) -> "Jet":
-        c0 = self.value
-        if c0 == 0.0:
-            raise EvalDomainError("division by a jet with zero constant term")
-        series = [(-1.0) ** m / c0 ** (m + 1) for m in range(self.order + 1)]
+    def reciprocal(self, flagged=None) -> "Jet":
+        series = _lanewise(lambda c0: _reciprocal_series(c0, self.order),
+                           self.value, self.order + 1, flagged)
+        return self.compose_series(series)
+
+    def apply(self, func: str, flagged=None) -> "Jet":
+        """``func`` (one of FUNCTIONS) of the jet; lanes leaving its domain
+        are set in ``flagged``."""
+        series = _lanewise(lambda c0: _series_for(func, c0, self.order),
+                           self.value, self.order + 1, flagged)
         return self.compose_series(series)
 
     def compose_series(self, series) -> "Jet":
         """Apply a univariate Taylor series g (coefficients around value)."""
         t = self - self.value
-        out = Jet.constant(series[self.order], self.base, self.order)
+        out = self._constant(series[self.order])
         for m in range(self.order - 1, -1, -1):
             out = out * t + series[m]
         return out
 
     def __repr__(self):
-        return f"Jet(order={self.order}, base={self.base})"
+        lanes = "" if self.data.ndim == 1 else f", lanes={self.data.shape[1]}"
+        base = f"n={self.n}" if lanes else f"base={self.base}"
+        return f"Jet(order={self.order}, {base}{lanes})"
 
 
 def _series_for(func: str, c0: float, order: int):
@@ -432,9 +568,32 @@ class Expr:
         if order < 0:
             raise ValueError("jet order must be nonnegative")
         try:
-            return _jet_node(self.node, base, order)
+            with np.errstate(all="ignore"):
+                return _jet_node(self.node, _zero_jet(base, order), None)
         except (OverflowError, ZeroDivisionError) as exc:
             raise EvalDomainError(f"evaluation overflow: {exc}") from exc
+
+    def eval_jet_columns(self, columns, order: int) -> tuple:
+        """Jets at many points at once: one array per declared variable.
+
+        Returns ``(jet, flagged)``, a lane :class:`Jet` with one column per
+        point.  On every unflagged lane each coefficient is bitwise equal to
+        :meth:`eval_jet` at that point.  A lane is flagged where
+        :meth:`eval_jet` would raise (a zero divisor, a function leaving its
+        domain or overflowing) or where a coefficient is not finite; its
+        column is then meaningless and the caller re-runs :meth:`eval_jet`.
+        """
+        if len(columns) != len(self.variables):
+            raise ValueError(f"got {len(columns)} columns for "
+                             f"{len(self.variables)} variables")
+        if order < 0:
+            raise ValueError("jet order must be nonnegative")
+        columns = tuple(np.asarray(c, dtype=float) for c in columns)
+        flagged = np.zeros(len(columns[0]) if columns else 1, dtype=bool)
+        with np.errstate(all="ignore"):
+            jet = _jet_node(self.node, _zero_jet(columns, order), flagged)
+            flagged |= ~np.isfinite(jet.data).all(axis=0)
+        return jet, flagged
 
     def subs(self, mapping: dict) -> "Expr":
         """Substitute expressions for variables (by name)."""
@@ -548,28 +707,30 @@ def _columns_node(node, columns, flagged):
     return out
 
 
-def _jet_node(node, base, order) -> Jet:
+def _jet_node(node, zero, flagged) -> Jet:
+    """Jet of the subtree at the base point and order of the jet ``zero``;
+    over lanes, lanes that fail are set in ``flagged`` (None at one point,
+    where errors raise)."""
     if isinstance(node, Num):
-        return Jet.constant(node.value, base, order)
+        return zero._constant(node.value)
     if isinstance(node, Var):
-        return Jet.variable(node.index, base, order)
+        return zero._variable(node.index)
     if isinstance(node, Neg):
-        return -_jet_node(node.child, base, order)
+        return -_jet_node(node.child, zero, flagged)
     if isinstance(node, BinOp):
-        a = _jet_node(node.left, base, order)
-        b = _jet_node(node.right, base, order)
+        a = _jet_node(node.left, zero, flagged)
+        b = _jet_node(node.right, zero, flagged)
         if node.op == "+":
             return a + b
         if node.op == "-":
             return a - b
         if node.op == "*":
             return a * b
-        return a / b
+        return a.divide(b, flagged)
     if isinstance(node, Pow):
-        return _jet_node(node.child, base, order) ** node.exponent
+        return _jet_node(node.child, zero, flagged).power(node.exponent, flagged)
     if isinstance(node, Call):
-        arg = _jet_node(node.arg, base, order)
-        return arg.compose_series(_series_for(node.func, arg.value, order))
+        return _jet_node(node.arg, zero, flagged).apply(node.func, flagged)
     raise TypeError(f"bad node {node!r}")
 
 

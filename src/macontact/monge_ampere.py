@@ -36,6 +36,7 @@ __all__ = [
     "residual",
     "tangent_frame",
     "invariance_defect",
+    "invariance_defects",
     "InvarianceReport",
     "basic_algebra",
     "BasicAlgebra",
@@ -117,22 +118,33 @@ def classify(eq: MAEquation, pt: DarbouxPoint, band: float = 1e-9) -> EquationTy
 
 def structure_operator(eq: MAEquation, pt: DarbouxPoint) -> Operator:
     """Structure operator in the frame (e1, e2, e3, e4) of the distribution."""
-    n, a, b, c, d = eq.coefficients_at(pt)
-    m = np.array([
-        [b, -2 * a, 0, -2 * n],
-        [2 * c, -b, 2 * n, 0],
-        [0, 2 * d, b, 2 * c],
-        [-2 * d, 0, -2 * a, -b],
-    ], dtype=float)
-    return Operator(m, darboux_space())
+    return Operator(_structure_matrix(*eq.coefficients_at(pt)), darboux_space())
+
+
+def _structure_matrix(n, a, b, c, d) -> np.ndarray:
+    """The structure operator's matrix from coefficient values; from
+    coefficient columns, one matrix per lane, shape (lanes, 4, 4)."""
+    zero = np.zeros_like(b, dtype=float)
+    rows = [
+        [b, -2 * a, zero, -2 * n],
+        [2 * c, -b, 2 * n, zero],
+        [zero, 2 * d, b, 2 * c],
+        [-2 * d, zero, -2 * a, -b],
+    ]
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
 def _lift_2jet(f: Expr, base) -> tuple:
     """(lifted point, f11, f12, f22) from one order-2 jet of f at the base."""
-    jet = f.eval_jet(base, 2)
-    pt = DarbouxPoint(base[0], base[1], jet.value,
-                      jet.derivative((1, 0)), jet.derivative((0, 1)))
-    return pt, jet.derivative((2, 0)), jet.derivative((1, 1)), jet.derivative((0, 2))
+    u, p1, p2, f11, f12, f22 = _jet_lift(f.eval_jet(base, 2))
+    return DarbouxPoint(base[0], base[1], u, p1, p2), f11, f12, f22
+
+
+def _jet_lift(jet) -> tuple:
+    """(f, f1, f2, f11, f12, f22) from an order-2 jet of f, at one point
+    or over lanes."""
+    return (jet.value,) + tuple(jet.derivative(a) for a in
+                                ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
 
 
 def _equation_value(coeffs, f11, f12, f22) -> float:
@@ -159,6 +171,10 @@ def tangent_frame(f: Expr, base) -> tuple:
 
 @dataclass(frozen=True)
 class InvarianceReport:
+    """Invariance defect, decomposition deviation and residual E: floats
+    at one base point, arrays with one entry per point from
+    ``invariance_defects``."""
+
     defect: float
     decomposition_deviation: float
     residual: float
@@ -175,25 +191,65 @@ def invariance_defect(eq: MAEquation, f: Expr, base) -> InvarianceReport:
         structure_operator(Z1) = (B - 2 f12 N) Z1 + 2 (C + f11 N) Z2 - 2 E e4,
 
     which holds identically (solution or not); the deviation is returned.
+    This is the one-point case of ``invariance_defects``.
     """
-    pt, f11, f12, f22 = _lift_2jet(f, base)
-    coeffs = eq.coefficients_at(pt)
-    n, _, b, c, _ = coeffs
-    e_val = _equation_value(coeffs, f11, f12, f22)
+    report = invariance_defects(eq, f, [base])
+    return InvarianceReport(float(report.defect[0]),
+                            float(report.decomposition_deviation[0]),
+                            float(report.residual[0]))
 
-    m = structure_operator(eq, pt).matrix
-    z1 = np.array([1.0, 0.0, f11, f12])
-    z2 = np.array([0.0, 1.0, f12, f22])
+
+def invariance_defects(eq: MAEquation, f: Expr, bases) -> InvarianceReport:
+    """``invariance_defect`` at every base point (x1, x2) in one pass.
+
+    The report holds one array entry per point.  f is lifted by one
+    order-2 jet pass over all points (``Expr.eval_jet_columns``) and N..D
+    are evaluated as columns at the lifts.  Points that either pass flags
+    are evaluated again, one by one in order, by the scalar jet and
+    ``Expr.eval``: those raise the first error that a loop over the points
+    would raise, or give the point's values.  The rest is elementwise
+    column arithmetic in the order of the one-point formulas, and the
+    images under the stacked structure operators come from one
+    ``np.matmul``, which makes per matrix the BLAS call of a single
+    ``m @ z``; so every entry is bitwise the one-point value.
+    """
+    bases = np.asarray(bases, dtype=float)
+    if bases.ndim != 2:
+        raise ValueError("base points must be a sequence of (x1, x2) pairs")
+    with np.errstate(all="ignore"):
+        jet, flagged = f.eval_jet_columns(tuple(bases.T), 2)
+        x1, x2 = bases[:, 0], bases[:, 1]
+        u, p1, p2, *values = _jet_lift(jet)
+        for coeff in (eq.N, eq.A, eq.B, eq.C, eq.D):
+            column, bad = coeff.eval_columns((x1, x2, u, p1, p2))
+            values.append(column)
+            flagged |= bad
+        values = np.array(values)
+        for i in np.flatnonzero(flagged).tolist():
+            pt, f11, f12, f22 = _lift_2jet(f, (x1[i], x2[i]))
+            values[:, i] = (f11, f12, f22) + eq.coefficients_at(pt)
+        return _defect_columns(*values)
+
+
+def _defect_columns(f11, f12, f22, n, a, b, c, d) -> InvarianceReport:
+    """The invariance report from columns of second derivatives and
+    coefficients, in the order of the one-point formulas."""
+    e_val = _equation_value((n, a, b, c, d), f11, f12, f22)
+    m = _structure_matrix(n, a, b, c, d)
+    one, zero = np.ones_like(f11), np.zeros_like(f11)
+    z1 = np.stack([one, zero, f11, f12], axis=-1)
+    z2 = np.stack([zero, one, f12, f22], axis=-1)
+    images = [np.matmul(m, z[..., None])[..., 0] for z in (z1, z2)]
 
     defect = 0.0
-    for z in (z1, z2):
-        image = m @ z
-        rem = image - image[0] * z1 - image[1] * z2
-        defect = max(defect, float(np.hypot(rem[2], rem[3])))
+    for image in images:
+        rem = image - image[:, :1] * z1 - image[:, 1:2] * z2
+        norm = np.hypot(rem[:, 2], rem[:, 3])
+        defect = np.where(norm > defect, norm, defect)  # max(defect, norm)
 
-    predicted = ((b - 2 * f12 * n) * z1 + 2 * (c + f11 * n) * z2
-                 - 2 * e_val * np.array([0.0, 0.0, 0.0, 1.0]))
-    deviation = float(np.abs(m @ z1 - predicted).max())
+    predicted = ((b - 2 * f12 * n)[:, None] * z1 + (2 * (c + f11 * n))[:, None] * z2
+                 - (2 * e_val)[:, None] * np.array([0.0, 0.0, 0.0, 1.0]))
+    deviation = np.abs(images[0] - predicted).max(axis=-1)
     return InvarianceReport(defect, deviation, e_val)
 
 

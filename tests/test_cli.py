@@ -339,6 +339,22 @@ def test_bend_rejects_overflowing_coefficients(capsys):
      b"expression nested deeper than 250 levels"),
     (["verify", "--A", "1", "--C", "1", "--f", "+".join(["x1"] * 20000)], 2,
      b"expression nested deeper than 250 levels"),
+    # a NaN tolerance makes every comparison against it false
+    (["classify", "--A", "1", "--C", "1", "--band", "nan"], 2,
+     b"argument --band: must be finite and at least 0, got nan"),
+    (["classify", "--A", "ln(x1)", "--C", "1", "--grid", "x1=-1:-0.1:5",
+      "--max-error-fraction", "nan"], 2,
+     b"argument --max-error-fraction: must be finite and at least 0, got nan"),
+    (["verify", "--A", "1", "--C", "1", "--f", "x1^2 - x2^2", "--tol", "nan"], 2,
+     b"argument --tol: must be finite and at least 0, got nan"),
+    (["verify", "--A", "1", "--C", "1", "--f", "x1^2 - x2^2", "--residual-tol", "nan"], 2,
+     b"argument --residual-tol: must be finite and at least 0, got nan"),
+    (["verify", "--A", "1", "--C", "1", "--f", "x1^2 - x2^2", "--defect-tol", "-1"], 2,
+     b"argument --defect-tol: must be finite and at least 0, got -1.0"),
+    (["selfadjoint", "--matrix", ",".join(["1"] + ["0"] * 15), "--tol", "inf"], 2,
+     b"argument --tol: must be finite and at least 0, got inf"),
+    (["rmanifold", "--k", "2", "--l", "2", "--kind", "minus", "--export", "f.csv",
+      "--count", "-5"], 2, b"argument --count: must be at least 1, got -5"),
 ])
 def test_out_of_range_input_ends_in_its_exit_code_without_warnings(argv, code, message):
     proc = run_cli(*argv)
@@ -346,6 +362,16 @@ def test_out_of_range_input_ends_in_its_exit_code_without_warnings(argv, code, m
     assert proc.stdout == b""
     assert message in proc.stderr
     assert b"Warning" not in proc.stderr and b"Traceback" not in proc.stderr
+
+
+def test_verify_overflow_exits_3_with_one_error_line():
+    # A*f11 = 2e500 overflows the residual; numpy stays quiet
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "macontact.cli",
+                           "verify", "--A", "1e300", "--C", "1e300", "--f", "1e200*x1^2",
+                           "--samples", "3"], capture_output=True)
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert proc.stderr == b"error: non-finite value at $.samples[0].residual\n"
 
 
 def test_bend_accepts_constant_factors_and_cancelling_terms(capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -228,3 +230,13 @@ def test_generating_function_recovered_from_field():
         x = contact_field(CHART, nu, pt)
         assert contact_form_value(pt, x) == pytest.approx(
             nu.eval(pt.as_tuple()), abs=1e-10 * (1 + abs(nu.eval(pt.as_tuple()))))
+
+
+def test_overflowing_bracket_is_quiet():
+    # jet products overflow to inf and inf - inf; numpy must not warn
+    mu = _var("u") * _var("p1") ** 3 + _var("x1") * _var("p2")
+    nu = _var("p1") * _var("p2") * _var("u") + _var("x2") ** 2
+    pt = DarbouxPoint(1e200, -1e200, 1e200, 1e150, -1e150)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(lagrange_bracket(CHART, mu, nu, pt))
