@@ -31,6 +31,7 @@ EXIT_GATE = 4
 
 DEFAULT_GRID = "x1=-1:1:5,x2=-1:1:5"
 MAX_POLY_DEGREE = 32  # largest jet order of a `bend` input (README)
+MAX_GRID_CELLS = 1_000_000  # largest `classify` grid (README)
 MAX_HALF_FLOAT = sys.float_info.max / 2  # largest x with 2x finite
 
 
@@ -113,12 +114,6 @@ def dumps(obj) -> str:
     return "".join(parts)
 
 
-def _csv(rows) -> str:
-    """Comma-separated rows; floats as in ``dumps``, everything else by str."""
-    return "".join(",".join(_format_float(c) if isinstance(c, float) else str(c)
-                            for c in row) + "\n" for row in rows)
-
-
 def find_nan(obj, path="$"):
     """Path to the first non-finite float in the structure, or None."""
     if isinstance(obj, (float, np.floating)):
@@ -138,24 +133,70 @@ def find_nan(obj, path="$"):
     return None
 
 
-def _emit(payload, args, csv=False) -> int:
-    """Write ``payload`` as JSON (or, with ``csv``, its rows) to --out or stdout.
+def _emit(payload, args) -> int:
+    """Write ``payload`` as JSON to --out or stdout.
 
     Rendering is the only walk over the payload; if it meets a non-finite
     float, nothing is written, ``find_nan`` names the place and the exit
     code is 3.
     """
     try:
-        text = _csv(payload) if csv else dumps(payload) + "\n"
+        text = dumps(payload) + "\n"
     except NonFiniteError:
         print(f"error: non-finite value at {find_nan(payload)}", file=sys.stderr)
         return EXIT_NUMERIC
+    _write(text, args)
+    return EXIT_OK
+
+
+def _write(text: str, args):
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
-    return EXIT_OK
+
+
+# --- classify output: one template per row, straight from the arrays ---------
+#
+# A non-error cell's Delta is finite, and f"{v:.17g}" is _format_float for
+# a finite float; an error cell's row is replaced by its error row.
+
+_JSON_TYPES = tuple("null" if t is None else _quote(t) for t in monge_ampere.TYPE_NAMES)
+_CSV_TYPES = tuple(t or "" for t in monge_ampere.TYPE_NAMES)
+
+
+def _index_labels(shape, sep: str) -> list:
+    """Every cell index as text, in row-major order (last axis fastest)."""
+    labels = [""]
+    for axis, count in enumerate(shape):
+        digits = [str(i) for i in range(count)]
+        labels = digits if axis == 0 else [p + sep + d for p in labels for d in digits]
+    return labels
+
+
+def _region_json(region) -> str:
+    """``dumps`` of ``region.to_json_dict()`` plus a newline."""
+    labels = _index_labels(region.grid.shape(), ", ")
+    types = _JSON_TYPES
+    rows = [f'{{"index": [{i}], "delta": {d:.17g}, "type": {types[c]}}}'
+            for i, d, c in zip(labels, region.deltas.tolist(), region.codes.tolist())]
+    for i, message in region.errors.items():
+        rows[i] = (f'{{"index": [{labels[i]}], "delta": null, "type": null, '
+                   f'"error": {_quote(message)}}}')
+    return (f'{{"grid": {dumps(region.grid_json_dict())}, '
+            f'"cells": [{", ".join(rows)}]}}\n')
+
+
+def _region_csv(region) -> str:
+    """One line per cell, index,delta,type,error; error text is written raw."""
+    labels = _index_labels(region.grid.shape(), ";")
+    types = _CSV_TYPES
+    rows = [f"{i},{d:.17g},{types[c]},\n"
+            for i, d, c in zip(labels, region.deltas.tolist(), region.codes.tolist())]
+    for i, message in region.errors.items():
+        rows[i] = f"{labels[i]},,,{message}\n"
+    return "index,delta,type,error\n" + "".join(rows)
 
 
 # --- argument helpers ----------------------------------------------------------
@@ -195,7 +236,8 @@ def _nonneg_float(text: str) -> float:
     return value
 
 
-def _parse_grid(text: str) -> GridSpec:
+def _parse_grid(text: str) -> dict:
+    """Axes var -> (lo, hi, count) of a --grid value."""
     if text == "default":
         text = DEFAULT_GRID
     axes = {}
@@ -207,8 +249,11 @@ def _parse_grid(text: str) -> GridSpec:
         pieces = rng.split(":")
         if len(pieces) != 3:
             raise ValueError(f"grid axis {chunk!r} is not var=lo:hi:count")
-        axes[name.strip()] = (float(pieces[0]), float(pieces[1]), int(pieces[2]))
-    return GridSpec(axes)
+        name = name.strip()
+        if name in axes:
+            raise ValueError(f"grid axis {name!r} is given twice")
+        axes[name] = (float(pieces[0]), float(pieces[1]), int(pieces[2]))
+    return axes
 
 
 def _parse_fixed(text: str) -> dict:
@@ -217,7 +262,10 @@ def _parse_fixed(text: str) -> dict:
         return fixed
     for chunk in text.split(","):
         name, _, value = chunk.partition("=")
-        fixed[name.strip()] = float(value)
+        name = name.strip()
+        if name in fixed:
+            raise ValueError(f"fixed variable {name!r} is given twice")
+        fixed[name] = float(value)
     return fixed
 
 
@@ -276,22 +324,16 @@ def _add_coefficient_flags(sub):
 
 def cmd_classify(args) -> int:
     eq = _equation_from_args(args)
-    grid = _parse_grid(args.grid)
-    if args.fixed:
-        grid = GridSpec(grid.axes, _parse_fixed(args.fixed))
+    grid = GridSpec(_parse_grid(args.grid), _parse_fixed(args.fixed))
+    if grid.size() > MAX_GRID_CELLS:
+        raise ValueError(f"grid has {grid.size()} cells, above the cap {MAX_GRID_CELLS}")
     region = monge_ampere.classify_region(eq, grid, band=args.band)
     if region.error_fraction > args.max_error_fraction:
         print(f"error: {region.error_fraction:.2%} of cells failed to "
               "evaluate", file=sys.stderr)
         return EXIT_NUMERIC
-    if args.format == "csv":
-        rows = [["index", "delta", "type", "error"]]
-        for cell in region.cells:
-            rows.append([";".join(str(i) for i in cell.index),
-                         cell.delta if cell.delta is not None else "",
-                         cell.type or "", cell.error or ""])
-        return _emit(rows, args, csv=True)
-    return _emit(region.to_json_dict(), args)
+    _write(_region_csv(region) if args.format == "csv" else _region_json(region), args)
+    return EXIT_OK
 
 
 def cmd_verify(args) -> int:

@@ -91,13 +91,9 @@ class Call:
 @lru_cache(maxsize=None)
 def multi_indices(n: int, order: int) -> tuple:
     """All multi-indices with ``|alpha| <= order`` in graded-lex order."""
+    if n == 0:
+        return ((),)  # over no variables only the constant term is left
     idx = []
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            idx.append(tuple(prefix))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v, slots - 1)
     for degree in range(order + 1):
         block = []
         def exact(prefix, left, slots):
@@ -135,7 +131,8 @@ def _product_table(n: int, order: int) -> tuple:
     in multi-index order, keeping those whose degrees add up to at most the
     order; the rows of degree at most ``d`` are a prefix of the index list.
     """
-    idx = np.array(multi_indices(n, order), dtype=np.intp).reshape(-1, n)
+    indices = multi_indices(n, order)
+    idx = np.array(indices, dtype=np.intp).reshape(len(indices), n)
     degree = idx.sum(axis=1)
     prefix = np.searchsorted(degree, np.arange(order + 1), side="right")
     counts = prefix[order - degree]

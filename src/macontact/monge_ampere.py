@@ -14,6 +14,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -31,6 +32,8 @@ __all__ = [
     "lift_point",
     "discriminant",
     "delta_type",
+    "type_codes",
+    "TYPE_NAMES",
     "classify",
     "structure_operator",
     "residual",
@@ -94,20 +97,37 @@ def discriminant(eq: MAEquation, pt: DarbouxPoint) -> float:
     return b * b - 4.0 * a * c + 4.0 * n * d
 
 
-def delta_type(delta: float, band: float) -> str:
-    """The Delta-to-type rule: 'elliptic', 'parabolic', 'band' or 'hyperbolic'.
+# type codes of the Delta-to-type rule; ERROR marks a cell without a type
+ERROR, ELLIPTIC, PARABOLIC, BAND, HYPERBOLIC = range(5)
+TYPE_NAMES = (None, "elliptic", "parabolic", "band", "hyperbolic")
 
-    An exact zero is 'parabolic' and 0 < |Delta| <= band is 'band'.  A
+
+def type_codes(deltas, band: float) -> np.ndarray:
+    """The Delta-to-type rule over a column of Delta values (or one value).
+
+    An exact zero (either sign) is PARABOLIC and 0 < |Delta| <= band is
+    BAND; otherwise the sign decides, negative being ELLIPTIC.  A
     non-finite Delta (say inf - inf from overflowing coefficients) has no
-    sign to read, so it is a domain error rather than a type.
+    sign to read, so it gets ERROR.
     """
-    if not math.isfinite(delta):
-        raise EvalDomainError(f"non-finite discriminant {delta!r}")
-    if delta == 0.0:
-        return "parabolic"
-    if abs(delta) <= band:
-        return "band"
-    return "elliptic" if delta < 0 else "hyperbolic"
+    deltas = np.asarray(deltas, dtype=float)
+    return np.select([~np.isfinite(deltas), deltas == 0.0, np.abs(deltas) <= band,
+                      deltas < 0.0],
+                     [ERROR, PARABOLIC, BAND, ELLIPTIC], HYPERBOLIC).astype(np.int8)
+
+
+def _non_finite_message(delta: float) -> str:
+    return f"non-finite discriminant {delta!r}"
+
+
+def delta_type(delta: float, band: float) -> str:
+    """The type name of one Delta by ``type_codes``: 'elliptic',
+    'parabolic', 'band' or 'hyperbolic'; a non-finite Delta is a domain
+    error rather than a type."""
+    code = int(type_codes(delta, band))
+    if code == ERROR:
+        raise EvalDomainError(_non_finite_message(delta))
+    return TYPE_NAMES[code]
 
 
 def classify(eq: MAEquation, pt: DarbouxPoint, band: float = 1e-9) -> EquationType:
@@ -293,9 +313,23 @@ class GridSpec:
         for name, (lo, hi, count) in self.axes.items():
             if count < 0:
                 raise ValueError(f"axis {name!r} has a negative count")
+            # linspace needs a finite span hi - lo, not only finite bounds
+            if not math.isfinite(hi - lo):
+                raise ValueError(f"axis {name!r} needs finite bounds with a finite "
+                                 f"span, got {lo!r}:{hi!r}")
+        for name, value in self.fixed.items():
+            if not math.isfinite(value):
+                raise ValueError(f"fixed value of {name!r} must be finite, got {value!r}")
 
     def axis_names(self) -> list:
         return [v for v in CHART_VARIABLES if v in self.axes]
+
+    def shape(self) -> tuple:
+        """Cell counts along the axes, in the order of :meth:`axis_names`."""
+        return tuple(self.axes[n][2] for n in self.axis_names())
+
+    def size(self) -> int:
+        return math.prod(self.shape())
 
     def axis_values(self, name: str) -> np.ndarray:
         lo, hi, count = self.axes[name]
@@ -303,7 +337,7 @@ class GridSpec:
 
     def indices(self):
         """Cell indices in row-major order over the axes (last axis fastest)."""
-        return itertools.product(*(range(self.axes[n][2]) for n in self.axis_names()))
+        return itertools.product(*(range(count) for count in self.shape()))
 
     def columns(self) -> tuple:
         """The five chart coordinates of every cell, one array each, in the
@@ -312,7 +346,7 @@ class GridSpec:
         """
         names = self.axis_names()
         mesh = np.meshgrid(*(self.axis_values(n) for n in names), indexing="ij")
-        size = math.prod(self.axes[n][2] for n in names)
+        size = self.size()
         by_name = {n: m.ravel() for n, m in zip(names, mesh)}
         for n, v in self.fixed.items():
             by_name[n] = np.full(size, float(v))
@@ -327,17 +361,40 @@ class CellResult:
     error: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionClassification:
+    """The type map of a grid as arrays, one entry per cell in the
+    row-major order of ``grid.indices()``: ``deltas`` (NaN on error
+    cells), type ``codes`` (``TYPE_NAMES[code]``, ERROR on error cells)
+    and the error text of each error cell by flat cell number."""
+
     grid: GridSpec
     band: float
-    cells: tuple
+    deltas: np.ndarray
+    codes: np.ndarray
+    errors: dict
 
     @property
     def error_fraction(self) -> float:
-        if not self.cells:
-            return 0.0
-        return sum(1 for c in self.cells if c.error) / len(self.cells)
+        size = len(self.codes)
+        return len(self.errors) / size if size else 0.0
+
+    @cached_property
+    def cells(self) -> tuple:
+        """One ``CellResult`` per cell, built on first use."""
+        errors = self.errors
+        return tuple(
+            CellResult(idx, None, None, errors[i]) if i in errors
+            else CellResult(idx, delta, TYPE_NAMES[code])
+            for i, (idx, delta, code) in enumerate(zip(
+                self.grid.indices(), self.deltas.tolist(), self.codes.tolist())))
+
+    def grid_json_dict(self) -> dict:
+        return {
+            "axes": {n: list(self.grid.axes[n]) for n in self.grid.axis_names()},
+            "fixed": dict(self.grid.fixed),
+            "band": self.band,
+        }
 
     def to_json_dict(self) -> dict:
         cells = []
@@ -346,49 +403,47 @@ class RegionClassification:
             if c.error is not None:
                 entry["error"] = c.error
             cells.append(entry)
-        return {
-            "grid": {
-                "axes": {n: list(self.grid.axes[n]) for n in self.grid.axis_names()},
-                "fixed": dict(self.grid.fixed),
-                "band": self.band,
-            },
-            "cells": cells,
-        }
+        return {"grid": self.grid_json_dict(), "cells": cells}
 
 
 def classify_region(eq: MAEquation, grid: GridSpec,
                     band: float = 1e-9) -> RegionClassification:
-    """Pointwise type over the grid by ``delta_type``.
+    """Pointwise type over the grid by ``type_codes``.
 
-    The coefficients are evaluated as columns over all cells at once;
-    cells the column pass flags are re-run through the scalar
-    ``discriminant``, so every value and error text is the scalar one.
-    Evaluation failures and non-finite discriminants are recorded per cell
-    and never abort the sweep.
+    The coefficients are evaluated as columns over all cells at once.  On a
+    cell the column pass flags, only the flagged coefficients are evaluated
+    again by ``Expr.eval``, in N..D order, up to the first
+    ``EvalDomainError``, whose text becomes the cell's error; unflagged
+    lanes are bitwise the scalar values and never raise, so each value and
+    error text is the one the scalar ``discriminant`` gives.  Delta is one
+    column expression in the scalar operation order.  Evaluation failures
+    and non-finite discriminants are recorded per cell and never abort the
+    sweep.
     """
     columns = grid.columns()
-    flagged = np.zeros(len(columns[0]), dtype=bool)
-    coeffs = []
-    for coeff in (eq.N, eq.A, eq.B, eq.C, eq.D):
-        values, bad = coeff.eval_columns(columns)
-        coeffs.append(values)
-        flagged |= bad
+    exprs = (eq.N, eq.A, eq.B, eq.C, eq.D)
+    coeffs, flags = zip(*(coeff.eval_columns(columns) for coeff in exprs))
+    errors = {}
+    for i in np.flatnonzero(np.logical_or.reduce(flags)).tolist():
+        point = tuple(float(col[i]) for col in columns)
+        for expr, values, bad in zip(exprs, coeffs, flags):
+            if bad[i]:
+                try:
+                    values[i] = expr.eval(point)
+                except EvalDomainError as exc:
+                    errors[i] = str(exc)
+                    break
     n, a, b, c, d = coeffs
     with np.errstate(all="ignore"):
         deltas = b * b - 4.0 * a * c + 4.0 * n * d
-
-    cells = []
-    for i, (idx, delta, bad) in enumerate(zip(grid.indices(), deltas.tolist(),
-                                              flagged.tolist())):
-        try:
-            if bad:
-                delta = discriminant(eq, DarbouxPoint(*(float(col[i]) for col in columns)))
-            kind = delta_type(delta, band)
-        except EvalDomainError as exc:
-            cells.append(CellResult(idx, None, None, str(exc)))
-            continue
-        cells.append(CellResult(idx, delta, kind))
-    return RegionClassification(grid, band, tuple(cells))
+    codes = type_codes(deltas, band)
+    for i in np.flatnonzero(codes == ERROR).tolist():
+        errors.setdefault(i, _non_finite_message(float(deltas[i])))
+    cells = sorted(errors)
+    codes[cells] = ERROR
+    deltas[cells] = np.nan
+    return RegionClassification(grid, band, deltas, codes,
+                                {i: errors[i] for i in cells})
 
 
 # --- a fixed contact transformation -------------------------------------------

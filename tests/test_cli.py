@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
+from macontact import cli
 from macontact.cli import dumps, find_nan, main
 
 RUN = [sys.executable, "-m", "macontact.cli"]
@@ -355,6 +357,19 @@ def test_bend_rejects_overflowing_coefficients(capsys):
      b"argument --tol: must be finite and at least 0, got inf"),
     (["rmanifold", "--k", "2", "--l", "2", "--kind", "minus", "--export", "f.csv",
       "--count", "-5"], 2, b"argument --count: must be at least 1, got -5"),
+    # linspace over an infinite span warned and left NaN coordinates
+    *[(["classify", "--A", "1", "--C", "u", "--grid", grid, "--format", fmt], 2,
+       b"needs finite bounds with a finite span")
+      for grid in ("x1=0:inf:3", "x1=nan:1:3", "x1=-1e308:1e308:3") for fmt in ("json", "csv")],
+    # CSV echoes no fixed value, so a NaN there used to pass silently
+    *[(["classify", "--A", "1", "--C", "u", "--fixed", "p1=nan", "--format", fmt], 2,
+       b"fixed value of 'p1' must be finite, got nan") for fmt in ("json", "csv")],
+    (["classify", "--A", "1", "--C", "1", "--grid", "x1=0:1:2,x1=0:1:3"], 2,
+     b"grid axis 'x1' is given twice"),
+    (["classify", "--A", "1", "--C", "1", "--fixed", "u=1,u=2"], 2,
+     b"fixed variable 'u' is given twice"),
+    (["classify", "--A", "1", "--C", "1", "--grid", "x1=0:1:1000,x2=0:1:1001"], 2,
+     b"grid has 1001000 cells, above the cap 1000000"),
 ])
 def test_out_of_range_input_ends_in_its_exit_code_without_warnings(argv, code, message):
     proc = run_cli(*argv)
@@ -362,6 +377,24 @@ def test_out_of_range_input_ends_in_its_exit_code_without_warnings(argv, code, m
     assert proc.stdout == b""
     assert message in proc.stderr
     assert b"Warning" not in proc.stderr and b"Traceback" not in proc.stderr
+
+
+def test_grid_above_the_cell_cap_exits_2_before_allocating(capsys):
+    # this grid used to allocate until the process was killed
+    start = time.perf_counter()
+    code = main(["classify", "--A", "1", "--C", "1", "--grid", "x1=0:1:100000000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert capsys.readouterr().err == ("input error: grid has 100000000 cells, "
+                                       "above the cap 1000000\n")
+
+
+def test_cell_cap_admits_a_grid_of_its_size(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_GRID_CELLS", 12)
+    assert main(["classify", "--A", "1", "--C", "1", "--grid", "x1=0:1:3,x2=0:1:4"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["cells"]) == 12
+    assert main(["classify", "--A", "1", "--C", "1", "--grid", "x1=0:1:13"]) == 2
+    assert "grid has 13 cells, above the cap 12" in capsys.readouterr().err
 
 
 def test_verify_overflow_exits_3_with_one_error_line():

@@ -108,6 +108,16 @@ def test_jet_difference_of_squares():
         assert jet.coefficient(alpha) == expected.get(alpha, 0.0)
 
 
+def test_constant_over_no_variables_has_a_jet():
+    # multi_indices(0, order) used to recurse without end
+    assert multi_indices(0, 0) == multi_indices(0, 3) == ((),)
+    expr = parse("2*ln(3) - 1/4", ())
+    for order in (0, 2):
+        jet = expr.eval_jet((), order)
+        assert jet.value == expr.eval(())
+        assert jet.coeffs == {(): expr.eval(())}
+
+
 def test_jet_order_zero_equals_eval():
     rng = np.random.default_rng(7)
     for _ in range(20):
