@@ -32,6 +32,7 @@ EXIT_GATE = 4
 DEFAULT_GRID = "x1=-1:1:5,x2=-1:1:5"
 MAX_POLY_DEGREE = 32  # largest jet order of a `bend` input (README)
 MAX_GRID_CELLS = 1_000_000  # largest `classify` grid (README)
+MAX_CLOUD_POINTS = 100_000  # largest `rmanifold --export` cloud (README)
 MAX_HALF_FLOAT = sys.float_info.max / 2  # largest x with 2x finite
 
 
@@ -399,6 +400,9 @@ def cmd_contact(args) -> int:
 def cmd_rmanifold(args) -> int:
     spec = RManifoldSpec(args.k, args.l, _parse_kind(args.kind))
     if args.export:
+        if args.count > MAX_CLOUD_POINTS:
+            raise ValueError(f"point cloud has {args.count} points, "
+                             f"above the cap {MAX_CLOUD_POINTS}")
         rng = np.random.default_rng(args.seed)
         params = rng.uniform(-args.param_range, args.param_range,
                              size=(args.count, 2))
@@ -436,7 +440,10 @@ def cmd_selfadjoint(args) -> int:
 
 # --- parser ----------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing never changes
+    it, and each ``parse_args`` call fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="macontact",
         description="Monge-Ampere equations through contact geometry")
@@ -510,8 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

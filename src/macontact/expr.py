@@ -435,19 +435,37 @@ def _series_for(func: str, c0: float, order: int):
 def _apply_func(func: str, x: float) -> float:
     if func in ("sin", "cos"):
         if not math.isfinite(x):  # math raises a bare ValueError on an infinity
-            raise EvalDomainError(f"{func} of non-finite value {x}")
+            raise EvalDomainError(_DOMAIN_TEXT[func].format(x))
         return math.sin(x) if func == "sin" else math.cos(x)
     if func == "exp":
         return math.exp(x)
     if func == "ln":
         if x <= 0.0:
-            raise EvalDomainError(f"ln of nonpositive value {x}")
+            raise EvalDomainError(_DOMAIN_TEXT[func].format(x))
         return math.log(x)
     if func == "sqrt":
         if x < 0.0:
-            raise EvalDomainError(f"sqrt of negative value {x}")
+            raise EvalDomainError(_DOMAIN_TEXT[func].format(x))
         return math.sqrt(x)
     raise ValueError(f"unknown function {func!r}")
+
+
+_DOMAIN_TEXT = {"sin": "sin of non-finite value {}", "cos": "cos of non-finite value {}",
+                "ln": "ln of nonpositive value {}", "sqrt": "sqrt of negative value {}"}
+
+# per function, the math call _apply_func makes and the lanes of a column
+# outside the domain it checks (exp has none; it may overflow instead)
+_COLUMN_FUNCS = {
+    "sin": (math.sin, lambda x: ~np.isfinite(x)),
+    "cos": (math.cos, lambda x: ~np.isfinite(x)),
+    "exp": (math.exp, None),
+    "ln": (math.log, lambda x: x <= 0.0),
+    "sqrt": (math.sqrt, lambda x: x < 0.0),
+}
+
+
+def _overflow_text(exc: ArithmeticError) -> str:
+    return f"evaluation overflow: {exc}"
 
 
 # --- expressions -----------------------------------------------------------
@@ -534,27 +552,33 @@ class Expr:
         try:
             return _eval_node(self.node, point)
         except (OverflowError, ZeroDivisionError) as exc:
-            raise EvalDomainError(f"evaluation overflow: {exc}") from exc
+            raise EvalDomainError(_overflow_text(exc)) from exc
 
     def eval_columns(self, columns) -> tuple:
         """Evaluate at many points at once: one array per declared variable.
 
-        Returns ``(values, flagged)``.  On every unflagged lane ``values``
-        is bitwise equal to :meth:`eval` at that point.  A lane is flagged
-        where it divides by zero, raises zero to a negative power, leaves
-        the domain of ``ln`` or ``sqrt``, makes a ``math`` call raise, or
-        has any non-finite intermediate; its value is then meaningless and
-        the caller re-runs :meth:`eval` there.
+        Returns ``(values, flagged)``.  On every lane where :meth:`eval`
+        returns, ``values`` holds its bits.  A lane is flagged where
+        :meth:`eval` raises (a zero divisor, zero to a negative power, a
+        function leaving its domain or overflowing; the lane reads 0.0 at
+        the function that raised) or has any non-finite intermediate.
         """
+        values, flagged, _ = self._columns_with_errors(columns)
+        return values, flagged
+
+    def _columns_with_errors(self, columns) -> tuple:
+        """``(values, flagged, errors)``: :meth:`eval_columns` plus the
+        text of the error :meth:`eval` raises, by lane.  Every lane absent
+        from ``errors`` holds the bits of :meth:`eval`, finite or not."""
         if len(columns) != len(self.variables):
             raise ValueError(f"got {len(columns)} columns for "
                              f"{len(self.variables)} variables")
         columns = [np.asarray(c, dtype=float) for c in columns]
-        size = len(columns[0]) if columns else 1
-        flagged = np.zeros(size, dtype=bool)
+        lanes = _Lanes(columns, len(columns[0]) if columns else 1)
         with np.errstate(all="ignore"):
-            values = _columns_node(self.node, columns, flagged)
-        return np.broadcast_to(values, (size,)).copy(), flagged
+            values = _columns_node(self.node, lanes)
+        values = np.broadcast_to(values, lanes.raised.shape).copy()
+        return values, lanes.nonfinite | lanes.raised, lanes.errors
 
     def eval_jet(self, base, order: int) -> Jet:
         """Degree-``order`` Taylor truncation at the base point."""
@@ -568,7 +592,7 @@ class Expr:
             with np.errstate(all="ignore"):
                 return _jet_node(self.node, _zero_jet(base, order), None)
         except (OverflowError, ZeroDivisionError) as exc:
-            raise EvalDomainError(f"evaluation overflow: {exc}") from exc
+            raise EvalDomainError(_overflow_text(exc)) from exc
 
     def eval_jet_columns(self, columns, order: int) -> tuple:
         """Jets at many points at once: one array per declared variable.
@@ -652,26 +676,51 @@ def _eval_node(node, point) -> float:
     raise TypeError(f"bad node {node!r}")
 
 
-def _columns_node(node, columns, flagged):
+class _Lanes:
+    """One column pass: the variable columns, the lanes that raised with
+    the text of their first error, and the lanes with a non-finite
+    intermediate."""
+
+    __slots__ = ("columns", "raised", "errors", "nonfinite")
+
+    def __init__(self, columns, size: int):
+        self.columns = columns
+        self.raised = np.zeros(size, dtype=bool)
+        self.errors = {}
+        self.nonfinite = np.zeros(size, dtype=bool)
+
+    def fail(self, mask, text: str, arg=None):
+        """The lanes of ``mask`` raise ``text``, formatted with the lane's
+        ``arg`` if given, unless they raised before: the first error wins."""
+        new = np.broadcast_to(mask, self.raised.shape) & ~self.raised
+        if new.any():
+            for i in np.flatnonzero(new).tolist():
+                self.errors[i] = text if arg is None else text.format(float(arg[i]))
+            self.raised |= new
+
+
+def _columns_node(node, lanes: _Lanes):
     """Column twin of ``_eval_node``: same operations in the same order.
 
     ``+ - * /`` on float64 arrays round exactly like Python floats, so the
-    arithmetic runs elementwise; the functions go through ``_apply_func``
-    lane by lane, because ``np.sin`` and friends may differ from ``math``
-    by an ulp.  Lanes whose function call raises (domain, overflow) or
-    whose result is not finite are or-ed into ``flagged`` in place; a
-    division by zero or a zero to a negative power leaves an inf or NaN,
-    so the finiteness test flags those too.
+    arithmetic runs elementwise, and a lane raises where the scalar walk
+    would: a zero divisor, zero to a negative power, a function argument
+    outside the domain ``_apply_func`` checks, or a ``math`` overflow.
+    Those tests run as masks before the operation, in the depth-first
+    order of the scalar walk.  A function maps the same ``math`` call over
+    the whole column (``np.sin`` and friends may differ from ``math`` by
+    an ulp); a lane that raised is never computed again and reads 0.0
+    there.  Every other lane keeps the scalar bits, non-finite ones too.
     """
     if isinstance(node, Num):
         out = np.float64(node.value)  # numpy scalars divide by 0 without raising
     elif isinstance(node, Var):
-        out = columns[node.index]
+        out = lanes.columns[node.index]
     elif isinstance(node, Neg):
-        out = -_columns_node(node.child, columns, flagged)
+        out = -_columns_node(node.child, lanes)
     elif isinstance(node, BinOp):
-        a = _columns_node(node.left, columns, flagged)
-        b = _columns_node(node.right, columns, flagged)
+        a = _columns_node(node.left, lanes)
+        b = _columns_node(node.right, lanes)
         if node.op == "+":
             out = a + b
         elif node.op == "-":
@@ -679,28 +728,39 @@ def _columns_node(node, columns, flagged):
         elif node.op == "*":
             out = a * b
         else:
+            lanes.fail(b == 0.0, "division by zero")
             out = a / b
     elif isinstance(node, Pow):
-        base = _columns_node(node.child, columns, flagged)
+        base = _columns_node(node.child, lanes)
         k = node.exponent
         if k < 0:
+            lanes.fail(base == 0.0, "zero raised to a negative power")
             base, k = 1.0 / base, -k
         out = 1.0
         for _ in range(k):
             out = out * base
     elif isinstance(node, Call):
-        arg = np.broadcast_to(_columns_node(node.arg, columns, flagged),
-                              flagged.shape).tolist()
-        out = [0.0] * len(arg)
-        for i in np.flatnonzero(~flagged).tolist():
-            try:
-                out[i] = _apply_func(node.func, arg[i])
-            except (ArithmeticError, ValueError):
-                flagged[i] = True
+        arg = np.broadcast_to(_columns_node(node.arg, lanes), lanes.raised.shape)
+        func, outside = _COLUMN_FUNCS[node.func]
+        if outside is not None:
+            lanes.fail(outside(arg), _DOMAIN_TEXT[node.func], arg)
+        xs = np.where(lanes.raised, 1.0, arg).tolist()  # 1.0 is in every domain
+        try:
+            out = list(map(func, xs))
+        except OverflowError:  # exp: find the lanes, one by one
+            out, overflow, text = [], np.zeros(len(xs), dtype=bool), ""
+            for i, x in enumerate(xs):
+                try:
+                    out.append(func(x))
+                except OverflowError as exc:
+                    out.append(0.0)
+                    overflow[i], text = True, _overflow_text(exc)
+            lanes.fail(overflow, text)
         out = np.array(out)
+        out[lanes.raised] = 0.0
     else:
         raise TypeError(f"bad node {node!r}")
-    flagged |= ~np.isfinite(out)
+    lanes.nonfinite |= ~np.isfinite(out)
     return out
 
 

@@ -410,29 +410,21 @@ def classify_region(eq: MAEquation, grid: GridSpec,
                     band: float = 1e-9) -> RegionClassification:
     """Pointwise type over the grid by ``type_codes``.
 
-    The coefficients are evaluated as columns over all cells at once.  On a
-    cell the column pass flags, only the flagged coefficients are evaluated
-    again by ``Expr.eval``, in N..D order, up to the first
-    ``EvalDomainError``, whose text becomes the cell's error; unflagged
-    lanes are bitwise the scalar values and never raise, so each value and
-    error text is the one the scalar ``discriminant`` gives.  Delta is one
-    column expression in the scalar operation order.  Evaluation failures
-    and non-finite discriminants are recorded per cell and never abort the
-    sweep.
+    The coefficients are evaluated as columns over all cells at once.  The
+    column pass gives each lane the bits of ``Expr.eval`` or the text of
+    the error it raises first; the first error in N..D order becomes the
+    cell's error, so each value and error text is the one the scalar
+    ``discriminant`` gives.  Delta is one column expression in the scalar
+    operation order.  Evaluation failures and non-finite discriminants are
+    recorded per cell and never abort the sweep.
     """
     columns = grid.columns()
-    exprs = (eq.N, eq.A, eq.B, eq.C, eq.D)
-    coeffs, flags = zip(*(coeff.eval_columns(columns) for coeff in exprs))
-    errors = {}
-    for i in np.flatnonzero(np.logical_or.reduce(flags)).tolist():
-        point = tuple(float(col[i]) for col in columns)
-        for expr, values, bad in zip(exprs, coeffs, flags):
-            if bad[i]:
-                try:
-                    values[i] = expr.eval(point)
-                except EvalDomainError as exc:
-                    errors[i] = str(exc)
-                    break
+    coeffs, errors = [], {}
+    for coeff in (eq.N, eq.A, eq.B, eq.C, eq.D):
+        values, _, failed = coeff._columns_with_errors(columns)
+        coeffs.append(values)
+        for i, message in failed.items():
+            errors.setdefault(i, message)
     n, a, b, c, d = coeffs
     with np.errstate(all="ignore"):
         deltas = b * b - 4.0 * a * c + 4.0 * n * d

@@ -152,7 +152,7 @@ def test_error_cells_rerun_each_flagged_coefficient_at_most_once(counter, tmp_pa
                                        "--out", str(tmp_path / "out")])
     assert code == 0
     assert counter["CellResult"] == counter["delta_type"] == 0
-    assert counter["eval"] == int(either.sum())
+    assert counter["eval"] == 0
     assert counter["eval"] < int(flagged[0].sum() + flagged[1].sum())
 
 

@@ -293,6 +293,39 @@ def test_verify_tol_sets_both_tolerances(own_tol, tol, code, capsys):
     assert (data["max_residual"], data["max_defect"]) == (2.0, 4.0)
 
 
+# x1^2 misses the Laplace equation by E = 2, which fails --tol 1e-3; a leaked
+# --tol would override the third call's own tolerances
+PARSER_SEQUENCE = [
+    ["verify", "--A", "1", "--C", "1", "--f", "x1^2", "--samples", "2", "--tol", "1e-3"],
+    ["verify", "--A", "1", "--C", "1", "--f", "x1^2", "--samples", "two"],
+    ["verify", "--A", "1", "--C", "1", "--f", "x1^2", "--samples", "2",
+     "--residual-tol", "10", "--defect-tol", "10"],
+    ["classify", "--A", "1", "--C", "x1", "--grid", "x1=-1:1:3"],
+]
+
+
+def _run_main(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_answers_each_call_as_a_fresh_one(capsys):
+    fresh = []
+    for argv in PARSER_SEQUENCE:
+        cli.build_parser.cache_clear()
+        fresh.append(_run_main(argv, capsys))
+    parser = cli.build_parser()
+    reused = [_run_main(argv, capsys) for argv in PARSER_SEQUENCE]
+    assert cli.build_parser() is parser
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [1, 2, 0, 0]
+    assert "argument --samples: invalid int value: 'two'" in reused[1][2]
+
+
 def test_bend_rejects_overflowing_coefficients(capsys):
     code = main(["bend", "--k", "2", "--q1", "x^2*1e300*1e300", "--q2", "x*y"])
     assert code == 2
@@ -370,6 +403,8 @@ def test_bend_rejects_overflowing_coefficients(capsys):
      b"fixed variable 'u' is given twice"),
     (["classify", "--A", "1", "--C", "1", "--grid", "x1=0:1:1000,x2=0:1:1001"], 2,
      b"grid has 1001000 cells, above the cap 1000000"),
+    (["rmanifold", "--k", "7", "--l", "4", "--kind", "minus", "--export", "f.csv",
+      "--count", "100001"], 2, b"point cloud has 100001 points, above the cap 100000"),
 ])
 def test_out_of_range_input_ends_in_its_exit_code_without_warnings(argv, code, message):
     proc = run_cli(*argv)
@@ -395,6 +430,30 @@ def test_cell_cap_admits_a_grid_of_its_size(monkeypatch, capsys):
     assert len(json.loads(capsys.readouterr().out)["cells"]) == 12
     assert main(["classify", "--A", "1", "--C", "1", "--grid", "x1=0:1:13"]) == 2
     assert "grid has 13 cells, above the cap 12" in capsys.readouterr().err
+
+
+def test_cloud_above_the_point_cap_exits_2_before_allocating(tmp_path, capsys):
+    out = tmp_path / "cloud.csv"
+    start = time.perf_counter()
+    code = main(["rmanifold", "--k", "7", "--l", "4", "--kind", "minus", "--export",
+                 str(out), "--count", str(cli.MAX_CLOUD_POINTS + 1)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err == ("input error: point cloud has 100001 points, "
+                                       "above the cap 100000\n")
+
+
+def test_point_cap_admits_a_cloud_of_its_size(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "MAX_CLOUD_POINTS", 12)
+    out = tmp_path / "cloud.csv"
+    argv = ["rmanifold", "--k", "3", "--l", "2", "--kind", "plus", "--export", str(out)]
+    assert main(argv + ["--count", "12"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"exported": str(out), "count": 12}
+    assert len(out.read_text().splitlines()) == 13
+    out.unlink()
+    assert main(argv + ["--count", "13"]) == 2
+    assert "point cloud has 13 points, above the cap 12" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_overflow_exits_3_with_one_error_line():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from macontact.expr import (FUNCTIONS, BinOp, Call, EvalDomainError, Expr, Neg,
                             Num, Pow, Var, parse)
+from macontact.monge_ampere import GridSpec, MAEquation, classify_region
 
 VARS = ("x", "y", "z")
 
@@ -98,3 +99,70 @@ def test_constant_expression_fills_every_lane():
 def test_column_count_must_match_variables():
     with pytest.raises(ValueError, match="2 variables"):
         parse("x + y", VARS[:2]).eval_columns([np.zeros(3)])
+
+
+# --- error texts from the column pass ---------------------------------------------
+
+# leaves that overflow, are infinite or NaN, so that lanes raise in every
+# way and carry non-finite intermediates that Expr.eval keeps
+wide_numbers = st.one_of(numbers, st.sampled_from([math.inf, -math.inf, math.nan, 1e308]))
+wide_leaves = st.one_of(wide_numbers.map(Num),
+                        st.sampled_from([Var(i, n) for i, n in enumerate(VARS)]))
+wide_trees = st.recursive(wide_leaves, _extend, max_leaves=12)
+wide_lanes = st.lists(st.tuples(wide_numbers, wide_numbers, wide_numbers),
+                      min_size=1, max_size=8)
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return (math.isnan(a) and math.isnan(b)) or _bits(a) == _bits(b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(wide_trees, wide_lanes)
+def test_column_errors_and_values_match_scalar_eval(node, points):
+    expr = Expr(node, VARS)
+    values, flagged, errors = expr._columns_with_errors([np.array(c) for c in zip(*points)])
+    for lane, point in enumerate(points):
+        try:
+            expected = expr.eval(point)
+        except EvalDomainError as exc:
+            assert errors.get(lane) == str(exc), (expr.to_string(), point)
+            assert flagged[lane]
+            continue
+        assert lane not in errors, (expr.to_string(), point)
+        assert _same_bits(values[lane], expected), (expr.to_string(), point)
+        assert flagged[lane] or math.isfinite(expected)
+
+
+def _errors(text, *columns):
+    expr = parse(text, VARS[:len(columns)])
+    values, _, errors = expr._columns_with_errors([np.array(c, dtype=float)
+                                                  for c in columns])
+    return values.tolist(), errors
+
+
+def test_exp_overflow_gives_the_scalar_text():
+    values, errors = _errors("exp(x)", [1.0, 1000.0, 2.0])
+    assert errors == {1: "evaluation overflow: math range error"}
+    assert values[0] == math.exp(1.0) and values[2] == math.exp(2.0)
+
+
+def test_non_finite_intermediate_keeps_the_scalar_value():
+    # x*x overflows to inf and 1/inf is 0.0, as Expr.eval gives
+    assert _errors("1/(x*x)", [1e200, 2.0]) == ([0.0, 0.25], {})
+
+
+def test_first_error_in_depth_first_order_wins():
+    assert _errors("ln(x) + sqrt(x)", [-1.0, 4.0])[1] == {0: "ln of nonpositive value -1.0"}
+
+
+def test_constant_error_is_broadcast_to_every_lane():
+    assert _errors("1/0 + x", [1.0, 2.0, 3.0])[1] == dict.fromkeys(range(3), "division by zero")
+
+
+def test_classify_keeps_the_first_coefficient_error():
+    # both A and D raise on the first cell; the scalar discriminant stops at A
+    eq = MAEquation.from_strings(A="ln(x1) + 1", C="1", D="1/x1")
+    region = classify_region(eq, GridSpec({"x1": (0.0, 1.0, 2)}))
+    assert region.errors == {0: "ln of nonpositive value 0.0"}
+    assert region.deltas[1] == -4.0
