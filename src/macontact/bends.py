@@ -20,7 +20,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConsistencyError
 from .symplectic import _nullspace, _orth
 from .zeta import ZetaKind
 
@@ -135,6 +134,8 @@ def _derivative_matrices(degree: int) -> tuple:
 
 def _prolongation_space(k: int, q1: HomPoly, q2: HomPoly) -> np.ndarray:
     """Basis of {h in P_{k+1} : h_x, h_y in span(q1, q2)} (columns)."""
+    if q1.degree != k or q2.degree != k:
+        raise ValueError("witness polynomials must have the stated degree")
     span = np.column_stack([q1.coeffs, q2.coeffs])
     s = np.linalg.svd(span, compute_uv=False)
     if s[1] <= 1e-10 * s[0]:
@@ -167,16 +168,13 @@ def _spanning_probe(space: np.ndarray, k: int):
     return best
 
 
-def is_bend(k: int, q1: HomPoly, q2: HomPoly):
-    """Decide bendhood; on success return the witness pair (f, g)."""
-    if q1.degree != k or q2.degree != k:
-        raise ValueError("witness polynomials must have the stated degree")
-    space = _prolongation_space(k, q1, q2)
+def _witness(k: int, space: np.ndarray):
+    """Witness (f, g) in the prolongation space of a degree-k pair, or None."""
     if space.shape[1] < 2:
-        return False, None
+        return None
     f = _spanning_probe(space, k)
     if f is None:
-        return False, None
+        return None
     # second, non-proportional element: largest residual of the orthonormal
     # basis after projecting out f
     fhat = f / np.linalg.norm(f)
@@ -184,17 +182,25 @@ def is_bend(k: int, q1: HomPoly, q2: HomPoly):
     col = int(np.argmax(np.linalg.norm(residuals, axis=0)))
     g = residuals[:, col]
     g = g / np.linalg.norm(g)
-    return True, (HomPoly(k + 1, f), HomPoly(k + 1, g))
+    return HomPoly(k + 1, f), HomPoly(k + 1, g)
+
+
+def is_bend(k: int, q1: HomPoly, q2: HomPoly):
+    """Decide bendhood; on success return the witness pair (f, g)."""
+    witness = _witness(k, _prolongation_space(k, q1, q2))
+    return witness is not None, witness
 
 
 def structure_matrix(f: HomPoly, g: HomPoly) -> tuple:
     """(alpha, beta, gamma, delta) with g_x = alpha f_x + beta f_y etc.
 
     Solved by least squares on coefficient vectors; a residual above
-    1e-10 (at the data's scale) means the pair is not a valid witness.  The
-    returned matrix always satisfies the cross-derivative identity
-    (g_x)_y = (g_y)_x, i.e. gamma f_xx + (delta - alpha) f_xy - beta f_yy
-    = 0; that check is a hard internal gate.
+    1e-10 (at the data's scale) means the pair is not a valid witness.
+    That bounds the cross-derivative identity gamma f_xx + (delta - alpha)
+    f_xy - beta f_yy = 0: with r_x = alpha f_x + beta f_y - g_x and r_y
+    alike, its left side is exactly d/dx r_y - d/dy r_x, and d/dx, d/dy
+    scale each coefficient by at most k = deg f_x, so it is at most
+    k * (res_x + res_y).
     """
     fx, fy = f.diff_x(), f.diff_y()
     gx, gy = g.diff_x(), g.diff_y()
@@ -206,18 +212,8 @@ def structure_matrix(f: HomPoly, g: HomPoly) -> tuple:
     res_y = float(np.abs(basis @ sol_y - gy.coeffs).max())
     if max(res_x, res_y) > 1e-10 * scale:
         raise ValueError("derivatives of g do not lie in span{f_x, f_y}")
-    alpha, beta = float(sol_x[0]), float(sol_x[1])
-    gamma, delta = float(sol_y[0]), float(sol_y[1])
-
-    fxx = fx.diff_x()
-    fxy = fx.diff_y()
-    fyy = fy.diff_y()
-    identity = (gamma * fxx.coeffs + (delta - alpha) * fxy.coeffs
-                - beta * fyy.coeffs)
-    if float(np.abs(identity).max()) > 1e-10 * scale:
-        raise ConsistencyError("cross-derivative identity violated for the "
-                               "structure matrix")
-    return alpha, beta, gamma, delta
+    return (float(sol_x[0]), float(sol_x[1]),
+            float(sol_y[0]), float(sol_y[1]))
 
 
 def classify_bend(matrix, tol: float = 1e-9):
@@ -259,20 +255,24 @@ def normal_form(k: int, kind: ZetaKind) -> BendSubspace:
 
 
 def prolong_bend(bend: BendSubspace) -> BendSubspace:
-    """The bend one degree up: polynomials whose derivatives lie in the span."""
-    ok, _ = is_bend(bend.degree, bend.q1, bend.q2)
-    if not ok:
-        raise ValueError("input subspace is not a bend")
+    """The bend one degree up: polynomials whose derivatives lie in the span.
+
+    The result, span(f, g) for the input's witness (f, g), is a bend, so
+    it is not tested again: H_x = a f + b g, H_y = c f + d g have equal
+    mixed partials iff c = b gamma - d alpha and a = d beta - b delta, and
+    then ad - bc = beta d^2 + (alpha - delta) b d - gamma b^2 is identically
+    zero only for a scalar structure matrix, i.e. g proportional to f.
+    """
     space = _prolongation_space(bend.degree, bend.q1, bend.q2)
+    if _witness(bend.degree, space) is None:
+        raise ValueError("input subspace is not a bend")
     if space.shape[1] != 2:
         raise ValueError(f"prolonged space has dimension {space.shape[1]}, "
                          "expected 2")
     k = bend.degree + 1
     q1 = HomPoly(k, space[:, 0])
     q2 = HomPoly(k, space[:, 1])
-    ok, witness = is_bend(k, q1, q2)
-    if not ok:
-        raise ConsistencyError("prolonged subspace failed the bend test")
+    witness = _witness(k, _prolongation_space(k, q1, q2))
     matrix = structure_matrix(*witness)
     kind, _ = classify_bend(matrix)
     return BendSubspace(k, q1, q2, witness=witness, matrix=matrix, kind=kind)

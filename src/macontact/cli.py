@@ -4,8 +4,8 @@ Subcommands: classify, verify, bend, contact, rmanifold, selfadjoint.
 All numeric output is JSON (CSV where it is tabular) with floats printed
 to 17 significant digits, so identical inputs and seed produce
 byte-identical files.  Exit codes: 0 success, 1 verification failed,
-2 bad input, 3 numeric failure (including any NaN), 4 internal
-consistency gate failed.
+2 bad input, 3 numeric failure (including any NaN); 4 is reserved and
+no code path returns it.
 """
 
 import argparse
@@ -17,7 +17,6 @@ import numpy as np
 
 from . import bends, monge_ampere, rmanifold, symplectic
 from .contact import ContactChart, DarbouxPoint, contact_field, contact_form_value
-from .errors import ConsistencyError
 from .expr import EvalDomainError, ParseError, parse
 from .monge_ampere import GridSpec, MAEquation
 from .rmanifold import RManifoldSpec
@@ -27,7 +26,6 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
-EXIT_GATE = 4
 
 DEFAULT_GRID = "x1=-1:1:5,x2=-1:1:5"
 MAX_POLY_DEGREE = 32  # largest jet order of a `bend` input (README)
@@ -526,9 +524,6 @@ def main(argv=None) -> int:
     except EvalDomainError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ConsistencyError as exc:
-        print(f"consistency gate failed: {exc}", file=sys.stderr)
-        return EXIT_GATE
     except (ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

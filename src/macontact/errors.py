@@ -1,5 +1,5 @@
-"""Shared exception for internal consistency gates."""
+"""Shared exception, kept importable for callers that catch it."""
 
 
 class ConsistencyError(RuntimeError):
-    """A structural identity the library guarantees failed to hold."""
+    """A guaranteed identity failed; nothing raises it, each is proved and tested."""

@@ -168,8 +168,9 @@ def classify_dim4(sp: SymplecticSpace, a: Operator, tol: float = 1e-9,
                   band: Optional[float] = None) -> ClassificationResult:
     """Classify a self-adjoint operator on a 4-dimensional symplectic space.
 
-    The minimal polynomial t^2 + p t + q is obtained by a least-squares fit
-    of A^2 in span{I, A}; its discriminant d = p^2 - 4q decides the type:
+    The minimal polynomial t^2 + p t + q has p = -tr A / 2 and
+    q = -(p tr A + tr A^2) / 4, as every eigenvalue of a self-adjoint
+    operator has even multiplicity; its discriminant d = p^2 - 4q decides:
 
     * d < -band: elliptic, with B = (A - (-p/2) I) / sqrt(-d/4) a complex
       structure (B^2 = -I);
@@ -181,7 +182,7 @@ def classify_dim4(sp: SymplecticSpace, a: Operator, tol: float = 1e-9,
     ----------
     tol : float
         Residual tolerance for self-adjointness, the scalar test and the
-        minimal-polynomial fit (scaled by the operator norm).
+        minimal-polynomial residual (scaled by the operator norm).
     band : float, optional
         Width of the parabolic discriminant band; defaults to
         1e-9 * max(1, ||A||_F^2).
@@ -208,15 +209,14 @@ def classify_dim4(sp: SymplecticSpace, a: Operator, tol: float = 1e-9,
     if float(np.abs(m - lam * np.eye(4)).max()) <= tol * scale:
         return ClassificationResult(OperatorType.SCALAR, (lam,), (lam,))
 
-    # least-squares fit A^2 = x I + y A  ->  t^2 - y t - x
-    basis = np.column_stack([np.eye(4).ravel(), m.ravel()])
-    target = (m @ m).ravel()
-    coef, *_ = np.linalg.lstsq(basis, target, rcond=None)
-    resid = float(np.abs(basis @ coef - target).max())
+    square = m @ m
+    trace = float(np.trace(m))
+    p = -trace / 2.0
+    q = -(p * trace + float(np.trace(square))) / 4.0
+    resid = float(np.abs(square + p * m + q * np.eye(4)).max())
     if resid > tol * max(1.0, norm ** 2):
         raise ValueError("A^2 is not in span{I, A}: input is not a "
                          "self-adjoint operator of a 4-dim symplectic space")
-    p, q = -float(coef[1]), -float(coef[0])
     disc = p * p - 4.0 * q
 
     if disc < -band:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from macontact.bends import (BendSubspace, HomPoly, classify_bend, is_bend,
                              normal_form, poly_from_fiber_vector,
@@ -194,8 +196,8 @@ def test_prolong_rejects_non_bend():
 
 
 def test_every_emitted_structure_matrix_satisfies_closure():
-    # the cross-derivative residual is a hard gate inside structure_matrix;
-    # verify it directly on emitted witnesses
+    # the cross-derivative identity follows from structure_matrix's span
+    # check and is not checked there; verify it directly on emitted witnesses
     rng = np.random.default_rng(2)
     for _ in range(50):
         q1 = hp(2, rng.integers(-3, 4, size=3))
@@ -212,3 +214,95 @@ def test_every_emitted_structure_matrix_satisfies_closure():
                  + (delta - alpha) * fx.diff_y().coeffs
                  - beta * fy.diff_y().coeffs)
         assert np.abs(resid).max() <= 1e-10
+
+
+# --- properties proved rather than checked at run time ----------------------------------
+
+def substitute(coeffs, lin):
+    """Coefficients of p(a x + b y, c x + d y) for lin = [[a, b], [c, d]].
+
+    With coeffs[r] multiplying x^r y^(k-r), a product of homogeneous
+    polynomials is the convolution of their coefficient vectors.
+    """
+    (a, b), (c, d) = lin
+    k = len(coeffs) - 1
+    out = np.zeros(k + 1)
+    for r, coeff in enumerate(coeffs):
+        term = np.array([1.0])
+        for _ in range(r):
+            term = np.convolve(term, [b, a])
+        for _ in range(k - r):
+            term = np.convolve(term, [d, c])
+        out += coeff * term
+    return out
+
+
+def _rotation(t):
+    return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+
+# 2x2 matrices of condition number at most 4 and norm between 0.5 and 2
+well_conditioned = st.builds(
+    lambda t1, t2, s, c: c * _rotation(t1) @ np.diag([1.0, s]) @ _rotation(t2),
+    st.floats(0, 2 * np.pi), st.floats(0, 2 * np.pi), st.floats(0.25, 1.0),
+    st.floats(0.5, 2.0))
+
+
+def transported_normal_form(k, kind, lin, mix):
+    """Columns spanning Span(Re z^k, Im z^k) after the coordinate change lin,
+    mixed by mix: a bend of the given kind."""
+    nf = normal_form(k, kind)
+    return np.column_stack([substitute(nf.q1.coeffs, lin),
+                            substitute(nf.q2.coeffs, lin)]) @ mix
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(ZetaKind)), st.integers(2, 6), well_conditioned,
+       well_conditioned, st.one_of(st.just(0.0), st.floats(1e-13, 1e-8)),
+       st.integers(0, 2 ** 32 - 1))
+def test_every_witness_satisfies_the_cross_derivative_identity(kind, k, lin, mix,
+                                                              noise, seed):
+    # near-bends: transported normal forms plus relative noise
+    q = transported_normal_form(k, kind, lin, mix)
+    q = q + noise * np.abs(q).max() * np.random.default_rng(seed).normal(size=q.shape)
+    ok, witness = is_bend(k, hp(k, q[:, 0]), hp(k, q[:, 1]))
+    assume(ok)
+    f, g = witness
+    try:
+        matrix = structure_matrix(f, g)
+    except ValueError as exc:
+        # is_bend's null-space cut and the span check are scaled differently,
+        # so a rare noisy pair passes the first and fails the second
+        assert noise > 0.0 and "do not lie in span" in str(exc)
+        return
+    alpha, beta, gamma, delta = matrix
+    fx, fy, gx, gy = f.diff_x(), f.diff_y(), g.diff_x(), g.diff_y()
+    res_x = np.abs(alpha * fx.coeffs + beta * fy.coeffs - gx.coeffs).max()
+    res_y = np.abs(gamma * fx.coeffs + delta * fy.coeffs - gy.coeffs).max()
+    scale = 1.0 + np.linalg.norm(gx.coeffs) + np.linalg.norm(gy.coeffs)
+    eps = np.finfo(float).eps
+    assert max(res_x, res_y) <= 1e-10 * scale + 8 * eps * (k + 2) * scale
+    identity = (gamma * fx.diff_x().coeffs + (delta - alpha) * fx.diff_y().coeffs
+                - beta * fy.diff_y().coeffs)
+    # exact: identity = d/dx r_y - d/dy r_x, and d/dx, d/dy scale each
+    # coefficient of a degree-k polynomial by at most k; the second term
+    # bounds the rounding of both sides
+    roundoff = 8 * eps * k * (k + 1) * (np.abs(f.coeffs).max() * np.abs(matrix).sum()
+                                        + np.abs(g.coeffs).max())
+    assert np.abs(identity).max() <= k * (res_x + res_y) + roundoff
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(ZetaKind)), st.integers(2, 5), well_conditioned,
+       well_conditioned)
+def test_prolonging_a_bend_gives_bends_of_its_kind(kind, k, lin, mix):
+    q = transported_normal_form(k, kind, lin, mix)
+    bend = BendSubspace(k, hp(k, q[:, 0]), hp(k, q[:, 1]))
+    for degree in range(k + 1, k + 4):
+        bend = prolong_bend(bend)
+        assert bend.degree == degree
+        assert bend.kind is kind
+        # prolongation commutes with linear coordinate changes
+        target = transported_normal_form(degree, kind, lin, np.eye(2))
+        assert span_angle(bend.basis_matrix(), target) <= 1e-9
+        assert is_bend(degree, bend.q1, bend.q2)[0]

@@ -332,6 +332,20 @@ def test_bend_rejects_overflowing_coefficients(capsys):
     assert "non-finite coefficient" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bend", "--k", "3", "--q1", "x^3+1e-10*y^3", "--q2", "3*x^2*y"],
+    ["bend", "--k", "4", "--q1", "x^4+3e-11*y^4", "--q2", "4*x^3*y"],
+])
+def test_near_bends_accepted_by_the_span_check_exit_0(argv, capsys):
+    # a cross-derivative gate with the span check's threshold, not 2k times
+    # it, refused these with exit 4
+    code, out, err = _run_main(argv, capsys)
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["is_bend"] is True and data["kind"] == "zero"
+    assert find_nan(data) is None
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (["rmanifold", "--k", "40", "--l", "2", "--kind", "minus"], 2, b"k=40, l=2"),
     (["rmanifold", "--k", "20", "--l", "5", "--kind", "plus"], 2, b"k=20, l=5"),

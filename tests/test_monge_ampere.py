@@ -220,6 +220,18 @@ def test_basic_algebra_jordan_closure():
     assert basic_algebra(LAPLACE, ORIGIN).jordan_closure_defect <= 1e-12
 
 
+@pytest.mark.parametrize("exponent", range(0, 149, 4))
+def test_basic_algebra_jordan_closure_is_roundoff_at_every_scale(exponent):
+    # frak_A^2 = Delta I is exact, so nothing checks it; up to the
+    # ||A||_F <= 1e150 that classify_dim4 admits the defect stays roundoff
+    rng = np.random.default_rng(exponent)
+    for _ in range(20):
+        eq = constant_equation(rng.uniform(-1, 1, 5) * 10.0 ** exponent / 4)
+        algebra = basic_algebra(eq, ORIGIN)
+        norm = np.linalg.norm(algebra.generator.matrix)
+        assert algebra.jordan_closure_defect <= np.finfo(float).eps * norm * norm
+
+
 # --- region classification ---------------------------------------------------------------
 
 def test_classify_region_laplace_all_elliptic():

@@ -1,5 +1,6 @@
 import csv
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -77,6 +78,37 @@ def test_fiber_tangent_basis_double_k3():
     target = normal_form(3, ZetaKind.PLUS)
     basis = np.column_stack([nv.poly1.coeffs, nv.poly2.coeffs])
     assert span_angle(basis, target.basis_matrix()) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", [ZetaKind.MINUS, ZetaKind.PLUS])
+def test_fiber_tangent_images_are_the_normal_form_for_every_k(kind):
+    # k! * poly1 is zeta^(2 floor(k/2)) times Re z^k (k even) or Im z^k
+    # (k odd), and k! * poly2 is zeta^(2 floor((k-1)/2)) times the other
+    # one, in integers; from k = 171 the factorials overflow a float
+    s = int(kind.square)
+    eps = Fraction(np.finfo(float).eps)
+    for k in range(2, 171):
+        re, im = [0] * (k + 1), [0] * (k + 1)
+        for j in range(k + 1):
+            if j % 2 == 0:
+                re[k - j] = math.comb(k, j) * s ** (j // 2)
+            else:
+                im[k - j] = math.comb(k, j) * s ** ((j - 1) // 2)
+        nf = normal_form(k, kind)
+        assert nf.q1.coeffs.tolist() == [float(v) for v in re]
+        assert nf.q2.coeffs.tolist() == [float(v) for v in im]
+
+        rows = (re, im) if k % 2 == 0 else (im, re)
+        signs = (s ** (k // 2), s ** ((k - 1) // 2))
+        nv = fiber_tangent_basis(k, kind)
+        for vec, poly, row, sign in zip((nv.vec1, nv.vec2), (nv.poly1, nv.poly2),
+                                        rows, signs):
+            assert set(vec.values()) <= {-1.0, 0.0, 1.0}
+            image = [math.comb(k, r) * int(vec[(r, k - r)]) for r in range(k + 1)]
+            assert image == [sign * v for v in row], (k, kind)
+            # the float images round k!-scaled integers by at most 2 eps
+            for coeff, exact in zip(poly.coeffs.tolist(), image):
+                assert abs(Fraction(coeff) * math.factorial(k) - exact) <= 2 * eps * abs(exact)
 
 
 # --- the L_{k,l} families --------------------------------------------------------------

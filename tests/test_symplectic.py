@@ -365,3 +365,21 @@ def test_classify_rejects_operators_whose_square_overflows(scale):
     m = scale * np.diag([1.0, 2.0, 1.0, 2.0])
     with pytest.raises(ValueError, match="overflow"):
         classify_dim4(sp, Operator(m, sp))
+
+
+@pytest.mark.parametrize("exponent", range(150))
+def test_classify_keeps_the_minimal_polynomial_at_every_scale(exponent):
+    # a least-squares fit of A^2 in span{I, A} dropped the identity column
+    # from ||A||_F of about 1e15; the trace formulas are exact at any scale
+    sp = standard_space(2)
+    scale = 10.0 ** exponent
+    hyperbolic = classify_dim4(sp, Operator(scale * np.diag([1.0, -1.0, 1.0, -1.0]), sp))
+    assert hyperbolic.type is OperatorType.HYPERBOLIC
+    assert hyperbolic.minimal_polynomial == (0.0, -scale * scale)
+    assert hyperbolic.eigenvalues == pytest.approx((-scale, scale), rel=1e-15)
+    nilpotent = np.zeros((4, 4))
+    nilpotent[0, 1] = nilpotent[3, 2] = scale
+    parabolic = classify_dim4(sp, Operator(np.eye(4) + nilpotent, sp))
+    assert parabolic.type is OperatorType.PARABOLIC
+    assert parabolic.minimal_polynomial == (-2.0, 1.0)
+    assert parabolic.eigenvalues == (1.0, 1.0)
