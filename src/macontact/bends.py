@@ -186,9 +186,20 @@ def _witness(k: int, space: np.ndarray):
 
 
 def is_bend(k: int, q1: HomPoly, q2: HomPoly):
-    """Decide bendhood; on success return the witness pair (f, g)."""
+    """Decide bendhood; on success return the witness pair (f, g).
+
+    The witness drawn from the prolongation space must also pass the span
+    check of ``structure_matrix``, the one tolerance rule for witnesses,
+    so ``structure_matrix`` accepts every witness returned here.
+    """
     witness = _witness(k, _prolongation_space(k, q1, q2))
-    return witness is not None, witness
+    if witness is None:
+        return False, None
+    try:
+        structure_matrix(*witness)
+    except ValueError:  # a near-bend outside the span check
+        return False, None
+    return True, witness
 
 
 def structure_matrix(f: HomPoly, g: HomPoly) -> tuple:

@@ -94,18 +94,8 @@ def dumps(obj) -> str:
             append("]")
         elif obj is None:
             append("null")
-        elif isinstance(obj, bool):
+        elif kind is bool:
             append("true" if obj else "false")
-        elif isinstance(obj, (int, np.integer)):
-            append(str(int(obj)))
-        elif isinstance(obj, (float, np.floating)):
-            append(_format_float(float(obj)))
-        elif isinstance(obj, str):
-            append(_quote(obj))
-        elif isinstance(obj, dict):
-            walk(dict(obj))
-        elif isinstance(obj, (list, tuple)):
-            walk(list(obj))
         else:
             raise TypeError(f"cannot serialize {type(obj)!r}")
 
@@ -335,9 +325,25 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _given(args, names) -> list:
+    """The flags among ``names`` that the command line sets (their
+    defaults are None), spelled as options."""
+    return ["--" + n.replace("_", "-") for n in names if getattr(args, n) is not None]
+
+
+def _defaults(args, defaults: dict):
+    for name, value in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+
+
 def cmd_verify(args) -> int:
     if args.tol is not None:
+        own = _given(args, ("residual_tol", "defect_tol"))
+        if own:
+            raise ValueError(f"--tol sets both tolerances; drop {' and '.join(own)}")
         args.residual_tol = args.defect_tol = args.tol
+    _defaults(args, {"residual_tol": 1e-9, "defect_tol": 1e-8})
     eq = _equation_from_args(args)
     f = parse(args.f, ("x1", "x2"))
     rng = np.random.default_rng(args.seed)
@@ -395,8 +401,18 @@ def cmd_contact(args) -> int:
     return _emit(payload, args)
 
 
+# rmanifold flags that act only with --export, and only without it
+_CLOUD_DEFAULTS = {"count": 100, "param_range": 1.0, "seed": 42}
+_REPORT_DEFAULTS = {"radius": 0.5, "samples": 16}
+
+
 def cmd_rmanifold(args) -> int:
     spec = RManifoldSpec(args.k, args.l, _parse_kind(args.kind))
+    idle = _given(args, _REPORT_DEFAULTS if args.export else _CLOUD_DEFAULTS)
+    if idle:
+        raise ValueError(f"{idle[0]} acts only {'without' if args.export else 'with'} "
+                         "--export")
+    _defaults(args, _CLOUD_DEFAULTS if args.export else _REPORT_DEFAULTS)
     if args.export:
         if args.count > MAX_CLOUD_POINTS:
             raise ValueError(f"point cloud has {args.count} points, "
@@ -467,10 +483,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive_int, default=50)
     p.add_argument("--range", type=_positive_float, default=1.0,
                    help="base points drawn uniformly from [-range, range]^2")
-    p.add_argument("--residual-tol", type=_nonneg_float, default=1e-9)
-    p.add_argument("--defect-tol", type=_nonneg_float, default=1e-8)
+    p.add_argument("--residual-tol", type=_nonneg_float, default=None,
+                   help="largest |E| that passes (default 1e-9)")
+    p.add_argument("--defect-tol", type=_nonneg_float, default=None,
+                   help="largest invariance defect that passes (default 1e-8)")
     p.add_argument("--tol", type=_nonneg_float, default=None,
-                   help="set both --residual-tol and --defect-tol")
+                   help="set both --residual-tol and --defect-tol (not with them)")
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=cmd_verify)
 
@@ -491,13 +509,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--kind", choices=("minus", "zero", "plus"), required=True)
-    p.add_argument("--radius", type=_positive_float, default=0.5)
-    p.add_argument("--samples", type=_positive_int, default=16)
+    p.add_argument("--radius", type=_positive_float, default=None,
+                   help="report only (default 0.5)")
+    p.add_argument("--samples", type=_positive_int, default=None,
+                   help="report only (default 16)")
     p.add_argument("--export", default=None,
                    help="write a CSV point cloud to this path instead")
-    p.add_argument("--count", type=_positive_int, default=100)
-    p.add_argument("--param-range", type=_positive_float, default=1.0)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--count", type=_positive_int, default=None,
+                   help="with --export only (default 100)")
+    p.add_argument("--param-range", type=_positive_float, default=None,
+                   help="with --export only (default 1.0)")
+    p.add_argument("--seed", type=int, default=None, help="with --export only (default 42)")
     p.set_defaults(func=cmd_rmanifold)
 
     p = sub.add_parser("selfadjoint", help="classify a 4x4 operator")

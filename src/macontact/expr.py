@@ -9,7 +9,8 @@ The grammar (EBNF)::
 
 Identifiers match ``[a-zA-Z_][a-zA-Z0-9_]*``.  Known functions are sin, cos,
 exp, ln and sqrt; every other identifier must name a declared variable.
-Exponents are integers only; division by anything whose value (or jet
+Exponents are integers of at most MAX_EXPONENT in absolute value; a power
+is repeated multiplication.  Division by anything whose value (or jet
 constant term) is zero is a domain error, never a NaN.
 
 Jets are truncated multivariate Taylor expansions.  The coefficient stored
@@ -19,6 +20,7 @@ Multi-indices are ordered graded-lexicographically.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,6 +37,7 @@ __all__ = [
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
 MAX_DEPTH = 250  # deepest nesting the parser accepts (README)
+MAX_EXPONENT = 1000  # largest |k| of a power x^k the parser accepts (README)
 
 
 class ParseError(ValueError):
@@ -178,27 +181,30 @@ def _same_point(a, b) -> bool:
     return a == b
 
 
-def _lanewise(build, c0, length: int, flagged):
+def _lanewise(build, c0, length: int, lanes):
     """``build(c0)``, a list of ``length`` floats computed from a constant term.
 
     For a jet at one point ``c0`` is a float and an error propagates.  For
     lanes, ``build`` runs lane by lane on Python floats, so each lane gets
     exactly the scalar floats, and the result is one array per entry.  A
-    lane whose build raises is set in ``flagged`` and holds NaN; without
-    ``flagged`` the error propagates.  Lanes already flagged are skipped.
+    lane whose build raises holds NaN and is recorded in the ``_Lanes``
+    ``lanes`` with the text ``Expr.eval_jet`` raises; without ``lanes``
+    the error propagates.  Lanes that raised before are skipped.
     """
     if not isinstance(c0, np.ndarray):
         return build(c0)
     values = c0.tolist()
-    lanes = range(len(values)) if flagged is None else np.flatnonzero(~flagged).tolist()
+    todo = range(len(values)) if lanes is None else np.flatnonzero(~lanes.raised).tolist()
     out = np.full((length, len(values)), np.nan)
-    for i in lanes:
+    for i in todo:
         try:
             out[:, i] = build(values[i])
-        except (ArithmeticError, ValueError):
-            if flagged is None:
+        except ArithmeticError as exc:
+            if lanes is None:
                 raise
-            flagged[i] = True
+            lanes.raised[i] = True
+            lanes.errors[i] = (str(exc) if isinstance(exc, EvalDomainError)
+                               else _overflow_text(exc))
     return list(out)
 
 
@@ -362,37 +368,38 @@ class Jet:
     def __pow__(self, k: int):
         return self.power(k)
 
-    def divide(self, other, flagged=None) -> "Jet":
-        """``self / other``; over lanes, a lane dividing by a zero constant
-        term is set in ``flagged`` instead of raising."""
+    # ``lanes`` (a column pass's ``_Lanes``) records the lanes that raise
+    # instead of raising; ``Expr.eval_jet_columns`` passes it.
+
+    def divide(self, other, lanes=None) -> "Jet":
+        """``self / other``; dividing by a zero constant term raises."""
         other = self._lift(other)
         if self.order == 0:
             # keep order-0 jets bitwise identical to plain evaluation
-            _lanewise(_nonzero, other.value, 1, flagged)
+            _lanewise(_nonzero, other.value, 1, lanes)
             return self._constant(self.value / other.value)
-        return self * other.reciprocal(flagged)
+        return self * other.reciprocal(lanes)
 
-    def power(self, k: int, flagged=None) -> "Jet":
+    def power(self, k: int, lanes=None) -> "Jet":
         """Integer power by repeated multiplication, as ``Expr.eval`` does."""
         if not isinstance(k, int):
             raise TypeError("jet exponent must be an integer")
         if k < 0:
-            return self.reciprocal(flagged).power(-k)
+            return self.reciprocal(lanes).power(-k)
         out = self._constant(1.0)
         for _ in range(k):
             out = out * self
         return out
 
-    def reciprocal(self, flagged=None) -> "Jet":
+    def reciprocal(self, lanes=None) -> "Jet":
         series = _lanewise(lambda c0: _reciprocal_series(c0, self.order),
-                           self.value, self.order + 1, flagged)
+                           self.value, self.order + 1, lanes)
         return self.compose_series(series)
 
-    def apply(self, func: str, flagged=None) -> "Jet":
-        """``func`` (one of FUNCTIONS) of the jet; lanes leaving its domain
-        are set in ``flagged``."""
+    def apply(self, func: str, lanes=None) -> "Jet":
+        """``func`` (one of FUNCTIONS) of the jet; leaving its domain raises."""
         series = _lanewise(lambda c0: _series_for(func, c0, self.order),
-                           self.value, self.order + 1, flagged)
+                           self.value, self.order + 1, lanes)
         return self.compose_series(series)
 
     def compose_series(self, series) -> "Jet":
@@ -411,17 +418,15 @@ class Jet:
 
 def _series_for(func: str, c0: float, order: int):
     if func == "exp":
-        e = math.exp(c0)
+        e = _call("exp", c0)
         return [e / math.factorial(m) for m in range(order + 1)]
     if func in ("sin", "cos"):
-        s, c = _apply_func("sin", c0), _apply_func("cos", c0)
+        s, c = _call("sin", c0), _call("cos", c0)
         cycle = [s, c, -s, -c] if func == "sin" else [c, -s, -c, s]
         return [cycle[m % 4] / math.factorial(m) for m in range(order + 1)]
     if func == "ln":
-        if c0 <= 0.0:
-            raise EvalDomainError(f"ln of nonpositive value {c0}")
-        return [math.log(c0)] + [(-1.0) ** (m + 1) / (m * c0 ** m)
-                                 for m in range(1, order + 1)]
+        return [_call("ln", c0)] + [(-1.0) ** (m + 1) / (m * c0 ** m)
+                                    for m in range(1, order + 1)]
     if func == "sqrt":
         if c0 < 0.0 or (c0 == 0.0 and order >= 1):
             raise EvalDomainError(f"sqrt at {c0} is not smooth")
@@ -432,40 +437,32 @@ def _series_for(func: str, c0: float, order: int):
     raise ValueError(f"unknown function {func!r}")
 
 
-def _apply_func(func: str, x: float) -> float:
-    if func in ("sin", "cos"):
-        if not math.isfinite(x):  # math raises a bare ValueError on an infinity
-            raise EvalDomainError(_DOMAIN_TEXT[func].format(x))
-        return math.sin(x) if func == "sin" else math.cos(x)
-    if func == "exp":
-        return math.exp(x)
-    if func == "ln":
-        if x <= 0.0:
-            raise EvalDomainError(_DOMAIN_TEXT[func].format(x))
-        return math.log(x)
-    if func == "sqrt":
-        if x < 0.0:
-            raise EvalDomainError(_DOMAIN_TEXT[func].format(x))
-        return math.sqrt(x)
-    raise ValueError(f"unknown function {func!r}")
+def _overflow_text(exc: ArithmeticError) -> str:
+    return f"evaluation overflow: {exc}"
 
 
-_DOMAIN_TEXT = {"sin": "sin of non-finite value {}", "cos": "cos of non-finite value {}",
-                "ln": "ln of nonpositive value {}", "sqrt": "sqrt of negative value {}"}
+_LOG_MAX = math.log(sys.float_info.max)  # exp of the next double overflows
 
-# per function, the math call _apply_func makes and the lanes of a column
-# outside the domain it checks (exp has none; it may overflow instead)
-_COLUMN_FUNCS = {
-    "sin": (math.sin, lambda x: ~np.isfinite(x)),
-    "cos": (math.cos, lambda x: ~np.isfinite(x)),
-    "exp": (math.exp, None),
-    "ln": (math.log, lambda x: x <= 0.0),
-    "sqrt": (math.sqrt, lambda x: x < 0.0),
+# function -> (math call, where an argument leaves the domain, error text
+# formatted with the argument).  Each predicate takes a Python float or a
+# float64 column alike; ``x - x`` is NaN exactly for an infinity or a NaN,
+# where math.sin raises a bare ValueError.
+_FUNCS = {
+    "sin": (math.sin, lambda x: x - x != 0.0, "sin of non-finite value {}"),
+    "cos": (math.cos, lambda x: x - x != 0.0, "cos of non-finite value {}"),
+    "exp": (math.exp, lambda x: (x > _LOG_MAX) & (x < math.inf),
+            _overflow_text("math range error")),
+    "ln": (math.log, lambda x: x <= 0.0, "ln of nonpositive value {}"),
+    "sqrt": (math.sqrt, lambda x: x < 0.0, "sqrt of negative value {}"),
 }
 
 
-def _overflow_text(exc: ArithmeticError) -> str:
-    return f"evaluation overflow: {exc}"
+def _call(func: str, x: float) -> float:
+    """``func`` of one float by its ``_FUNCS`` entry."""
+    call, outside, text = _FUNCS[func]
+    if outside(x):
+        raise EvalDomainError(text.format(x))
+    return call(x)
 
 
 # --- expressions -----------------------------------------------------------
@@ -549,10 +546,7 @@ class Expr:
         if len(point) != len(self.variables):
             raise ValueError(f"point has {len(point)} entries for "
                              f"{len(self.variables)} variables")
-        try:
-            return _eval_node(self.node, point)
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise EvalDomainError(_overflow_text(exc)) from exc
+        return _eval_node(self.node, point)
 
     def eval_columns(self, columns) -> tuple:
         """Evaluate at many points at once: one array per declared variable.
@@ -574,7 +568,7 @@ class Expr:
             raise ValueError(f"got {len(columns)} columns for "
                              f"{len(self.variables)} variables")
         columns = [np.asarray(c, dtype=float) for c in columns]
-        lanes = _Lanes(columns, len(columns[0]) if columns else 1)
+        lanes = _Lanes(columns)
         with np.errstate(all="ignore"):
             values = _columns_node(self.node, lanes)
         values = np.broadcast_to(values, lanes.raised.shape).copy()
@@ -598,23 +592,29 @@ class Expr:
         """Jets at many points at once: one array per declared variable.
 
         Returns ``(jet, flagged)``, a lane :class:`Jet` with one column per
-        point.  On every unflagged lane each coefficient is bitwise equal to
-        :meth:`eval_jet` at that point.  A lane is flagged where
-        :meth:`eval_jet` would raise (a zero divisor, a function leaving its
-        domain or overflowing) or where a coefficient is not finite; its
-        column is then meaningless and the caller re-runs :meth:`eval_jet`.
+        point.  A lane is flagged where :meth:`eval_jet` raises (a zero
+        divisor, a function leaving its domain or overflowing; the lane's
+        column is then meaningless) or where a coefficient is not finite.
+        On every other lane each coefficient is bitwise :meth:`eval_jet`.
         """
+        jet, lanes = self._jet_columns_with_errors(columns, order)
+        return jet, lanes.raised | lanes.nonfinite
+
+    def _jet_columns_with_errors(self, columns, order: int) -> tuple:
+        """``(jet, lanes)``: :meth:`eval_jet_columns` with its ``_Lanes``,
+        whose ``errors`` holds the text :meth:`eval_jet` raises, by lane.
+        Every lane that did not raise holds the bits of :meth:`eval_jet`,
+        finite or not."""
         if len(columns) != len(self.variables):
             raise ValueError(f"got {len(columns)} columns for "
                              f"{len(self.variables)} variables")
         if order < 0:
             raise ValueError("jet order must be nonnegative")
-        columns = tuple(np.asarray(c, dtype=float) for c in columns)
-        flagged = np.zeros(len(columns[0]) if columns else 1, dtype=bool)
+        lanes = _Lanes(tuple(np.asarray(c, dtype=float) for c in columns))
         with np.errstate(all="ignore"):
-            jet = _jet_node(self.node, _zero_jet(columns, order), flagged)
-            flagged |= ~np.isfinite(jet.data).all(axis=0)
-        return jet, flagged
+            jet = _jet_node(self.node, _zero_jet(lanes.columns, order), lanes)
+            lanes.nonfinite = ~np.isfinite(jet.data).all(axis=0)
+        return jet, lanes
 
     def subs(self, mapping: dict) -> "Expr":
         """Substitute expressions for variables (by name)."""
@@ -672,19 +672,20 @@ def _eval_node(node, point) -> float:
             out = out * base
         return out
     if isinstance(node, Call):
-        return _apply_func(node.func, _eval_node(node.arg, point))
+        return _call(node.func, _eval_node(node.arg, point))
     raise TypeError(f"bad node {node!r}")
 
 
 class _Lanes:
-    """One column pass: the variable columns, the lanes that raised with
-    the text of their first error, and the lanes with a non-finite
-    intermediate."""
+    """One column pass, of values or of jets: the variable columns, the
+    lanes that raised with the text of their first error, and the lanes
+    with a non-finite intermediate (of values) or coefficient (of jets)."""
 
     __slots__ = ("columns", "raised", "errors", "nonfinite")
 
-    def __init__(self, columns, size: int):
+    def __init__(self, columns):
         self.columns = columns
+        size = len(columns[0]) if columns else 1
         self.raised = np.zeros(size, dtype=bool)
         self.errors = {}
         self.nonfinite = np.zeros(size, dtype=bool)
@@ -704,13 +705,13 @@ def _columns_node(node, lanes: _Lanes):
 
     ``+ - * /`` on float64 arrays round exactly like Python floats, so the
     arithmetic runs elementwise, and a lane raises where the scalar walk
-    would: a zero divisor, zero to a negative power, a function argument
-    outside the domain ``_apply_func`` checks, or a ``math`` overflow.
-    Those tests run as masks before the operation, in the depth-first
-    order of the scalar walk.  A function maps the same ``math`` call over
-    the whole column (``np.sin`` and friends may differ from ``math`` by
-    an ulp); a lane that raised is never computed again and reads 0.0
-    there.  Every other lane keeps the scalar bits, non-finite ones too.
+    would: a zero divisor, zero to a negative power, or a function argument
+    outside its ``_FUNCS`` domain.  Those tests run as masks before the
+    operation, in the depth-first order of the scalar walk.  A function
+    maps the same ``math`` call over the whole column (``np.sin`` and
+    friends may differ from ``math`` by an ulp); a lane that raised is
+    never computed again and reads 0.0 there.  Every other lane keeps the
+    scalar bits, non-finite ones too.
     """
     if isinstance(node, Num):
         out = np.float64(node.value)  # numpy scalars divide by 0 without raising
@@ -741,22 +742,10 @@ def _columns_node(node, lanes: _Lanes):
             out = out * base
     elif isinstance(node, Call):
         arg = np.broadcast_to(_columns_node(node.arg, lanes), lanes.raised.shape)
-        func, outside = _COLUMN_FUNCS[node.func]
-        if outside is not None:
-            lanes.fail(outside(arg), _DOMAIN_TEXT[node.func], arg)
+        call, outside, text = _FUNCS[node.func]
+        lanes.fail(outside(arg), text, arg)
         xs = np.where(lanes.raised, 1.0, arg).tolist()  # 1.0 is in every domain
-        try:
-            out = list(map(func, xs))
-        except OverflowError:  # exp: find the lanes, one by one
-            out, overflow, text = [], np.zeros(len(xs), dtype=bool), ""
-            for i, x in enumerate(xs):
-                try:
-                    out.append(func(x))
-                except OverflowError as exc:
-                    out.append(0.0)
-                    overflow[i], text = True, _overflow_text(exc)
-            lanes.fail(overflow, text)
-        out = np.array(out)
+        out = np.array(list(map(call, xs)))
         out[lanes.raised] = 0.0
     else:
         raise TypeError(f"bad node {node!r}")
@@ -764,30 +753,30 @@ def _columns_node(node, lanes: _Lanes):
     return out
 
 
-def _jet_node(node, zero, flagged) -> Jet:
+def _jet_node(node, zero, lanes) -> Jet:
     """Jet of the subtree at the base point and order of the jet ``zero``;
-    over lanes, lanes that fail are set in ``flagged`` (None at one point,
-    where errors raise)."""
+    over lanes, lanes that raise are recorded in the ``_Lanes`` ``lanes``
+    (None at one point, where errors raise)."""
     if isinstance(node, Num):
         return zero._constant(node.value)
     if isinstance(node, Var):
         return zero._variable(node.index)
     if isinstance(node, Neg):
-        return -_jet_node(node.child, zero, flagged)
+        return -_jet_node(node.child, zero, lanes)
     if isinstance(node, BinOp):
-        a = _jet_node(node.left, zero, flagged)
-        b = _jet_node(node.right, zero, flagged)
+        a = _jet_node(node.left, zero, lanes)
+        b = _jet_node(node.right, zero, lanes)
         if node.op == "+":
             return a + b
         if node.op == "-":
             return a - b
         if node.op == "*":
             return a * b
-        return a.divide(b, flagged)
+        return a.divide(b, lanes)
     if isinstance(node, Pow):
-        return _jet_node(node.child, zero, flagged).power(node.exponent, flagged)
+        return _jet_node(node.child, zero, lanes).power(node.exponent, lanes)
     if isinstance(node, Call):
-        return _jet_node(node.arg, zero, flagged).apply(node.func, flagged)
+        return _jet_node(node.arg, zero, lanes).apply(node.func, lanes)
     raise TypeError(f"bad node {node!r}")
 
 
@@ -998,6 +987,12 @@ class _Parser:
             self.error("expected an integer exponent")
         if self.pos < len(self.text) and self.text[self.pos] == ".":
             self.error("non-integer exponent")
+        # a power costs |k| multiplications; compare digits before int() so
+        # that no digit string is too long to convert
+        magnitude = self.text[digits:self.pos].lstrip("0")
+        if len(magnitude) > len(str(MAX_EXPONENT)) or int(magnitude or "0") > MAX_EXPONENT:
+            raise ParseError(f"exponent above the cap {MAX_EXPONENT} in absolute value",
+                             start)
         return int(self.text[start:self.pos])
 
 

@@ -223,31 +223,31 @@ def invariance_defects(eq: MAEquation, f: Expr, bases) -> InvarianceReport:
     """``invariance_defect`` at every base point (x1, x2) in one pass.
 
     The report holds one array entry per point.  f is lifted by one
-    order-2 jet pass over all points (``Expr.eval_jet_columns``) and N..D
-    are evaluated as columns at the lifts.  Points that either pass flags
-    are evaluated again, one by one in order, by the scalar jet and
-    ``Expr.eval``: those raise the first error that a loop over the points
-    would raise, or give the point's values.  The rest is elementwise
-    column arithmetic in the order of the one-point formulas, and the
-    images under the stacked structure operators come from one
-    ``np.matmul``, which makes per matrix the BLAS call of a single
-    ``m @ z``; so every entry is bitwise the one-point value.
+    order-2 jet pass over all points and N..D are evaluated as columns at
+    the lifts.  Both passes give each point the bits of the scalar jet and
+    ``Expr.eval``, or the text of the error they raise first; the error of
+    the lowest point, its jet's before its N..D in order, is raised, as a
+    loop over the points would.  The rest is elementwise column arithmetic
+    in the order of the one-point formulas, and the images under the
+    stacked structure operators come from one ``np.matmul``, which makes
+    per matrix the BLAS call of a single ``m @ z``; so every entry is
+    bitwise the one-point value.
     """
     bases = np.asarray(bases, dtype=float)
     if bases.ndim != 2:
         raise ValueError("base points must be a sequence of (x1, x2) pairs")
     with np.errstate(all="ignore"):
-        jet, flagged = f.eval_jet_columns(tuple(bases.T), 2)
+        jet, lanes = f._jet_columns_with_errors(tuple(bases.T), 2)
+        errors = dict(lanes.errors)
         x1, x2 = bases[:, 0], bases[:, 1]
         u, p1, p2, *values = _jet_lift(jet)
         for coeff in (eq.N, eq.A, eq.B, eq.C, eq.D):
-            column, bad = coeff.eval_columns((x1, x2, u, p1, p2))
+            column, _, failed = coeff._columns_with_errors((x1, x2, u, p1, p2))
             values.append(column)
-            flagged |= bad
-        values = np.array(values)
-        for i in np.flatnonzero(flagged).tolist():
-            pt, f11, f12, f22 = _lift_2jet(f, (x1[i], x2[i]))
-            values[:, i] = (f11, f12, f22) + eq.coefficients_at(pt)
+            for i, message in failed.items():
+                errors.setdefault(i, message)
+        if errors:
+            raise EvalDomainError(errors[min(errors)])
         return _defect_columns(*values)
 
 

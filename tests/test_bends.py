@@ -268,13 +268,7 @@ def test_every_witness_satisfies_the_cross_derivative_identity(kind, k, lin, mix
     ok, witness = is_bend(k, hp(k, q[:, 0]), hp(k, q[:, 1]))
     assume(ok)
     f, g = witness
-    try:
-        matrix = structure_matrix(f, g)
-    except ValueError as exc:
-        # is_bend's null-space cut and the span check are scaled differently,
-        # so a rare noisy pair passes the first and fails the second
-        assert noise > 0.0 and "do not lie in span" in str(exc)
-        return
+    matrix = structure_matrix(f, g)  # is_bend applies the same span check
     alpha, beta, gamma, delta = matrix
     fx, fy, gx, gy = f.diff_x(), f.diff_y(), g.diff_x(), g.diff_y()
     res_x = np.abs(alpha * fx.coeffs + beta * fy.coeffs - gx.coeffs).max()

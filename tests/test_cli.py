@@ -3,10 +3,12 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from macontact import cli
 from macontact.cli import dumps, find_nan, main
+from macontact.expr import MAX_EXPONENT
 
 RUN = [sys.executable, "-m", "macontact.cli"]
 
@@ -284,11 +286,15 @@ def test_flags_without_effect_are_rejected(argv, capsys):
 ])
 def test_verify_tol_sets_both_tolerances(own_tol, tol, code, capsys):
     # x1^2 misses the Laplace equation by E = 2; its invariance defect is 4
-    argv = ["verify", "--A", "1", "--C", "1", "--f", "x1^2", "--samples", "2",
-            "--residual-tol", own_tol, "--defect-tol", own_tol]
+    argv = ["verify", "--A", "1", "--C", "1", "--f", "x1^2", "--samples", "2"]
+    own = ["--residual-tol", own_tol, "--defect-tol", own_tol]
     if tol is not None:
-        argv += ["--tol", tol]
-    assert main(argv) == code
+        # --tol beside the tolerances it sets would silently override them
+        assert main(argv + own + ["--tol", tol]) == 2
+        assert capsys.readouterr().err == ("input error: --tol sets both tolerances; "
+                                           "drop --residual-tol and --defect-tol\n")
+        own = ["--tol", tol]
+    assert main(argv + own) == code
     data = json.loads(capsys.readouterr().out)
     assert (data["max_residual"], data["max_defect"]) == (2.0, 4.0)
 
@@ -362,7 +368,7 @@ def test_near_bends_accepted_by_the_span_check_exit_0(argv, capsys):
      b"not homogeneous of degree 2"),
     (["bend", "--k", "2", "--q1", "x*sin(y)", "--q2", "x*y"], 2, b"not a polynomial"),
     (["bend", "--k", "2", "--q1", "x^2/y", "--q2", "x*y"], 2, b"not a polynomial"),
-    (["bend", "--k", "2", "--q1", "x^1000000", "--q2", "x*y"], 2, b"above the cap 32"),
+    (["bend", "--k", "2", "--q1", "x^1000", "--q2", "x*y"], 2, b"above the cap 32"),
     (["bend", "--k", "2", "--q1", "(1+x+y)^33", "--q2", "x*y"], 2,
      b"needs a jet of order 33, above the cap 32"),
     # a dense input at the cap still evaluates its whole jet (about 0.2 s)
@@ -499,3 +505,81 @@ def test_rmanifold_report_at_large_radius_keeps_its_tangents(k, kind, capsys):
     assert all(s["det"] != 0 and s["rank2_ok"] for s in data["samples"])
     assert data["origin_base_derivative"] == 0 and data["origin_rank0_ok"] is True
     assert data["unique_singular_point"] is True
+
+
+# --- exponent cap ------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, offset", [
+    (["classify", "--A", "x1^100000000", "--C", "1", "--grid", "x1=0:1:3"], 3),
+    (["verify", "--A", "1", "--C", "1", "--f", "x1^100000000", "--samples", "2"], 3),
+    # degree_bound passes it: the base has degree 0
+    (["bend", "--k", "2", "--q1", "(x^0)^100000000*x^2", "--q2", "x*y"], 6),
+])
+def test_exponent_above_the_cap_exits_2_at_once(argv, offset, capsys):
+    # powers are repeated multiplication, so these ran for minutes
+    start = time.perf_counter()
+    code, out, err = _run_main(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (f"parse error: exponent above the cap {MAX_EXPONENT} in absolute "
+                   f"value (at offset {offset})\n")
+
+
+# --- a flag either acts or is rejected ---------------------------------------------
+
+@pytest.mark.parametrize("extra, message", [
+    (["--count", "5"], "--count acts only with --export"),
+    (["--param-range", "2"], "--param-range acts only with --export"),
+    (["--seed", "42"], "--seed acts only with --export"),
+    (["--export", "@", "--radius", "1"], "--radius acts only without --export"),
+    (["--export", "@", "--samples", "16"], "--samples acts only without --export"),
+])
+def test_rmanifold_flags_of_the_other_mode_are_rejected(extra, message, tmp_path, capsys):
+    path = tmp_path / "cloud.csv"
+    argv = ["rmanifold", "--k", "2", "--l", "2", "--kind", "minus"]
+    code, out, err = _run_main(argv + [str(path) if a == "@" else a for a in extra], capsys)
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+    assert not path.exists()
+
+
+def test_rmanifold_defaults_of_each_mode_still_act(tmp_path, capsys):
+    argv = ["rmanifold", "--k", "2", "--l", "2", "--kind", "minus"]
+    assert _run_main(argv, capsys)[0] == 0
+    assert _run_main(argv + ["--radius", "0.5", "--samples", "16"], capsys)[0] == 0
+    path = tmp_path / "cloud.csv"
+    assert _run_main(argv + ["--export", str(path)], capsys)[0] == 0
+    default = path.read_bytes()
+    explicit = argv + ["--export", str(path), "--count", "100", "--param-range", "1.0",
+                       "--seed", "42"]
+    assert _run_main(explicit, capsys)[0] == 0
+    assert path.read_bytes() == default and default.count(b"\n") == 101
+
+
+@pytest.mark.parametrize("own", [["--residual-tol", "1"], ["--defect-tol", "1"]])
+def test_verify_tol_beside_either_tolerance_is_rejected(own, capsys):
+    argv = ["verify", "--A", "1", "--C", "1", "--f", "x1^2", "--tol", "1e-3"] + own
+    code, out, err = _run_main(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"input error: --tol sets both tolerances; drop {own[0]}\n"
+
+
+# --- is_bend and structure_matrix share one span check --------------------------------
+
+def test_near_bend_refused_by_the_span_check_is_no_bend(capsys):
+    # is_bend accepted this noisy pair and structure_matrix refused its
+    # witness, so the command exited 2 after deciding it was a bend
+    q1 = ("-2.755240663574513*y^5+50.13947033114933*x*y^4-2.5168681063511853*x^2*y^3"
+          "-1.3283298169271252*x^3*y^2+0.03680310599390242*x^4*y"
+          "+0.0016430241609530067*x^5")
+    q2 = ("59.78658747424311*y^5-3.835544724392136*x*y^4-8.131785317156181*x^2*y^3"
+          "+0.3425011078150578*x^3*y^2+0.05185568048301139*x^4*y"
+          "-0.0007786797087305028*x^5")
+    code, out, err = _run_main(["bend", "--k", "5", f"--q1={q1}", f"--q2={q2}"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"k": 5, "is_bend": False}
+
+
+def test_dumps_refuses_types_outside_the_payload_vocabulary():
+    for value in (np.float64(1.0), np.int64(1), np.bool_(True), {1, 2}):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            dumps({"v": value})

@@ -291,3 +291,50 @@ def test_nesting_up_to_the_cap_reaches_every_tree_walker(shape):
     assert expr.subs({"x1": parse("x2", ("x1", "x2"))}).eval((0.0, 0.5)) == value
     with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels"):
         parse(_nested(shape, MAX_DEPTH + 1), ("x1", "x2"))
+
+
+# exp(709.782712893384) is the largest finite exp of a double; the next double
+# overflows in every evaluation path, with one error text
+EXP_EDGE = 709.782712893384
+EXP_OVER = math.nextafter(EXP_EDGE, math.inf)
+
+
+def test_exp_at_the_overflow_threshold_in_every_path():
+    expr = parse("exp(x)", ("x",))
+    edge = math.exp(EXP_EDGE)
+    assert math.isfinite(edge)
+    assert expr.eval((EXP_EDGE,)) == edge
+    assert expr.eval_jet((EXP_EDGE,), 2).data.tolist() == [edge, edge, edge / 2]
+    values, flagged, errors = expr._columns_with_errors([np.array([EXP_EDGE, EXP_OVER])])
+    assert values[0] == edge and flagged.tolist() == [False, True]
+    text = "evaluation overflow: math range error"
+    assert errors == {1: text}
+    with pytest.raises(EvalDomainError, match=f"^{text}$"):
+        expr.eval((EXP_OVER,))
+    with pytest.raises(EvalDomainError, match=f"^{text}$"):
+        expr.eval_jet((EXP_OVER,), 2)
+    with pytest.raises(OverflowError):
+        math.exp(EXP_OVER)
+
+
+def test_exp_of_infinities_and_nan_is_not_an_error():
+    expr = parse("exp(x)", ("x",))
+    points = [math.inf, -math.inf, math.nan]
+    values, _, errors = expr._columns_with_errors([np.array(points)])
+    assert errors == {}
+    for x, got in zip(points, values.tolist()):
+        expected = expr.eval((x,))
+        assert got == expected or (math.isnan(got) and math.isnan(expected))
+
+
+@pytest.mark.parametrize("text, exponent", [
+    ("x^1000", 1000), ("x^-1000", -1000), ("x^0001000", 1000), ("x^-0", 0),
+])
+def test_exponents_up_to_the_cap_parse(text, exponent):
+    assert parse(text, ("x",)).node == Pow(parse("x", ("x",)).node, exponent)
+
+
+@pytest.mark.parametrize("text", ["x^1001", "x^-1001", "x^" + "9" * 5000, "2*x^00010000"])
+def test_exponents_above_the_cap_are_parse_errors(text):
+    with pytest.raises(ParseError, match="exponent above the cap 1000 in absolute value"):
+        parse(text, ("x",))

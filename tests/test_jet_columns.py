@@ -113,14 +113,18 @@ JET_SHAPES = [(2, 0), (2, 1), (2, 2), (2, 3), (2, 5), (5, 1), (5, 2), (5, 3)]
 
 
 def _check_lanes(expr, order, lanes):
-    jet, flagged = expr.eval_jet_columns([np.array(c) for c in zip(*lanes)], order)
+    columns = [np.array(c) for c in zip(*lanes)]
+    jet, flagged = expr.eval_jet_columns(columns, order)
+    errors = expr._jet_columns_with_errors(columns, order)[1].errors
     assert jet.data.shape == (len(multi_indices(len(expr.variables), order)), len(lanes))
     for lane, point in enumerate(lanes):
         try:
             expected = expr.eval_jet(point, order).data.tolist()
-        except EvalDomainError:
+        except EvalDomainError as exc:
             assert flagged[lane], (expr.to_string(), point)
+            assert errors.get(lane) == str(exc), (expr.to_string(), point)
             continue
+        assert lane not in errors, (expr.to_string(), point)
         finite = all(map(math.isfinite, expected))
         assert flagged[lane] == (not finite), (expr.to_string(), point)
         if finite:
@@ -314,3 +318,50 @@ def test_structure_operator_keeps_its_matrix():
     eq = MAEquation.from_strings(N="2", A="3", B="5", C="7", D="11")
     m = structure_operator(eq, DarbouxPoint(0, 0, 0, 0, 0)).matrix
     assert m.tolist() == [[5, -6, 0, -4], [14, -5, 4, 0], [0, 22, 5, 14], [-22, 0, -6, -5]]
+
+
+# --- one error channel: failing samples are never evaluated again -------------------
+
+@pytest.fixture
+def scalar_calls(monkeypatch):
+    """Counts calls of the one-point evaluators the batched defect must not use."""
+    from macontact import expr as expr_module, monge_ampere
+    counts = {}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(expr_module.Expr, "eval")
+    counting(expr_module.Expr, "eval_jet")
+    counting(monge_ampere, "_lift_2jet")
+    counting(MAEquation, "coefficients_at")
+    return counts
+
+
+@pytest.mark.parametrize("coeffs, text, bases, message", [
+    # the lift raises at the second sample, N..D at the third
+    ({"A": "1/(x1 - 2)", "C": "1"}, "1/x1", [(1.0, 0.0), (0.0, 1.0), (2.0, 1.0)],
+     "division by a jet with zero constant term"),
+    # C and D raise at the second sample (C first), the lift at the third
+    ({"A": "ln(p1)", "C": "sqrt(x2)", "D": "exp(-800*x2*u)"}, "x1 + ln(x1)",
+     [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0)], "sqrt of negative value -1.0"),
+    ({"N": "exp(u)", "C": "1"}, "710*x1^2", [(0.5, 0.0), (1.0, 0.0), (0.0, 1.0)],
+     "evaluation overflow: math range error"),
+])
+def test_batched_defects_raise_the_first_error_without_scalar_reruns(
+        coeffs, text, bases, message, scalar_calls):
+    eq, f = MAEquation.from_strings(**coeffs), parse(text, ("x1", "x2"))
+    with pytest.raises(EvalDomainError) as exc:
+        invariance_defects(eq, f, bases)
+    assert str(exc.value) == message
+    assert scalar_calls == {}
+    # the same text as the point loop the batched pass replaces
+    with pytest.raises(EvalDomainError) as point:
+        for base in bases:
+            _reference_defect(eq, f, base)
+    assert str(point.value) == message
