@@ -137,7 +137,9 @@ def _prolongation_space(k: int, q1: HomPoly, q2: HomPoly) -> np.ndarray:
     if q1.degree != k or q2.degree != k:
         raise ValueError("witness polynomials must have the stated degree")
     span = np.column_stack([q1.coeffs, q2.coeffs])
-    s = np.linalg.svd(span, compute_uv=False)
+    # independence of the unit columns, whatever the scale of each (hypot cannot overflow)
+    norms = np.hypot.reduce(span, axis=0)
+    s = np.linalg.svd(span / np.where(norms > 0.0, norms, 1.0), compute_uv=False)
     if s[1] <= 1e-10 * s[0]:
         raise ValueError("q1, q2 must be linearly independent")
     q, _ = np.linalg.qr(span)

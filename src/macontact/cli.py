@@ -11,7 +11,7 @@ no code path returns it.
 import argparse
 import math
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -31,6 +31,8 @@ DEFAULT_GRID = "x1=-1:1:5,x2=-1:1:5"
 MAX_POLY_DEGREE = 32  # largest jet order of a `bend` input (README)
 MAX_GRID_CELLS = 1_000_000  # largest `classify` grid (README)
 MAX_CLOUD_POINTS = 100_000  # largest `rmanifold --export` cloud (README)
+MAX_VERIFY_SAMPLES = 100_000  # largest `verify --samples` (README)
+MAX_REPORT_SAMPLES = 10_000  # largest `rmanifold --samples` (README)
 MAX_HALF_FLOAT = sys.float_info.max / 2  # largest x with 2x finite
 
 
@@ -190,13 +192,17 @@ def _region_csv(region) -> str:
 
 # --- argument helpers ----------------------------------------------------------
 
-def _positive_int(text: str) -> int:
+def _positive_int(text: str, cap=None) -> int:
+    """An int of at least 1 and, if ``cap`` is given, at most ``cap``: a
+    count that would exhaust memory exits 2 before anything is allocated."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if cap is not None and value > cap:
+        raise argparse.ArgumentTypeError(f"{value} is above the cap {cap}")
     return value
 
 
@@ -480,7 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_coefficient_flags(p)
     p.add_argument("--f", required=True,
                    help="candidate solution as an expression in x1, x2")
-    p.add_argument("--samples", type=_positive_int, default=50)
+    p.add_argument("--samples", type=partial(_positive_int, cap=MAX_VERIFY_SAMPLES), default=50,
+                   help=f"base points drawn (default 50, at most {MAX_VERIFY_SAMPLES})")
     p.add_argument("--range", type=_positive_float, default=1.0,
                    help="base points drawn uniformly from [-range, range]^2")
     p.add_argument("--residual-tol", type=_nonneg_float, default=None,
@@ -511,8 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("minus", "zero", "plus"), required=True)
     p.add_argument("--radius", type=_positive_float, default=None,
                    help="report only (default 0.5)")
-    p.add_argument("--samples", type=_positive_int, default=None,
-                   help="report only (default 16)")
+    p.add_argument("--samples", type=partial(_positive_int, cap=MAX_REPORT_SAMPLES), default=None,
+                   help=f"report only (default 16, at most {MAX_REPORT_SAMPLES})")
     p.add_argument("--export", default=None,
                    help="write a CSV point cloud to this path instead")
     p.add_argument("--count", type=_positive_int, default=None,

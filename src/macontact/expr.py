@@ -181,44 +181,6 @@ def _same_point(a, b) -> bool:
     return a == b
 
 
-def _lanewise(build, c0, length: int, lanes):
-    """``build(c0)``, a list of ``length`` floats computed from a constant term.
-
-    For a jet at one point ``c0`` is a float and an error propagates.  For
-    lanes, ``build`` runs lane by lane on Python floats, so each lane gets
-    exactly the scalar floats, and the result is one array per entry.  A
-    lane whose build raises holds NaN and is recorded in the ``_Lanes``
-    ``lanes`` with the text ``Expr.eval_jet`` raises; without ``lanes``
-    the error propagates.  Lanes that raised before are skipped.
-    """
-    if not isinstance(c0, np.ndarray):
-        return build(c0)
-    values = c0.tolist()
-    todo = range(len(values)) if lanes is None else np.flatnonzero(~lanes.raised).tolist()
-    out = np.full((length, len(values)), np.nan)
-    for i in todo:
-        try:
-            out[:, i] = build(values[i])
-        except ArithmeticError as exc:
-            if lanes is None:
-                raise
-            lanes.raised[i] = True
-            lanes.errors[i] = (str(exc) if isinstance(exc, EvalDomainError)
-                               else _overflow_text(exc))
-    return list(out)
-
-
-def _nonzero(c0: float) -> list:
-    if c0 == 0.0:
-        raise EvalDomainError("division by a jet with zero constant term")
-    return [c0]
-
-
-def _reciprocal_series(c0: float, order: int) -> list:
-    _nonzero(c0)
-    return [(-1.0) ** m / c0 ** (m + 1) for m in range(order + 1)]
-
-
 class Jet:
     """Degree-``order`` Taylor truncation of a function at base points.
 
@@ -240,12 +202,10 @@ class Jet:
     __slots__ = ("base", "n", "order", "data")
 
     def __init__(self, base, order, coeffs):
-        """``coeffs``: the data array, or a mapping multi-index -> value."""
+        """``coeffs``: the data array, one row per multi-index."""
         self.base = tuple(base)
         self.n = len(self.base)
         self.order = int(order)
-        if isinstance(coeffs, dict):
-            coeffs = [coeffs[a] for a in multi_indices(self.n, self.order)]
         self.data = np.asarray(coeffs, dtype=float)
 
     @classmethod
@@ -376,7 +336,7 @@ class Jet:
         other = self._lift(other)
         if self.order == 0:
             # keep order-0 jets bitwise identical to plain evaluation
-            _lanewise(_nonzero, other.value, 1, lanes)
+            _series_for("1/x", other.value, 0, lanes)  # fails where other is 0
             return self._constant(self.value / other.value)
         return self * other.reciprocal(lanes)
 
@@ -392,15 +352,13 @@ class Jet:
         return out
 
     def reciprocal(self, lanes=None) -> "Jet":
-        series = _lanewise(lambda c0: _reciprocal_series(c0, self.order),
-                           self.value, self.order + 1, lanes)
-        return self.compose_series(series)
+        return self.compose_series(_series_for("1/x", self.value, self.order, lanes))
 
     def apply(self, func: str, lanes=None) -> "Jet":
         """``func`` (one of FUNCTIONS) of the jet; leaving its domain raises."""
-        series = _lanewise(lambda c0: _series_for(func, c0, self.order),
-                           self.value, self.order + 1, lanes)
-        return self.compose_series(series)
+        if func not in FUNCTIONS:
+            raise ValueError(f"unknown function {func!r}")
+        return self.compose_series(_series_for(func, self.value, self.order, lanes))
 
     def compose_series(self, series) -> "Jet":
         """Apply a univariate Taylor series g (coefficients around value)."""
@@ -416,31 +374,6 @@ class Jet:
         return f"Jet(order={self.order}, {base}{lanes})"
 
 
-def _series_for(func: str, c0: float, order: int):
-    if func == "exp":
-        e = _call("exp", c0)
-        return [e / math.factorial(m) for m in range(order + 1)]
-    if func in ("sin", "cos"):
-        s, c = _call("sin", c0), _call("cos", c0)
-        cycle = [s, c, -s, -c] if func == "sin" else [c, -s, -c, s]
-        return [cycle[m % 4] / math.factorial(m) for m in range(order + 1)]
-    if func == "ln":
-        return [_call("ln", c0)] + [(-1.0) ** (m + 1) / (m * c0 ** m)
-                                    for m in range(1, order + 1)]
-    if func == "sqrt":
-        if c0 < 0.0 or (c0 == 0.0 and order >= 1):
-            raise EvalDomainError(f"sqrt at {c0} is not smooth")
-        out = [math.sqrt(c0)]
-        for m in range(1, order + 1):
-            out.append(out[-1] * (0.5 - (m - 1)) / (m * c0))
-        return out
-    raise ValueError(f"unknown function {func!r}")
-
-
-def _overflow_text(exc: ArithmeticError) -> str:
-    return f"evaluation overflow: {exc}"
-
-
 _LOG_MAX = math.log(sys.float_info.max)  # exp of the next double overflows
 
 # function -> (math call, where an argument leaves the domain, error text
@@ -451,18 +384,95 @@ _FUNCS = {
     "sin": (math.sin, lambda x: x - x != 0.0, "sin of non-finite value {}"),
     "cos": (math.cos, lambda x: x - x != 0.0, "cos of non-finite value {}"),
     "exp": (math.exp, lambda x: (x > _LOG_MAX) & (x < math.inf),
-            _overflow_text("math range error")),
+            "evaluation overflow: math range error"),
     "ln": (math.log, lambda x: x <= 0.0, "ln of nonpositive value {}"),
     "sqrt": (math.sqrt, lambda x: x < 0.0, "sqrt of negative value {}"),
 }
 
 
-def _call(func: str, x: float) -> float:
-    """``func`` of one float by its ``_FUNCS`` entry."""
+def _fail(lanes, mask, text: str, arg=None):
+    """Before an operation: the lanes of ``mask`` fail with ``text``,
+    formatted with their ``arg`` if given.  They are recorded in the
+    ``_Lanes`` ``lanes``; at one point (``mask`` a bool) the error raises."""
+    if lanes is not None:
+        lanes.fail(mask, text, arg)
+    elif mask:
+        raise EvalDomainError(text if arg is None else text.format(arg))
+
+
+def _call(func: str, x, lanes=None):
+    """``func`` of one float by its ``_FUNCS`` entry, or of a column by the
+    same ``math`` call lane by lane; a lane that failed reads 0.0."""
     call, outside, text = _FUNCS[func]
-    if outside(x):
-        raise EvalDomainError(text.format(x))
-    return call(x)
+    _fail(lanes, outside(x), text, x)
+    if lanes is None:
+        return call(x)
+    out = np.array(list(map(call, np.where(lanes.raised, 1.0, x).tolist())))
+    out[lanes.raised] = 0.0  # they computed 1.0, which is in every domain
+    return out
+
+
+def _pow(x, m: int, lanes=None):
+    """Python's ``x ** m`` of one float or lane by lane (numpy's power
+    differs on some lanes); where it overflows, it fails with Python's text."""
+    text = None
+    def power(v):
+        nonlocal text
+        try:
+            return v ** m
+        except OverflowError as exc:
+            text = f"evaluation overflow: {exc}"
+            return math.inf
+    if lanes is None:
+        out = power(x)
+        _fail(None, text is not None, text)
+        return out
+    out = np.array(list(map(power, np.where(lanes.raised, 1.0, x).tolist())))
+    lanes.fail(np.isinf(out) & np.isfinite(x), text)  # where Python raised
+    return out
+
+
+def _divide(x, divisor, lanes=None):
+    """``x / divisor``, where a zero divisor fails as Python's division does."""
+    _fail(lanes, divisor == 0.0, "evaluation overflow: float division by zero")
+    return x / divisor
+
+
+def _series_for(func: str, c0, order: int, lanes=None) -> list:
+    """Taylor coefficients 0..order of ``func`` (in FUNCTIONS, or "1/x")
+    around ``c0``, one float or a column of lanes.  Each failure is a mask
+    taken before its operation, in the order of the one-point formula, so
+    a lane fails as its point jet does first.  Lanes outside a pass raise
+    the lowest failing lane's error."""
+    if lanes is None and isinstance(c0, np.ndarray):
+        lanes = _Lanes((c0,))
+        with np.errstate(all="ignore"):
+            series = _series_for(func, c0, order, lanes)
+        if lanes.errors:
+            raise EvalDomainError(lanes.errors[min(lanes.errors)])
+        return series
+    if func in ("exp", "sin", "cos"):
+        if func == "exp":
+            cycle = [_call("exp", c0, lanes)]
+        else:  # cos computes sin first, so a cos jet raises the sin error
+            s, c = _call("sin", c0, lanes), _call("cos", c0, lanes)
+            cycle = [s, c, -s, -c] if func == "sin" else [c, -s, -c, s]
+        _fail(lanes, order > 170, "evaluation overflow: int too large to convert to float")
+        return [cycle[m % len(cycle)] / float(math.factorial(min(m, 170)))
+                for m in range(order + 1)]
+    if func == "ln":
+        return [_call("ln", c0, lanes)] + [_divide((-1.0) ** (m + 1), m * _pow(c0, m, lanes), lanes)
+                                           for m in range(1, order + 1)]
+    if func == "1/x":
+        _fail(lanes, c0 == 0.0, "division by a jet with zero constant term")
+        return [_divide((-1.0) ** m, _pow(c0, m + 1, lanes), lanes) for m in range(order + 1)]
+    if func == "sqrt":
+        _fail(lanes, (c0 < 0.0) | ((c0 == 0.0) & (order >= 1)), "sqrt at {} is not smooth", c0)
+        out = [_call("sqrt", c0, lanes)]
+        for m in range(1, order + 1):
+            out.append(out[-1] * (0.5 - (m - 1)) / (m * c0))
+        return out
+    raise ValueError(f"unknown function {func!r}")
 
 
 # --- expressions -----------------------------------------------------------
@@ -582,11 +592,8 @@ class Expr:
                              f"{len(self.variables)} variables")
         if order < 0:
             raise ValueError("jet order must be nonnegative")
-        try:
-            with np.errstate(all="ignore"):
-                return _jet_node(self.node, _zero_jet(base, order), None)
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise EvalDomainError(_overflow_text(exc)) from exc
+        with np.errstate(all="ignore"):
+            return _jet_node(self.node, _zero_jet(base, order), None)
 
     def eval_jet_columns(self, columns, order: int) -> tuple:
         """Jets at many points at once: one array per declared variable.
@@ -656,15 +663,13 @@ def _eval_node(node, point) -> float:
             return a - b
         if node.op == "*":
             return a * b
-        if b == 0.0:
-            raise EvalDomainError("division by zero")
+        _fail(None, b == 0.0, "division by zero")
         return a / b
     if isinstance(node, Pow):
         base = _eval_node(node.child, point)
         k = node.exponent
         if k < 0:
-            if base == 0.0:
-                raise EvalDomainError("zero raised to a negative power")
+            _fail(None, base == 0.0, "zero raised to a negative power")
             base, k = 1.0 / base, -k
         # repeated multiplication, mirroring jet arithmetic bit for bit
         out = 1.0
@@ -703,15 +708,11 @@ class _Lanes:
 def _columns_node(node, lanes: _Lanes):
     """Column twin of ``_eval_node``: same operations in the same order.
 
-    ``+ - * /`` on float64 arrays round exactly like Python floats, so the
-    arithmetic runs elementwise, and a lane raises where the scalar walk
-    would: a zero divisor, zero to a negative power, or a function argument
-    outside its ``_FUNCS`` domain.  Those tests run as masks before the
-    operation, in the depth-first order of the scalar walk.  A function
-    maps the same ``math`` call over the whole column (``np.sin`` and
-    friends may differ from ``math`` by an ulp); a lane that raised is
-    never computed again and reads 0.0 there.  Every other lane keeps the
-    scalar bits, non-finite ones too.
+    ``+ - * /`` on float64 arrays round exactly like Python floats, and
+    each check of the scalar walk (a zero divisor, zero to a negative
+    power, ``_call``'s domain test) is the same ``_fail`` on a mask, so a
+    lane fails where the scalar walk raises and every other lane keeps
+    the scalar bits, non-finite ones too.
     """
     if isinstance(node, Num):
         out = np.float64(node.value)  # numpy scalars divide by 0 without raising
@@ -729,24 +730,20 @@ def _columns_node(node, lanes: _Lanes):
         elif node.op == "*":
             out = a * b
         else:
-            lanes.fail(b == 0.0, "division by zero")
+            _fail(lanes, b == 0.0, "division by zero")
             out = a / b
     elif isinstance(node, Pow):
         base = _columns_node(node.child, lanes)
         k = node.exponent
         if k < 0:
-            lanes.fail(base == 0.0, "zero raised to a negative power")
+            _fail(lanes, base == 0.0, "zero raised to a negative power")
             base, k = 1.0 / base, -k
         out = 1.0
         for _ in range(k):
             out = out * base
     elif isinstance(node, Call):
         arg = np.broadcast_to(_columns_node(node.arg, lanes), lanes.raised.shape)
-        call, outside, text = _FUNCS[node.func]
-        lanes.fail(outside(arg), text, arg)
-        xs = np.where(lanes.raised, 1.0, arg).tolist()  # 1.0 is in every domain
-        out = np.array(list(map(call, xs)))
-        out[lanes.raised] = 0.0
+        out = _call(node.func, arg, lanes)
     else:
         raise TypeError(f"bad node {node!r}")
     lanes.nonfinite |= ~np.isfinite(out)

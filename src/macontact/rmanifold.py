@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bends import HomPoly, normal_form, poly_from_fiber_vector, span_angle
-from .expr import EvalDomainError
+from .expr import EvalDomainError, multi_indices
 from .zeta import ZetaKind, frac_factorial
 
 __all__ = [
@@ -60,13 +60,9 @@ __all__ = [
 _CONSISTENCY_TOL = 1e-9  # largest |residual| of the prolonged equation on L_{k,l}
 
 
-@lru_cache(maxsize=None)
 def jet_indices(k: int) -> tuple:
     """All (p, q) with p + q <= k in graded-lex order."""
-    out = []
-    for degree in range(k + 1):
-        out.extend((p, degree - p) for p in range(degree + 1))
-    return tuple(out)
+    return multi_indices(2, k)
 
 
 @lru_cache(maxsize=None)

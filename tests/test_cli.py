@@ -476,6 +476,30 @@ def test_point_cap_admits_a_cloud_of_its_size(monkeypatch, tmp_path, capsys):
     assert not out.exists()
 
 
+SAMPLE_CAPS = [(["verify", "--A", "1", "--C", "1", "--f", "x1^2 - x2^2"], cli.MAX_VERIFY_SAMPLES),
+               (["rmanifold", "--k", "2", "--l", "2", "--kind", "minus"], cli.MAX_REPORT_SAMPLES)]
+
+
+@pytest.mark.parametrize("argv, cap", SAMPLE_CAPS)
+def test_samples_type_admits_the_cap_and_refuses_one_more(argv, cap, capsys):
+    parser = cli.build_parser()
+    assert parser.parse_args(argv + ["--samples", str(cap)]).samples == cap
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv + ["--samples", str(cap + 1)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --samples: {cap + 1} is above the cap {cap}\n")
+
+
+@pytest.mark.parametrize("argv, cap", SAMPLE_CAPS)
+def test_samples_above_the_cap_exit_2_before_allocating(argv, cap, capsys):
+    start = time.perf_counter()
+    code, out, err = _run_main(argv + ["--samples", str(cap + 1)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument --samples: {cap + 1} is above the cap {cap}\n")
+
+
 def test_verify_overflow_exits_3_with_one_error_line():
     # A*f11 = 2e500 overflows the residual; numpy stays quiet
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "macontact.cli",
@@ -577,6 +601,23 @@ def test_near_bend_refused_by_the_span_check_is_no_bend(capsys):
     code, out, err = _run_main(["bend", "--k", "5", f"--q1={q1}", f"--q2={q2}"], capsys)
     assert (code, err) == (0, "")
     assert json.loads(out) == {"k": 5, "is_bend": False}
+
+
+@pytest.mark.parametrize("q1", ["1e11*x^2", "1e300*x^2", "1e-300*x^2"])
+def test_independence_of_bend_inputs_ignores_their_scale(q1, capsys):
+    # the same span as 1e9*x^2; at 1e11 the singular value test of the raw
+    # coefficient columns refused the pair as dependent
+    code, out, err = _run_main(["bend", "--k", "2", "--q1", q1, "--q2", "x*y"], capsys)
+    assert (code, err) == (0, "")
+    _, reference, _ = _run_main(["bend", "--k", "2", "--q1", "1e9*x^2", "--q2", "x*y"], capsys)
+    assert json.loads(out)["kind"] == json.loads(reference)["kind"] == "zero"
+
+
+def test_dependent_bend_inputs_are_still_refused(capsys):
+    for q1, q2 in [("x^2", "3e11*x^2"), ("0*x^2", "x*y"), ("x*y", "x*y + 1e-12*y^2")]:
+        code, out, err = _run_main(["bend", "--k", "2", "--q1", q1, "--q2", q2], capsys)
+        assert (code, out) == (2, "")
+        assert err == "input error: q1, q2 must be linearly independent\n"
 
 
 def test_dumps_refuses_types_outside_the_payload_vocabulary():

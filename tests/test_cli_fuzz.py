@@ -3,8 +3,8 @@
 Every argv must end in a documented exit code (argparse's own exits
 included), raise nothing else, and print only JSON (or CSV) whose numbers
 are finite.  Sizes are capped so that one example takes about a second at
-most: ``--samples``, grid counts and point counts stay small, because
-their caps are far above what a test can afford.
+most: ``--samples``, grid counts and point counts stay small (their caps
+are far above what a test can afford) or go above the cap, which exits 2.
 """
 
 import contextlib
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from macontact.cli import main
+from macontact.cli import MAX_REPORT_SAMPLES, MAX_VERIFY_SAMPLES, main
 
 
 def mostly(valid, hostile):
@@ -37,6 +37,13 @@ positives = mostly(st.one_of(st.sampled_from(["1e-300", "1e8", "1e200"]),
                              st.floats(1e-3, 10).map(repr)),
                    NOT_A_NUMBER + ["0", "-1", "1e308"])
 small_ints = mostly(st.integers(1, 12).map(str), ["0", "-1", "", "two", "1.5", "1e3"])
+
+
+def samples(cap):
+    """A small --samples value, or one above its cap."""
+    return mostly(small_ints, [str(cap + 1), "9" * 30])
+
+
 seeds = mostly(st.integers(0, 2 ** 32).map(str), ["-1", "", "x", str(10 ** 30)])
 exponents = mostly(st.sampled_from(["2", "3", "0", "-1", "-3", "1000", "-1000"]),
                    ["1001", "-1001", "100000000", "9" * 40, "2.5", ""])
@@ -97,11 +104,12 @@ def _commands():
                           "--band": tolerances, "--max-error-fraction": tolerances,
                           "--format": mostly(st.sampled_from(["json", "csv"]), ["xml"])}),
         "verify": ({"--f": expressions(("x1", "x2"))},
-                   {**coefficients, "--samples": small_ints, "--range": positives,
+                   {**coefficients, "--samples": samples(MAX_VERIFY_SAMPLES),
+                    "--range": positives,
                     "--seed": seeds, "--residual-tol": tolerances,
                     "--defect-tol": tolerances}),
         "verify-tol": ({"--f": expressions(("x1", "x2")), "--tol": tolerances},
-                       {**coefficients, "--samples": small_ints}),
+                       {**coefficients, "--samples": samples(MAX_VERIFY_SAMPLES)}),
         # a power of a constant base multiplies order-32 jets, 0.3 ms each
         "bend": ({"--k": mostly(st.sampled_from(["1", "2", "3", "4", "5"]),
                                 ["0", "32", "33", "-1", "x", "100000"]),
@@ -109,7 +117,8 @@ def _commands():
         "contact": ({"--nu": expressions(CHART)},
                     {"--point": mostly(st.lists(reals, min_size=5, max_size=5)
                                        .map(",".join), ["", "1,2,3,4", "1,2,3,4,5,6"])}),
-        "rmanifold": (rmanifold, {"--radius": positives, "--samples": small_ints}),
+        "rmanifold": (rmanifold, {"--radius": positives,
+                                  "--samples": samples(MAX_REPORT_SAMPLES)}),
         "rmanifold-export": ({**rmanifold, "--export": st.just(EXPORT)},
                              {"--count": mostly(small_ints, ["100001"]),
                               "--param-range": positives, "--seed": seeds}),

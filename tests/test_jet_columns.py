@@ -144,6 +144,12 @@ def test_lane_jets_match_point_jets_bitwise(n, order):
     check()
 
 
+# numpy's power differs from Python's x ** m on these (m = 2 and 3), found
+# by a seeded search; the lanes must keep Python's bits
+POWER_EDGES = [(1.8903560604397107,), (0.8652184011534257,), (1.7497633501454266,),
+               (1.4554425309821815,), (1.9958149036838164,)]
+
+
 @pytest.mark.parametrize("text, lanes", [
     ("1/x", [(0.0,), (-0.0,), (1e-300,), (5e-324,), (2.0,)]),
     ("0*(1/x)", [(0.0,), (1.0,)]),       # the zero factor must not hide the error
@@ -156,10 +162,60 @@ def test_lane_jets_match_point_jets_bitwise(n, order):
     ("sin(x*1e308*10)", [(1.0,), (0.0,), (-0.0,)]),
     ("x*1e308*10 - x*1e308*10", [(1.0,), (0.0,)]),
     ("1/(x*1e308*10)", [(1.0,), (-1.0,), (0.0,)]),
+    # x ** m overflows (1e200, 1e308) or underflows to a zero divisor (1e-200)
+    ("ln(x)", [(1e200,), (1e-200,), (1e308,), (2.0,)]),
+    ("1/x", [(1e200,), (1e-200,), (1e308,), (-1e200,), (-1e-200,), (2.0,)]),
+    ("x^-2", [(1e200,), (1e-200,), (1e308,)]),
+    ("ln(x) + 1/x", [(1e-200,), (1e200,), (3.0,)]),
+    ("ln(x)", POWER_EDGES),
+    ("1/x", POWER_EDGES),
 ])
-@pytest.mark.parametrize("order", [0, 1, 2, 4])
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
 def test_lane_jets_on_domain_edges(text, lanes, order):
     _check_lanes(parse(text, ("x",)), order, lanes)
+
+
+@pytest.mark.parametrize("text", ["exp(x)", "sin(x)", "cos(x)", "exp(x) + cos(x)"])
+@pytest.mark.parametrize("order", [170, 171])
+def test_lane_jets_past_the_largest_float_factorial(text, order):
+    # float(171!) overflows: every lane raises, unless its argument did first
+    lanes = [(1.0,), (-2.0,), (800.0,), (math.inf,), (math.nan,)]
+    _check_lanes(parse(text, ("x",)), order, lanes)
+    _, flagged = parse(text, ("x",)).eval_jet_columns([np.array([1.0, 2.0])], order)
+    assert flagged.all() == (order == 171)
+
+
+def _pow_overflow_text():
+    try:
+        1e200 ** 2
+    except OverflowError as exc:
+        return f"evaluation overflow: {exc}"
+
+
+@pytest.mark.parametrize("text, point, order, message", [
+    ("cos(x)", math.inf, 1, "sin of non-finite value inf"),   # cos tests sin first
+    ("cos(x)", math.inf, 171, "sin of non-finite value inf"),
+    ("sqrt(x)", -1.0, 0, "sqrt at -1.0 is not smooth"),
+    ("sqrt(x)", -0.0, 2, "sqrt at -0.0 is not smooth"),
+    ("ln(x)", 1e200, 2, _pow_overflow_text()),
+    ("ln(x)", 1e308, 2, _pow_overflow_text()),
+    ("ln(x)", 1e-200, 2, "evaluation overflow: float division by zero"),
+    ("1/x", 1e200, 1, _pow_overflow_text()),
+    ("1/x", -1e-200, 3, "evaluation overflow: float division by zero"),
+    ("x^-2", 1e-170, 1, "evaluation overflow: float division by zero"),
+    ("1/x", 0.0, 2, "division by a jet with zero constant term"),
+    ("exp(x)", 1.0, 171, "evaluation overflow: int too large to convert to float"),
+    ("sin(x)", 1.0, 171, "evaluation overflow: int too large to convert to float"),
+    ("exp(x)", 710.0, 171, "evaluation overflow: math range error"),
+])
+def test_series_errors_keep_their_texts(text, point, order, message):
+    expr = parse(text, ("x",))
+    with pytest.raises(EvalDomainError) as exc:
+        expr.eval_jet((point,), order)
+    assert str(exc.value) == message
+    errors = expr._jet_columns_with_errors([np.array([point, 2.0])], order)[1].errors
+    assert errors[0] == message
+    assert (1 in errors) == (order > 170)  # float(171!) overflows on every lane
 
 
 def test_lane_jet_accessors_return_lane_arrays():
