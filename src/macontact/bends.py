@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .symplectic import _nullspace, _orth
+from .symplectic import _nullspace, _orth, _unit_columns
 from .zeta import ZetaKind
 
 __all__ = [
@@ -137,10 +137,7 @@ def _prolongation_space(k: int, q1: HomPoly, q2: HomPoly) -> np.ndarray:
     if q1.degree != k or q2.degree != k:
         raise ValueError("witness polynomials must have the stated degree")
     span = np.column_stack([q1.coeffs, q2.coeffs])
-    # independence of the unit columns, whatever the scale of each (hypot cannot overflow)
-    norms = np.hypot.reduce(span, axis=0)
-    s = np.linalg.svd(span / np.where(norms > 0.0, norms, 1.0), compute_uv=False)
-    if s[1] <= 1e-10 * s[0]:
+    if not _unit_columns(span)[1]:
         raise ValueError("q1, q2 must be linearly independent")
     q, _ = np.linalg.qr(span)
     proj_out = np.eye(k + 1) - q @ q.T
@@ -235,9 +232,13 @@ def classify_bend(matrix, tol: float = 1e-9):
     With B the trace-free part, B^2 = c*I for c = ((alpha-delta)/2)^2 +
     beta*gamma; c < 0, = 0, > 0 select the complex, dual and double
     numbers.  The generator is B/sqrt|c| when c is nonzero, B itself in the
-    nilpotent case.
+    nilpotent case.  A non-finite entry has no kind: it is a ValueError.
     """
-    alpha, beta, gamma, delta = (float(v) for v in matrix)
+    entries = tuple(float(v) for v in matrix)
+    for name, value in zip(("alpha", "beta", "gamma", "delta"), entries):
+        if not math.isfinite(value):
+            raise ValueError(f"structure matrix entry {name} is not finite: {value!r}")
+    alpha, beta, gamma, delta = entries
     scale = max(1.0, abs(alpha), abs(beta), abs(gamma), abs(delta))
     if max(abs(beta), abs(gamma), abs(alpha - delta)) <= tol * scale:
         raise ValueError("structure matrix is scalar: degenerate bend data")

@@ -7,8 +7,10 @@ The grammar (EBNF)::
     factor := base ("^" integer)?
     base   := number | ident | ident "(" expr ")" | "(" expr ")" | "-" base
 
-Identifiers match ``[a-zA-Z_][a-zA-Z0-9_]*``.  Known functions are sin, cos,
-exp, ln and sqrt; every other identifier must name a declared variable.
+The tokens are ASCII: identifiers match ``[a-zA-Z_][a-zA-Z0-9_]*`` and
+numbers are digits 0-9 with an optional fraction and exponent (``2.5e-3``).
+Known functions are sin, cos, exp, ln and sqrt; every other identifier
+must name a declared variable.
 Exponents are integers of at most MAX_EXPONENT in absolute value; a power
 is repeated multiplication.  Division by anything whose value (or jet
 constant term) is zero is a domain error, never a NaN.
@@ -20,6 +22,7 @@ Multi-indices are ordered graded-lexicographically.
 """
 
 import math
+import re
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -328,8 +331,8 @@ class Jet:
     def __pow__(self, k: int):
         return self.power(k)
 
-    # ``lanes`` (a column pass's ``_Lanes``) records the lanes that raise
-    # instead of raising; ``Expr.eval_jet_columns`` passes it.
+    # ``lanes`` (the failure channel ``_Lanes`` of a batch) records the lanes
+    # that raise instead of raising; ``Expr._jets`` passes it.
 
     def divide(self, other, lanes=None) -> "Jet":
         """``self / other``; dividing by a zero constant term raises."""
@@ -445,11 +448,10 @@ def _series_for(func: str, c0, order: int, lanes=None) -> list:
     a lane fails as its point jet does first.  Lanes outside a pass raise
     the lowest failing lane's error."""
     if lanes is None and isinstance(c0, np.ndarray):
-        lanes = _Lanes((c0,))
+        lanes = _Lanes(len(c0))
         with np.errstate(all="ignore"):
             series = _series_for(func, c0, order, lanes)
-        if lanes.errors:
-            raise EvalDomainError(lanes.errors[min(lanes.errors)])
+        lanes.raise_first()
         return series
     if func in ("exp", "sin", "cos"):
         if func == "exp":
@@ -567,22 +569,23 @@ class Expr:
         function leaving its domain or overflowing; the lane reads 0.0 at
         the function that raised) or has any non-finite intermediate.
         """
-        values, flagged, _ = self._columns_with_errors(columns)
-        return values, flagged
+        lanes = _Lanes(len(columns[0]) if len(columns) else 1)
+        return self._columns(columns, lanes), lanes.nonfinite | lanes.raised
 
-    def _columns_with_errors(self, columns) -> tuple:
-        """``(values, flagged, errors)``: :meth:`eval_columns` plus the
-        text of the error :meth:`eval` raises, by lane.  Every lane absent
-        from ``errors`` holds the bits of :meth:`eval`, finite or not."""
+    def _columns(self, columns, lanes) -> np.ndarray:
+        """The values of :meth:`eval_columns`, each lane's first error
+        written to the batch's failure channel ``lanes``.  Every lane that
+        did not raise holds the bits of :meth:`eval`, finite or not."""
+        columns = self._lane_columns(columns)
+        with np.errstate(all="ignore"):
+            values = _columns_node(self.node, columns, lanes)
+        return np.broadcast_to(values, lanes.raised.shape).copy()
+
+    def _lane_columns(self, columns) -> tuple:
         if len(columns) != len(self.variables):
             raise ValueError(f"got {len(columns)} columns for "
                              f"{len(self.variables)} variables")
-        columns = [np.asarray(c, dtype=float) for c in columns]
-        lanes = _Lanes(columns)
-        with np.errstate(all="ignore"):
-            values = _columns_node(self.node, lanes)
-        values = np.broadcast_to(values, lanes.raised.shape).copy()
-        return values, lanes.nonfinite | lanes.raised, lanes.errors
+        return tuple(np.asarray(c, dtype=float) for c in columns)
 
     def eval_jet(self, base, order: int) -> Jet:
         """Degree-``order`` Taylor truncation at the base point."""
@@ -604,24 +607,19 @@ class Expr:
         column is then meaningless) or where a coefficient is not finite.
         On every other lane each coefficient is bitwise :meth:`eval_jet`.
         """
-        jet, lanes = self._jet_columns_with_errors(columns, order)
-        return jet, lanes.raised | lanes.nonfinite
+        lanes = _Lanes(len(columns[0]) if len(columns) else 1)
+        return self._jets(columns, order, lanes), lanes.raised | lanes.nonfinite
 
-    def _jet_columns_with_errors(self, columns, order: int) -> tuple:
-        """``(jet, lanes)``: :meth:`eval_jet_columns` with its ``_Lanes``,
-        whose ``errors`` holds the text :meth:`eval_jet` raises, by lane.
-        Every lane that did not raise holds the bits of :meth:`eval_jet`,
-        finite or not."""
-        if len(columns) != len(self.variables):
-            raise ValueError(f"got {len(columns)} columns for "
-                             f"{len(self.variables)} variables")
+    def _jets(self, columns, order: int, lanes) -> Jet:
+        """The jet of :meth:`eval_jet_columns`; each lane's first error
+        goes to the failure channel ``lanes`` as in :meth:`_columns`."""
+        columns = self._lane_columns(columns)
         if order < 0:
             raise ValueError("jet order must be nonnegative")
-        lanes = _Lanes(tuple(np.asarray(c, dtype=float) for c in columns))
         with np.errstate(all="ignore"):
-            jet = _jet_node(self.node, _zero_jet(lanes.columns, order), lanes)
-            lanes.nonfinite = ~np.isfinite(jet.data).all(axis=0)
-        return jet, lanes
+            jet = _jet_node(self.node, _zero_jet(columns, order), lanes)
+            lanes.nonfinite |= ~np.isfinite(jet.data).all(axis=0)
+        return jet
 
     def subs(self, mapping: dict) -> "Expr":
         """Substitute expressions for variables (by name)."""
@@ -682,15 +680,14 @@ def _eval_node(node, point) -> float:
 
 
 class _Lanes:
-    """One column pass, of values or of jets: the variable columns, the
-    lanes that raised with the text of their first error, and the lanes
-    with a non-finite intermediate (of values) or coefficient (of jets)."""
+    """The failure channel of one batch of lanes, shared by every pass over
+    it (of values or of jets): the lanes that raised with the text of
+    their first error, and the lanes with a non-finite intermediate (of
+    values) or coefficient (of jets)."""
 
-    __slots__ = ("columns", "raised", "errors", "nonfinite")
+    __slots__ = ("raised", "errors", "nonfinite")
 
-    def __init__(self, columns):
-        self.columns = columns
-        size = len(columns[0]) if columns else 1
+    def __init__(self, size: int):
         self.raised = np.zeros(size, dtype=bool)
         self.errors = {}
         self.nonfinite = np.zeros(size, dtype=bool)
@@ -704,9 +701,16 @@ class _Lanes:
                 self.errors[i] = text if arg is None else text.format(float(arg[i]))
             self.raised |= new
 
+    def raise_first(self):
+        """Raise the error of the lowest lane that failed, as a loop over
+        the lanes would; return if none did."""
+        if self.errors:
+            raise EvalDomainError(self.errors[min(self.errors)])
 
-def _columns_node(node, lanes: _Lanes):
-    """Column twin of ``_eval_node``: same operations in the same order.
+
+def _columns_node(node, columns, lanes: _Lanes):
+    """Column twin of ``_eval_node`` over the variable ``columns``: same
+    operations in the same order.
 
     ``+ - * /`` on float64 arrays round exactly like Python floats, and
     each check of the scalar walk (a zero divisor, zero to a negative
@@ -717,12 +721,12 @@ def _columns_node(node, lanes: _Lanes):
     if isinstance(node, Num):
         out = np.float64(node.value)  # numpy scalars divide by 0 without raising
     elif isinstance(node, Var):
-        out = lanes.columns[node.index]
+        out = columns[node.index]
     elif isinstance(node, Neg):
-        out = -_columns_node(node.child, lanes)
+        out = -_columns_node(node.child, columns, lanes)
     elif isinstance(node, BinOp):
-        a = _columns_node(node.left, lanes)
-        b = _columns_node(node.right, lanes)
+        a = _columns_node(node.left, columns, lanes)
+        b = _columns_node(node.right, columns, lanes)
         if node.op == "+":
             out = a + b
         elif node.op == "-":
@@ -733,7 +737,7 @@ def _columns_node(node, lanes: _Lanes):
             _fail(lanes, b == 0.0, "division by zero")
             out = a / b
     elif isinstance(node, Pow):
-        base = _columns_node(node.child, lanes)
+        base = _columns_node(node.child, columns, lanes)
         k = node.exponent
         if k < 0:
             _fail(lanes, base == 0.0, "zero raised to a negative power")
@@ -742,7 +746,7 @@ def _columns_node(node, lanes: _Lanes):
         for _ in range(k):
             out = out * base
     elif isinstance(node, Call):
-        arg = np.broadcast_to(_columns_node(node.arg, lanes), lanes.raised.shape)
+        arg = np.broadcast_to(_columns_node(node.arg, columns, lanes), lanes.raised.shape)
         out = _call(node.func, arg, lanes)
     else:
         raise TypeError(f"bad node {node!r}")
@@ -851,6 +855,11 @@ def _print_node(node) -> str:
 
 # operator precedence; higher binds tighter, all are left-associative
 _BINARY = {"+": 0, "-": 0, "*": 1, "/": 1}
+# tokens, ASCII only: str.isdigit, str.isalpha and the regex \d and \w
+# accept other scripts
+_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DIGITS = re.compile(r"[0-9]+")
 
 
 class _Parser:
@@ -925,52 +934,32 @@ class _Parser:
             node, depth = self.expr(self.check(level + 1))
             self.expect(")")
             return node, self.check(depth + 1)
-        if ch.isdigit():
-            return Num(self.number()), 1
-        if ch.isalpha() or ch == "_":
-            name = self.ident()
+        number = self.scan(_NUMBER)
+        if number:
+            return Num(float(number)), 1
+        start = self.pos  # a name error points at the name
+        name = self.scan(_NAME)
+        if name:
             if self.peek() == "(":
                 if name not in FUNCTIONS:
-                    self.error(f"unknown function {name!r}")
+                    raise ParseError(f"unknown function {name!r}", start)
                 self.pos += 1
                 arg, depth = self.expr(self.check(level + 1))
                 self.expect(")")
                 return Call(name, arg), self.check(depth + 1)
             if name in FUNCTIONS:
-                raise ParseError(f"function {name!r} used without arguments",
-                                 self.pos - len(name))
+                raise ParseError(f"function {name!r} used without arguments", start)
             if name not in self.variables:
-                raise ParseError(f"unknown identifier {name!r}",
-                                 self.pos - len(name))
+                raise ParseError(f"unknown identifier {name!r}", start)
             return Var(self.variables.index(name), name), 1
         self.error("expected a number, identifier or parenthesis")
 
-    def ident(self):
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                             or self.text[self.pos] == "_"):
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def number(self) -> float:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos < len(self.text) and self.text[self.pos] == ".":
-            self.pos += 1
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-        if self.pos < len(self.text) and self.text[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < len(self.text) and self.text[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < len(self.text) and self.text[self.pos].isdigit():
-                while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                    self.pos += 1
-            else:
-                self.pos = mark  # not an exponent after all
-        return float(self.text[start:self.pos])
+    def scan(self, token) -> str:
+        """Advance over the match of the regex ``token`` here; return it
+        ("" if there is none)."""
+        found = token.match(self.text, self.pos)
+        self.pos = found.end() if found else self.pos
+        return found.group() if found else ""
 
     def integer(self) -> int:
         self.skip_ws()
@@ -978,9 +967,7 @@ class _Parser:
         if self.pos < len(self.text) and self.text[self.pos] == "-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == digits:
+        if not self.scan(_DIGITS):
             self.error("expected an integer exponent")
         if self.pos < len(self.text) and self.text[self.pos] == ".":
             self.error("non-integer exponent")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import symplectic
 from .contact import CHART_VARIABLES, ContactChart, DarbouxPoint, VectorFieldValue, curvature_gram
-from .expr import EvalDomainError, Expr, parse
+from .expr import EvalDomainError, Expr, _Lanes, parse
 from .symplectic import ClassificationResult, Operator, SymplecticSpace
 
 __all__ = [
@@ -116,8 +116,7 @@ def type_codes(deltas, band: float) -> np.ndarray:
                      [ERROR, PARABOLIC, BAND, ELLIPTIC], HYPERBOLIC).astype(np.int8)
 
 
-def _non_finite_message(delta: float) -> str:
-    return f"non-finite discriminant {delta!r}"
+_NON_FINITE = "non-finite discriminant {}"  # formatted with the float Delta
 
 
 def delta_type(delta: float, band: float) -> str:
@@ -126,7 +125,7 @@ def delta_type(delta: float, band: float) -> str:
     error rather than a type."""
     code = int(type_codes(delta, band))
     if code == ERROR:
-        raise EvalDomainError(_non_finite_message(delta))
+        raise EvalDomainError(_NON_FINITE.format(delta))
     return TYPE_NAMES[code]
 
 
@@ -224,30 +223,24 @@ def invariance_defects(eq: MAEquation, f: Expr, bases) -> InvarianceReport:
 
     The report holds one array entry per point.  f is lifted by one
     order-2 jet pass over all points and N..D are evaluated as columns at
-    the lifts.  Both passes give each point the bits of the scalar jet and
-    ``Expr.eval``, or the text of the error they raise first; the error of
-    the lowest point, its jet's before its N..D in order, is raised, as a
-    loop over the points would.  The rest is elementwise column arithmetic
-    in the order of the one-point formulas, and the images under the
-    stacked structure operators come from one ``np.matmul``, which makes
-    per matrix the BLAS call of a single ``m @ z``; so every entry is
-    bitwise the one-point value.
+    the lifts.  Both give each point the bits of the scalar jet and
+    ``Expr.eval``, or write the error they raise into one failure channel,
+    where a point's first error wins (its jet's, then N..D in order); the
+    lowest point's is raised, as a loop over the points would.  The rest
+    is elementwise column arithmetic in the order of the one-point
+    formulas, and the images under the stacked structure operators come
+    from one ``np.matmul``, which makes per matrix the BLAS call of a
+    single ``m @ z``; so every entry is bitwise the one-point value.
     """
     bases = np.asarray(bases, dtype=float)
     if bases.ndim != 2:
         raise ValueError("base points must be a sequence of (x1, x2) pairs")
+    lanes = _Lanes(len(bases))
     with np.errstate(all="ignore"):
-        jet, lanes = f._jet_columns_with_errors(tuple(bases.T), 2)
-        errors = dict(lanes.errors)
-        x1, x2 = bases[:, 0], bases[:, 1]
-        u, p1, p2, *values = _jet_lift(jet)
-        for coeff in (eq.N, eq.A, eq.B, eq.C, eq.D):
-            column, _, failed = coeff._columns_with_errors((x1, x2, u, p1, p2))
-            values.append(column)
-            for i, message in failed.items():
-                errors.setdefault(i, message)
-        if errors:
-            raise EvalDomainError(errors[min(errors)])
+        u, p1, p2, *values = _jet_lift(f._jets(tuple(bases.T), 2, lanes))
+        lift = (bases[:, 0], bases[:, 1], u, p1, p2)
+        values += [coeff._columns(lift, lanes) for coeff in (eq.N, eq.A, eq.B, eq.C, eq.D)]
+        lanes.raise_first()
         return _defect_columns(*values)
 
 
@@ -408,32 +401,23 @@ def classify_region(eq: MAEquation, grid: GridSpec,
                     band: float = 1e-9) -> RegionClassification:
     """Pointwise type over the grid by ``type_codes``.
 
-    The coefficients are evaluated as columns over all cells at once.  The
-    column pass gives each lane the bits of ``Expr.eval`` or the text of
-    the error it raises first; the first error in N..D order becomes the
-    cell's error, so each value and error text is the one the scalar
-    ``discriminant`` gives.  Delta is one column expression in the scalar
-    operation order.  Evaluation failures and non-finite discriminants are
-    recorded per cell and never abort the sweep.
+    The coefficients are evaluated as columns over all cells at once and
+    Delta is one column expression in the scalar operation order.  They
+    write into one failure channel, where a cell's first error wins (N..D
+    in order, then a non-finite Delta), so each value and error text is
+    the one of the scalar ``discriminant`` and ``delta_type``.
     """
     columns = grid.columns()
-    coeffs, errors = [], {}
-    for coeff in (eq.N, eq.A, eq.B, eq.C, eq.D):
-        values, _, failed = coeff._columns_with_errors(columns)
-        coeffs.append(values)
-        for i, message in failed.items():
-            errors.setdefault(i, message)
-    n, a, b, c, d = coeffs
+    lanes = _Lanes(grid.size())
+    n, a, b, c, d = (coeff._columns(columns, lanes)
+                     for coeff in (eq.N, eq.A, eq.B, eq.C, eq.D))
     with np.errstate(all="ignore"):
         deltas = b * b - 4.0 * a * c + 4.0 * n * d
+    lanes.fail(~np.isfinite(deltas), _NON_FINITE, deltas)
     codes = type_codes(deltas, band)
-    for i in np.flatnonzero(codes == ERROR).tolist():
-        errors.setdefault(i, _non_finite_message(float(deltas[i])))
-    cells = sorted(errors)
-    codes[cells] = ERROR
-    deltas[cells] = np.nan
-    return RegionClassification(grid, band, deltas, codes,
-                                {i: errors[i] for i in cells})
+    codes[lanes.raised] = ERROR
+    deltas[lanes.raised] = np.nan
+    return RegionClassification(grid, band, deltas, codes, dict(sorted(lanes.errors.items())))
 
 
 # --- a fixed contact transformation -------------------------------------------

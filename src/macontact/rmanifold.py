@@ -147,6 +147,25 @@ def fiber_tangent_basis(k: int, kind: ZetaKind) -> FiberTangentBasis:
                              poly_from_fiber_vector(k, vec2))
 
 
+def _scaling_constants(k: int, l: int) -> tuple:
+    """``F^l`` and ``frac_factorial(r, l) * F^(l r)`` for r = 1..k, with
+    ``F = frac_factorial(k, l)``.  The factorials of r are one running
+    product in ``frac_factorial``'s order, so the bits are the formula's,
+    and the first constant that overflows raises before the rest are made.
+    """
+    cap_f, factor, constants = frac_factorial(k, l), 1.0, []
+    for r in range(k + 1):
+        try:  # r = 0 gives 1.0 * F^l, which is F^l
+            constants.append(factor * cap_f ** (l * max(r, 1)))
+        except OverflowError:
+            constants.append(math.inf)
+        if not math.isfinite(constants[-1]):
+            raise ValueError(f"the scaling constants of L_{{k,l}} overflow for "
+                             f"k={k}, l={l}")
+        factor *= r + 1 + 1.0 / l  # frac_factorial(r + 1, l)
+    return constants[0], constants[1:]
+
+
 def _family_columns(spec: RManifoldSpec, a, b, tangents: bool = False):
     """Coordinates of L_{k,l} at the parameter pairs (a[i], b[i]).
 
@@ -164,15 +183,7 @@ def _family_columns(spec: RManifoldSpec, a, b, tangents: bool = False):
     sq = kind.square
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    cap_f = frac_factorial(k, l)
-    try:
-        base_scale = cap_f ** l
-        scales = [frac_factorial(r, l) * cap_f ** (l * r) for r in range(1, k + 1)]
-    except OverflowError:
-        base_scale, scales = math.inf, []
-    if not all(map(math.isfinite, [base_scale] + scales)):
-        raise ValueError(f"the scaling constants of L_{{k,l}} overflow for "
-                         f"k={k}, l={l}")
+    base_scale, scales = _scaling_constants(k, l)
 
     pos = _layout_pos(k)
     # rows x lanes x points: the lanes are the values, then d/da and d/db
@@ -388,10 +399,10 @@ def write_point_cloud(spec: RManifoldSpec, params, path) -> None:
     Every point is computed before the file is opened; a NaN or infinity
     (say from overflowing powers) raises EvalDomainError and writes nothing.
     """
-    keys = jet_indices(spec.k)
     pairs = np.array([(float(a), float(b)) for a, b in params]).reshape(-1, 2)
     cols = _family_columns(spec, pairs[:, 0], pairs[:, 1])
     _require_finite("point of the family", cols, pairs)
+    keys = jet_indices(spec.k)  # (k + 1)(k + 2)/2 of them: after the overflow check
     # numbers need no CSV quoting: a row is 17-digit values joined by
     # commas, ended like the csv module's rows
     row = ",".join(["%.17g"] * (2 + len(cols))) + "\r\n"

@@ -137,6 +137,17 @@ def _nullspace(m: np.ndarray, rtol: float = _RANK_TOL) -> np.ndarray:
     return _fix_signs(vh[int(np.sum(s > rtol * s[0])):].T)
 
 
+def _unit_columns(m: np.ndarray) -> tuple:
+    """The columns of ``m`` divided by their Euclidean norms (hypot cannot
+    overflow; a zero column stays zero), and whether they are independent
+    whatever the scale of each: the smallest singular value above
+    ``_RANK_TOL`` times the largest."""
+    norms = np.hypot.reduce(m, axis=0)
+    units = m / np.where(norms > 0.0, norms, 1.0)
+    s = np.linalg.svd(units, compute_uv=False)
+    return units, bool(s[-1] > _RANK_TOL * s[0])
+
+
 def cyclic_subspace(sp: SymplecticSpace, a: Operator, v) -> np.ndarray:
     """Orthonormal basis of Span{v, Av, A^2 v, ...} (columns)."""
     v = np.asarray(v, dtype=float)
@@ -151,17 +162,17 @@ def cyclic_subspace(sp: SymplecticSpace, a: Operator, v) -> np.ndarray:
 
 
 def is_lagrangian(sp: SymplecticSpace, plane) -> bool:
-    """True iff the two given vectors span a Lagrangian plane."""
+    """True iff the two given vectors span a Lagrangian plane; both tests
+    read the unit columns, so neither depends on the scale of a vector."""
     p = np.column_stack([np.asarray(v, dtype=float) for v in plane])
     if p.shape[1] != 2:
         raise ValueError("a plane needs exactly two spanning vectors")
-    s = np.linalg.svd(p, compute_uv=False)
-    if s[1] <= _RANK_TOL * s[0]:
+    p, independent = _unit_columns(p)
+    if not independent:
         raise ValueError("plane vectors are linearly dependent")
     if sp.dim != 4:
         return False
-    scale = float(np.linalg.norm(p[:, 0]) * np.linalg.norm(p[:, 1]))
-    return abs(sp.pairing(p[:, 0], p[:, 1])) <= 1e-10 * max(scale, 1.0)
+    return abs(sp.pairing(p[:, 0], p[:, 1])) <= 1e-10
 
 
 def classify_dim4(sp: SymplecticSpace, a: Operator, tol: float = 1e-9,

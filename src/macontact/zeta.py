@@ -6,6 +6,7 @@ serves all three algebras.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .expr import Expr
@@ -82,6 +83,8 @@ def frac_factorial(s: int, l: int) -> float:
     out = 1.0
     for j in range(1, s + 1):
         out *= j + 1.0 / l
+        if out == math.inf:
+            break  # every further factor is above 1
     return out
 
 

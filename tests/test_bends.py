@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -48,6 +50,13 @@ def test_hompoly_derivatives():
     f = hp(3, [0, 0, 1, 0])  # x^2 y
     assert np.array_equal(f.diff_x().coeffs, [0, 2, 0])  # 2xy
     assert np.array_equal(f.diff_y().coeffs, [0, 0, 1])  # x^2
+
+
+def test_hompoly_str_lists_the_nonzero_terms():
+    assert str(hp(2, [-1, 0, 1])) == "1*x^2 + -1*y^2"
+    assert str(hp(3, [0.5, 0, 2.5, 0])) == "2.5*x^2*y + 0.5*y^3"
+    assert str(hp(1, [0, 3])) == "3*x"
+    assert str(hp(2, [0, 0, 0])) == "0"
 
 
 def test_hompoly_evaluation_homogeneity():
@@ -143,6 +152,17 @@ def test_classify_bend_examples():
     kind, gen = classify_bend((0, -1, 1, 0))
     assert kind is ZetaKind.MINUS
     assert np.allclose(gen @ gen, -np.eye(2))
+
+
+@pytest.mark.parametrize("matrix, entry", [
+    ((0, math.nan, 0, 0), "beta is not finite: nan"),  # was labelled ZERO
+    ((math.inf, 0, 0, 0), "alpha is not finite: inf"),
+    ((1, 0, -math.inf, -1), "gamma is not finite: -inf"),
+    ((0, 1, 1, math.nan), "delta is not finite: nan"),
+])
+def test_classify_bend_refuses_non_finite_entries(matrix, entry):
+    with pytest.raises(ValueError, match=f"structure matrix entry {entry}"):
+        classify_bend(matrix)
 
 
 # --- normal forms ---------------------------------------------------------------------------

@@ -16,6 +16,10 @@ CHART = ContactChart()
 ORIGIN = DarbouxPoint(0, 0, 0, 0, 0)
 
 
+def test_chart_variables():
+    assert CHART.variables == CHART_VARIABLES == ("x1", "x2", "u", "p1", "p2")
+
+
 def _const(v):
     return Expr.const(v, CHART_VARIABLES)
 

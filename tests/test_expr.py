@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import random_poly_expr
 from macontact.expr import (MAX_DEPTH, BinOp, EvalDomainError, Expr, ParseError, Pow,
-                            multi_indices, parse)
+                            _Lanes, multi_indices, parse)
 
 XY = ("x1", "x2")
 ALL5 = ("x1", "x2", "u", "p1", "p2")
@@ -63,6 +64,44 @@ def test_functions_parse_and_unknown_function_rejected():
     assert parse("sin(x1)^2 + cos(x1)^2", XY).eval((0.3, 0)) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ParseError):
         parse("tan(x1)", XY)
+
+
+@pytest.mark.parametrize("text, message, offset", [
+    ("x1 + foo   * 2", "unknown identifier 'foo'", 5),
+    ("x1 + sin  * 2", "function 'sin' used without arguments", 5),
+    ("tan(x1)", "unknown function 'tan'", 0),
+    ("x1 * tan (x2)", "unknown function 'tan'", 5),
+])
+def test_name_errors_point_at_the_name(text, message, offset):
+    with pytest.raises(ParseError) as err:
+        parse(text, XY)
+    assert str(err.value) == f"{message} (at offset {offset})"
+    assert err.value.offset == offset
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("٣", 0), ("²", 0), ("x1^٣", 3), ("x1 + x²", 5), ("éx1", 0),
+    ("x1 + 1٣", 6),
+])
+def test_grammar_is_ascii(text, offset):
+    # str.isdigit and str.isalpha accept these; the grammar does not
+    with pytest.raises(ParseError) as err:
+        parse(text, XY)
+    assert err.value.offset == offset
+
+
+_NAME_ERROR = re.compile(r"^(?:unknown identifier|unknown function|function) '(\w+)'")
+
+
+@given(st.text(alphabet=st.sampled_from("x12 sin(+-*/^).5e_٣²ab\t"), max_size=30)
+       | st.text(max_size=12))
+def test_parse_returns_or_raises_a_parse_error(text):
+    try:
+        parse(text, XY)
+    except ParseError as exc:
+        name = _NAME_ERROR.match(str(exc))
+        if name:
+            assert text[exc.offset:].startswith(name.group(1)), (text, str(exc))
 
 
 # --- evaluation -----------------------------------------------------------------
@@ -193,6 +232,34 @@ def test_jet_partial_lowers_order():
     assert dx.value == pytest.approx(3 * 4 * 3)  # 3 x^2 y at (2, 3)
 
 
+def test_jet_operator_forms_agree():
+    j = parse("x1^2 + x2 + 1", XY).eval_jet((0.5, 2.0), 3)
+    x = parse("x1", XY).eval_jet((0.5, 2.0), 3)
+    two = j._constant(2.0)
+    # == compares values, so a zero may differ in sign between two forms
+    assert (2.0 - j).data.tolist() == (two - j).data.tolist()
+    assert (2.0 * j).data.tolist() == (j * 2.0).data.tolist()
+    assert (2.0 / j).data.tolist() == (two / j).data.tolist()
+    assert (j / x).data.tolist() == j.divide(x).data.tolist()
+    assert (j / x).data.tolist() == parse("(x1^2 + x2 + 1)/x1", XY).eval_jet((0.5, 2.0), 3).data.tolist()
+    assert (j ** 3).data.tolist() == (j * j * j).data.tolist()
+    assert (j ** -2).data.tolist() == (j.reciprocal() * j.reciprocal()).data.tolist()
+    assert repr(j) == "Jet(order=3, base=(0.5, 2.0))"
+    lanes, _ = parse("x1", XY).eval_jet_columns([np.array([1.0, 2.0]), np.array([3.0, 4.0])], 2)
+    assert repr(lanes) == "Jet(order=2, n=2, lanes=2)"
+
+
+def test_reflected_expr_operators_match_their_forward_forms():
+    e = parse("x1*x2 - 0.5", XY)
+    two = Expr.const(2.0, XY)
+    for reflected, forward in ((2.0 + e, two + e), (2.0 - e, two - e),
+                               (2.0 * e, two * e), (2.0 / e, two / e)):
+        assert reflected == forward
+        assert reflected.eval((0.75, -1.5)) == forward.eval((0.75, -1.5))
+    assert str(2.0 / e) == "(2.0 / ((x1 * x2) - 0.5))"
+    assert str(e) == e.to_string() == "((x1 * x2) - 0.5)"
+
+
 # --- printing / round trip -------------------------------------------------------
 
 def _random_node_expr(rng, depth=3):
@@ -305,7 +372,9 @@ def test_exp_at_the_overflow_threshold_in_every_path():
     assert math.isfinite(edge)
     assert expr.eval((EXP_EDGE,)) == edge
     assert expr.eval_jet((EXP_EDGE,), 2).data.tolist() == [edge, edge, edge / 2]
-    values, flagged, errors = expr._columns_with_errors([np.array([EXP_EDGE, EXP_OVER])])
+    lanes = _Lanes(2)
+    values = expr._columns([np.array([EXP_EDGE, EXP_OVER])], lanes)
+    flagged, errors = lanes.raised | lanes.nonfinite, lanes.errors
     assert values[0] == edge and flagged.tolist() == [False, True]
     text = "evaluation overflow: math range error"
     assert errors == {1: text}
@@ -320,7 +389,8 @@ def test_exp_at_the_overflow_threshold_in_every_path():
 def test_exp_of_infinities_and_nan_is_not_an_error():
     expr = parse("exp(x)", ("x",))
     points = [math.inf, -math.inf, math.nan]
-    values, _, errors = expr._columns_with_errors([np.array(points)])
+    lanes = _Lanes(len(points))
+    values, errors = expr._columns([np.array(points)], lanes), lanes.errors
     assert errors == {}
     for x, got in zip(points, values.tolist()):
         expected = expr.eval((x,))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macontact.expr import (FUNCTIONS, BinOp, Call, EvalDomainError, Expr, Neg,
-                            Num, Pow, Var, parse)
+                            Num, Pow, Var, _Lanes, parse)
 from macontact.monge_ampere import GridSpec, MAEquation, classify_region
 
 VARS = ("x", "y", "z")
@@ -121,7 +121,9 @@ def _same_bits(a: float, b: float) -> bool:
 @given(wide_trees, wide_lanes)
 def test_column_errors_and_values_match_scalar_eval(node, points):
     expr = Expr(node, VARS)
-    values, flagged, errors = expr._columns_with_errors([np.array(c) for c in zip(*points)])
+    lanes = _Lanes(len(points))
+    values = expr._columns([np.array(c) for c in zip(*points)], lanes)
+    flagged, errors = lanes.raised | lanes.nonfinite, lanes.errors
     for lane, point in enumerate(points):
         try:
             expected = expr.eval(point)
@@ -136,9 +138,9 @@ def test_column_errors_and_values_match_scalar_eval(node, points):
 
 def _errors(text, *columns):
     expr = parse(text, VARS[:len(columns)])
-    values, _, errors = expr._columns_with_errors([np.array(c, dtype=float)
-                                                  for c in columns])
-    return values.tolist(), errors
+    lanes = _Lanes(len(columns[0]))
+    values = expr._columns([np.array(c, dtype=float) for c in columns], lanes)
+    return values.tolist(), lanes.errors
 
 
 def test_exp_overflow_gives_the_scalar_text():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from macontact.contact import CHART_VARIABLES
 from macontact.expr import (FUNCTIONS, BinOp, Call, EvalDomainError, Expr, Jet,
-                            Neg, Num, Pow, Var, multi_indices, parse)
+                            Neg, Num, Pow, Var, _Lanes, multi_indices, parse)
 from macontact.monge_ampere import (MAEquation, invariance_defect,
                                     invariance_defects, structure_operator)
 from macontact.contact import DarbouxPoint
@@ -115,7 +115,9 @@ JET_SHAPES = [(2, 0), (2, 1), (2, 2), (2, 3), (2, 5), (5, 1), (5, 2), (5, 3)]
 def _check_lanes(expr, order, lanes):
     columns = [np.array(c) for c in zip(*lanes)]
     jet, flagged = expr.eval_jet_columns(columns, order)
-    errors = expr._jet_columns_with_errors(columns, order)[1].errors
+    channel = _Lanes(len(lanes))
+    expr._jets(columns, order, channel)
+    errors = channel.errors
     assert jet.data.shape == (len(multi_indices(len(expr.variables), order)), len(lanes))
     for lane, point in enumerate(lanes):
         try:
@@ -213,7 +215,9 @@ def test_series_errors_keep_their_texts(text, point, order, message):
     with pytest.raises(EvalDomainError) as exc:
         expr.eval_jet((point,), order)
     assert str(exc.value) == message
-    errors = expr._jet_columns_with_errors([np.array([point, 2.0])], order)[1].errors
+    lanes = _Lanes(2)
+    expr._jets([np.array([point, 2.0])], order, lanes)
+    errors = lanes.errors
     assert errors[0] == message
     assert (1 in errors) == (order > 170)  # float(171!) overflows on every lane
 

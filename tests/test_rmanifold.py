@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from macontact.bends import normal_form, span_angle
 from macontact.errors import ConsistencyError
 from macontact.expr import EvalDomainError
+from macontact import rmanifold
 from macontact.rmanifold import (JetChartPoint, RManifoldSpec, _family_columns,
+                                 _scaling_constants,
                                  cartan_defect_at, cartan_tangency_defect,
                                  jet_indices, layout_keys, family_consistency,
                                  family_point, fiber_tangent_basis, prolonged_residuals,
@@ -327,6 +329,45 @@ def test_family_point_rejects_overflowing_scaling_constants():
     for k, l in ((40, 2), (20, 5)):
         with pytest.raises(ValueError, match=f"k={k}, l={l}"):
             family_point(RManifoldSpec(k, l, ZetaKind.MINUS), 0.5, 0.5)
+
+
+def test_scaling_constants_keep_the_bits_of_the_formula():
+    for k, l in ((2, 2), (7, 4), (13, 2), (9, 3)):
+        cap_f = frac_factorial(k, l)
+        base_scale, scales = _scaling_constants(k, l)
+        assert base_scale == cap_f ** l
+        assert scales == [frac_factorial(r, l) * cap_f ** (l * r) for r in range(1, k + 1)]
+
+
+class _CountedPowers(float):
+    """A float that counts the powers taken of it."""
+
+    def __pow__(self, m):
+        _CountedPowers.powers += 1
+        return float(self) ** m
+
+
+@pytest.mark.parametrize("k, l, powers", [(60, 2, 3), (8000, 2, 1), (10 ** 9, 2, 1)])
+def test_overflowing_scaling_constants_are_refused_without_the_rest(monkeypatch, k, l, powers):
+    # the constants once took a frac_factorial(r, l) for every r <= k, O(k^2)
+    # multiplications, before the overflow check
+    calls = []
+
+    def counted(s, l):
+        calls.append(s)
+        return _CountedPowers(frac_factorial(s, l))
+
+    _CountedPowers.powers = 0
+    monkeypatch.setattr(rmanifold, "frac_factorial", counted)
+    with pytest.raises(ValueError, match=f"overflow for k={k}, l={l}"):
+        rmanifold._family_columns(RManifoldSpec(k, l, ZetaKind.MINUS), [0.5], [0.5])
+    assert calls == [k]
+    assert _CountedPowers.powers == powers
+
+
+def test_frac_factorial_stops_at_infinity():
+    assert frac_factorial(170, 2) < math.inf
+    assert frac_factorial(171, 2) == frac_factorial(10 ** 12, 2) == math.inf
 
 
 def test_singular_report_rejects_non_finite_tangents():

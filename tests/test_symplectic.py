@@ -264,6 +264,17 @@ def test_is_lagrangian_examples():
     assert not is_lagrangian(sp, (e[:, 0], e[:, 2]))
 
 
+@pytest.mark.parametrize("scale", [1e-150, 1e-6, 1.0, 1e6, 1e150])
+def test_is_lagrangian_does_not_depend_on_the_scale_of_either_vector(scale):
+    sp = standard_space(2)
+    e = np.eye(4)
+    assert is_lagrangian(sp, (scale * e[:, 0], e[:, 1]))
+    assert is_lagrangian(sp, (scale * e[:, 0], scale * e[:, 1]))
+    # (e1, e3) pairs to 1: not Lagrangian at any scale
+    assert not is_lagrangian(sp, (scale * e[:, 0], scale * e[:, 2]))
+    assert not is_lagrangian(sp, (scale * e[:, 0], e[:, 2]))
+
+
 def test_is_lagrangian_rejects_dependent_vectors():
     sp = standard_space(2)
     v = np.array([1.0, 2.0, 0.0, 0.0])

@@ -36,6 +36,20 @@ def test_mul_kind_mismatch():
         ZetaNum(1, 0, ZetaKind.PLUS) * ZetaNum(1, 0, ZetaKind.MINUS)
 
 
+def test_add_sub_neg_conjugate():
+    for kind in ZetaKind:
+        a, b = ZetaNum(1.5, -2.0, kind), ZetaNum(0.25, 4.0, kind)
+        assert a + b == ZetaNum(1.75, 2.0, kind)
+        assert a - b == ZetaNum(1.25, -6.0, kind)
+        assert -a == ZetaNum(-1.5, 2.0, kind)
+        assert a.conjugate() == ZetaNum(1.5, 2.0, kind)
+        # z times its conjugate is the real x^2 - zeta^2 y^2
+        assert a * a.conjugate() == ZetaNum(2.25 - 4.0 * kind.square, 0.0, kind)
+    for op in ("__add__", "__sub__"):
+        with pytest.raises(ValueError, match="kind mismatch"):
+            getattr(ZetaNum(1, 0, ZetaKind.PLUS), op)(ZetaNum(1, 0, ZetaKind.ZERO))
+
+
 def test_pow_cube_values():
     # Re z^3 = x^3 - 3xy^2, Im z^3 = 3x^2 y - y^3 at (1, 1) for zeta^2 = -1
     z = ZetaNum(1, 1, ZetaKind.MINUS)
