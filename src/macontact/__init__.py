@@ -13,7 +13,6 @@ from .bends import (BendSubspace, HomPoly, classify_bend, is_bend,
 from .contact import (CHART_VARIABLES, ContactChart, DarbouxPoint,
                       VectorFieldValue, contact_field, contact_form_value,
                       curvature_gram, is_contact_field, lagrange_bracket)
-from .errors import ConsistencyError
 from .expr import EvalDomainError, Expr, Jet, ParseError, parse
 from .monge_ampere import (EquationType, GridSpec, MAEquation, basic_algebra,
                            classify, classify_region, discriminant, structure_operator,

@@ -190,8 +190,8 @@ class Jet:
     ``data`` is a dense float64 array with one row per multi-index of
     ``multi_indices(n, order)``.  A jet at one point (a base of floats)
     is the one-lane case, a 1-D array; a jet over lanes (a base of n
-    arrays, one entry per point, as ``Expr.eval_jet_columns`` builds) has
-    one column per lane.  Every operation acts on all lanes at once with
+    arrays, one entry per point, as ``Expr._jets`` builds) has one column
+    per lane.  Every operation acts on all lanes at once with
     the float64 operations the one-point case performs, so each lane is
     bitwise the jet at its point.  Products are truncated at the order, so a Jet is an element of
     the truncated polynomial ring and all ring identities hold exactly up
@@ -560,22 +560,14 @@ class Expr:
                              f"{len(self.variables)} variables")
         return _eval_node(self.node, point)
 
-    def eval_columns(self, columns) -> tuple:
+    def _columns(self, columns, lanes) -> np.ndarray:
         """Evaluate at many points at once: one array per declared variable.
 
-        Returns ``(values, flagged)``.  On every lane where :meth:`eval`
-        returns, ``values`` holds its bits.  A lane is flagged where
-        :meth:`eval` raises (a zero divisor, zero to a negative power, a
-        function leaving its domain or overflowing; the lane reads 0.0 at
-        the function that raised) or has any non-finite intermediate.
-        """
-        lanes = _Lanes(len(columns[0]) if len(columns) else 1)
-        return self._columns(columns, lanes), lanes.nonfinite | lanes.raised
-
-    def _columns(self, columns, lanes) -> np.ndarray:
-        """The values of :meth:`eval_columns`, each lane's first error
-        written to the batch's failure channel ``lanes``.  Every lane that
-        did not raise holds the bits of :meth:`eval`, finite or not."""
+        Each lane where :meth:`eval` raises (a zero divisor, zero to a
+        negative power, a function leaving its domain or overflowing)
+        fails with its first error in the batch's failure channel
+        ``lanes``, and its value is meaningless.  Every other lane holds
+        the bits of :meth:`eval`, finite or not."""
         columns = self._lane_columns(columns)
         with np.errstate(all="ignore"):
             values = _columns_node(self.node, columns, lanes)
@@ -598,28 +590,19 @@ class Expr:
         with np.errstate(all="ignore"):
             return _jet_node(self.node, _zero_jet(base, order), None)
 
-    def eval_jet_columns(self, columns, order: int) -> tuple:
+    def _jets(self, columns, order: int, lanes) -> Jet:
         """Jets at many points at once: one array per declared variable.
 
-        Returns ``(jet, flagged)``, a lane :class:`Jet` with one column per
-        point.  A lane is flagged where :meth:`eval_jet` raises (a zero
-        divisor, a function leaving its domain or overflowing; the lane's
-        column is then meaningless) or where a coefficient is not finite.
-        On every other lane each coefficient is bitwise :meth:`eval_jet`.
-        """
-        lanes = _Lanes(len(columns[0]) if len(columns) else 1)
-        return self._jets(columns, order, lanes), lanes.raised | lanes.nonfinite
-
-    def _jets(self, columns, order: int, lanes) -> Jet:
-        """The jet of :meth:`eval_jet_columns`; each lane's first error
-        goes to the failure channel ``lanes`` as in :meth:`_columns`."""
+        Returns a lane :class:`Jet` with one column per point.  Each lane
+        where :meth:`eval_jet` raises fails with its first error in the
+        failure channel ``lanes``, as in :meth:`_columns`, and its column
+        is meaningless; on every other lane each coefficient is bitwise
+        :meth:`eval_jet`, finite or not."""
         columns = self._lane_columns(columns)
         if order < 0:
             raise ValueError("jet order must be nonnegative")
         with np.errstate(all="ignore"):
-            jet = _jet_node(self.node, _zero_jet(columns, order), lanes)
-            lanes.nonfinite |= ~np.isfinite(jet.data).all(axis=0)
-        return jet
+            return _jet_node(self.node, _zero_jet(columns, order), lanes)
 
     def subs(self, mapping: dict) -> "Expr":
         """Substitute expressions for variables (by name)."""
@@ -681,24 +664,31 @@ def _eval_node(node, point) -> float:
 
 class _Lanes:
     """The failure channel of one batch of lanes, shared by every pass over
-    it (of values or of jets): the lanes that raised with the text of
-    their first error, and the lanes with a non-finite intermediate (of
-    values) or coefficient (of jets)."""
+    it (of values or of jets): the lanes that raised, with the text of
+    their first error.  A lane fails only when it raises; every other lane
+    holds the bits of the one-point walk, finite or not."""
 
-    __slots__ = ("raised", "errors", "nonfinite")
+    __slots__ = ("raised", "errors")
 
     def __init__(self, size: int):
         self.raised = np.zeros(size, dtype=bool)
         self.errors = {}
-        self.nonfinite = np.zeros(size, dtype=bool)
 
     def fail(self, mask, text: str, arg=None):
         """The lanes of ``mask`` raise ``text``, formatted with the lane's
-        ``arg`` if given, unless they raised before: the first error wins."""
+        ``arg`` if given, unless they raised before: the first error wins.
+        Each distinct value (by its bits) is formatted once."""
         new = np.broadcast_to(mask, self.raised.shape) & ~self.raised
         if new.any():
-            for i in np.flatnonzero(new).tolist():
-                self.errors[i] = text if arg is None else text.format(float(arg[i]))
+            lanes = np.flatnonzero(new)
+            if arg is None:
+                self.errors.update(dict.fromkeys(lanes.tolist(), text))
+            else:
+                values = np.asarray(arg, dtype=float)[lanes]
+                _, first, inverse = np.unique(values.view(np.int64), return_index=True,
+                                              return_inverse=True)
+                texts = [text.format(v) for v in values[first].tolist()]
+                self.errors.update(zip(lanes.tolist(), map(texts.__getitem__, inverse.tolist())))
             self.raised |= new
 
     def raise_first(self):
@@ -750,7 +740,6 @@ def _columns_node(node, columns, lanes: _Lanes):
         out = _call(node.func, arg, lanes)
     else:
         raise TypeError(f"bad node {node!r}")
-    lanes.nonfinite |= ~np.isfinite(out)
     return out
 
 

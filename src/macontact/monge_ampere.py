@@ -4,10 +4,10 @@ An equation N (u_xx u_yy - u_xy^2) + A u_xx + B u_xy + C u_yy + D = 0 is
 described by five coefficient expressions in (x1, x2, u, p1, p2).  Its
 discriminant is Delta = B^2 - 4AC + 4ND; the sign gives the type
 (elliptic < 0, parabolic = 0, hyperbolic > 0).  The structure operator
-structure_operator on the contact distribution satisfies structure_operator^2 = Delta * I, is
+frak_A on the contact distribution satisfies frak_A^2 = Delta * I, is
 self-adjoint for the curvature pairing, and a twice-differentiable f
 solves the equation at a base point exactly when the tangent plane of its
-Legendrian lift is structure_operator-invariant there.
+Legendrian lift is frak_A-invariant there.
 """
 
 import enum
@@ -200,14 +200,15 @@ class InvarianceReport:
 
 
 def invariance_defect(eq: MAEquation, f: Expr, base) -> InvarianceReport:
-    """How far structure_operator moves the tangent plane of the Legendrian graph.
+    """How far the structure operator frak_A moves the tangent plane of the
+    Legendrian graph.
 
     Z1, Z2 and e3, e4 form a basis of the distribution along the graph, so
-    structure_operator(Z_i) decomposes uniquely as a Z1 + b Z2 + c e3 + d e4; the defect
+    frak_A(Z_i) decomposes uniquely as a Z1 + b Z2 + c e3 + d e4; the defect
     is the larger Euclidean norm of the (c, d) parts.  For Z1 the
     decomposition is compared componentwise against
 
-        structure_operator(Z1) = (B - 2 f12 N) Z1 + 2 (C + f11 N) Z2 - 2 E e4,
+        frak_A(Z1) = (B - 2 f12 N) Z1 + 2 (C + f11 N) Z2 - 2 E e4,
 
     which holds identically (solution or not); the deviation is returned.
     This is the one-point case of ``invariance_defects``.
@@ -275,13 +276,13 @@ class BasicAlgebra:
 
 
 def basic_algebra(eq: MAEquation, pt: DarbouxPoint, tol: float = 1e-9) -> BasicAlgebra:
-    """span{I, structure_operator} with its classification; requires structure_operator non-scalar."""
+    """span{I, frak_A} with its classification; requires frak_A non-scalar."""
     sp = darboux_space()
     op = structure_operator(eq, pt)
     result = symplectic.classify_dim4(sp, op, tol=tol)
     if result.type is symplectic.OperatorType.SCALAR:
         raise ValueError("structure_operator is scalar at this point: degenerate equation")
-    # structure_operator^2 = Delta * I holds exactly; classify_dim4 refuses
+    # frak_A^2 = Delta * I holds exactly; classify_dim4 refuses
     # ||A||_F > 1e150, so every product is finite and the defect is roundoff
     square = symplectic.jordan_product(op, op).matrix
     closure = float(np.abs(square - discriminant(eq, pt) * np.eye(4)).max())

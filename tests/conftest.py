@@ -3,7 +3,7 @@
 import math
 
 from macontact.contact import CHART_VARIABLES
-from macontact.expr import Expr
+from macontact.expr import Expr, _Lanes
 
 
 def poly_from_monomials(variables, monomials) -> Expr:
@@ -74,3 +74,17 @@ def random_darboux_points(rng, count, scale=1.0):
 
 def chart_poly(rng, degree=3, terms=6) -> Expr:
     return random_poly_expr(rng, CHART_VARIABLES, degree, terms)
+
+
+def column_values(expr, columns) -> tuple:
+    """``expr._columns`` over a new failure channel: the values and the
+    lanes that raised."""
+    lanes = _Lanes(len(columns[0]))
+    return expr._columns(columns, lanes), lanes.raised
+
+
+def column_jets(expr, columns, order) -> tuple:
+    """``expr._jets`` over a new failure channel: the lane jet and the
+    lanes that raised."""
+    lanes = _Lanes(len(columns[0]))
+    return expr._jets(columns, order, lanes), lanes.raised

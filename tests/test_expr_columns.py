@@ -1,4 +1,6 @@
-"""Column evaluation against the scalar reference ``Expr.eval``."""
+"""Column evaluation (``Expr._columns``) against the scalar reference
+``Expr.eval``: a lane fails exactly where ``eval`` raises, with its text,
+and every other lane holds the bits ``eval`` returns, finite or not."""
 
 import math
 import struct
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import column_values
 from macontact.expr import (FUNCTIONS, BinOp, Call, EvalDomainError, Expr, Neg,
                             Num, Pow, Var, _Lanes, parse)
 from macontact.monge_ampere import GridSpec, MAEquation, classify_region
@@ -37,12 +40,16 @@ def _bits(value: float) -> bytes:
     return struct.pack("<d", value)
 
 
+def _same_bits(a: float, b: float) -> bool:
+    return (math.isnan(a) and math.isnan(b)) or _bits(a) == _bits(b)
+
+
 @settings(max_examples=300, deadline=None)
 @given(trees, lanes)
 def test_columns_match_scalar_eval_bitwise(node, points):
     expr = Expr(node, VARS)
     columns = [np.array(c) for c in zip(*points)]
-    values, flagged = expr.eval_columns(columns)
+    values, flagged = column_values(expr, columns)
     assert values.shape == flagged.shape == (len(points),)
     for lane, point in enumerate(points):
         try:
@@ -50,14 +57,13 @@ def test_columns_match_scalar_eval_bitwise(node, points):
         except (EvalDomainError, ValueError):
             assert flagged[lane], (expr.to_string(), point)
             continue
-        if not flagged[lane]:
-            assert math.isfinite(values[lane])
-            assert _bits(values[lane]) == _bits(expected), (expr.to_string(), point)
+        assert not flagged[lane], (expr.to_string(), point)
+        assert _same_bits(values[lane], expected), (expr.to_string(), point)
 
 
 def _columns(text, *columns):
     expr = parse(text, VARS[:len(columns)])
-    values, flagged = expr.eval_columns([np.array(c, dtype=float) for c in columns])
+    values, flagged = column_values(expr, [np.array(c, dtype=float) for c in columns])
     return values.tolist(), flagged.tolist()
 
 
@@ -76,10 +82,13 @@ def test_ln_and_sqrt_domains_are_flagged():
     assert _columns("sqrt(x)", [0.0, -1e-300, 4.0]) == ([0.0, 0.0, 2.0], [False, True, False])
 
 
-def test_math_overflow_and_non_finite_intermediates_are_flagged():
+def test_math_overflow_is_flagged_and_non_finite_intermediates_are_not():
     assert _columns("exp(x)", [1000.0, 1.0])[1] == [True, False]
-    # x*x overflows to inf; 1/inf would be a finite 0, the lane is flagged anyway
-    assert _columns("1/(x*x)", [1e200, 2.0])[1] == [True, False]
+    # x*x overflows to inf and 1/inf is a finite 0.0: no lane raises
+    values, flagged = _columns("1/(x*x)", [1e200, 2.0])
+    assert flagged == [False, False]
+    expr = parse("1/(x*x)", VARS[:1])
+    assert all(_same_bits(v, expr.eval((x,))) for v, x in zip(values, [1e200, 2.0]))
 
 
 def test_transcendental_lanes_use_math():
@@ -98,7 +107,7 @@ def test_constant_expression_fills_every_lane():
 
 def test_column_count_must_match_variables():
     with pytest.raises(ValueError, match="2 variables"):
-        parse("x + y", VARS[:2]).eval_columns([np.zeros(3)])
+        column_values(parse("x + y", VARS[:2]), [np.zeros(3)])
 
 
 # --- error texts from the column pass ---------------------------------------------
@@ -113,17 +122,13 @@ wide_lanes = st.lists(st.tuples(wide_numbers, wide_numbers, wide_numbers),
                       min_size=1, max_size=8)
 
 
-def _same_bits(a: float, b: float) -> bool:
-    return (math.isnan(a) and math.isnan(b)) or _bits(a) == _bits(b)
-
-
 @settings(max_examples=400, deadline=None)
 @given(wide_trees, wide_lanes)
 def test_column_errors_and_values_match_scalar_eval(node, points):
     expr = Expr(node, VARS)
     lanes = _Lanes(len(points))
     values = expr._columns([np.array(c) for c in zip(*points)], lanes)
-    flagged, errors = lanes.raised | lanes.nonfinite, lanes.errors
+    flagged, errors = lanes.raised, lanes.errors
     for lane, point in enumerate(points):
         try:
             expected = expr.eval(point)
@@ -131,9 +136,8 @@ def test_column_errors_and_values_match_scalar_eval(node, points):
             assert errors.get(lane) == str(exc), (expr.to_string(), point)
             assert flagged[lane]
             continue
-        assert lane not in errors, (expr.to_string(), point)
+        assert lane not in errors and not flagged[lane], (expr.to_string(), point)
         assert _same_bits(values[lane], expected), (expr.to_string(), point)
-        assert flagged[lane] or math.isfinite(expected)
 
 
 def _errors(text, *columns):
@@ -160,6 +164,30 @@ def test_first_error_in_depth_first_order_wins():
 
 def test_constant_error_is_broadcast_to_every_lane():
     assert _errors("1/0 + x", [1.0, 2.0, 3.0])[1] == dict.fromkeys(range(3), "division by zero")
+
+
+class _CountingText(str):
+    """An error text that counts the calls of its ``format``."""
+
+    def format(self, *args):
+        self.calls = getattr(self, "calls", 0) + 1
+        return super().format(*args)
+
+
+def test_failing_lanes_format_each_distinct_value_once():
+    values = np.array([-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 1e-300,
+                       -5e-324, 0.1 + 0.2] * 40)
+    np.random.default_rng(5).shuffle(values)
+    mask = np.arange(len(values)) % 7 != 3
+    lanes = _Lanes(len(values))
+    lanes.fail(values == 1e-300, "first")  # the first error wins
+    text = _CountingText("bad value {}")
+    lanes.fail(mask, text, values)
+    assert text.calls <= len(set(values[mask & (values != 1e-300)].view(np.int64).tolist()))
+    assert lanes.errors == {i: "first" if v == 1e-300 else f"bad value {v}"
+                            for i, v in enumerate(values.tolist()) if mask[i] or v == 1e-300}
+    assert lanes.raised.tolist() == (mask | (values == 1e-300)).tolist()
+    assert {"bad value -0.0", "bad value 0.0"} <= set(lanes.errors.values())
 
 
 def test_classify_keeps_the_first_coefficient_error():

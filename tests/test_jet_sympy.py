@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import column_jets
 from macontact.contact import CHART_VARIABLES
 from macontact.expr import BinOp, Call, Expr, Neg, Num, Pow, Var, multi_indices
 
@@ -66,7 +67,7 @@ def _check(node, names, point, order):
     target = _to_sympy(node, symbols)
     at = dict(zip(symbols, (sympy.Rational(p) for p in point)))
     jet = expr.eval_jet(point, order)
-    lanes, flagged = expr.eval_jet_columns([np.array([p, p]) for p in point], order)
+    lanes, flagged = column_jets(expr, [np.array([p, p]) for p in point], order)
     assert not flagged.any()
     wants = []
     for alpha in multi_indices(len(names), order):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macontact.bends import normal_form, span_angle
-from macontact.errors import ConsistencyError
 from macontact.expr import EvalDomainError
 from macontact import rmanifold
 from macontact.rmanifold import (JetChartPoint, RManifoldSpec, _family_columns,
