@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .symplectic import _nullspace, _orth, _unit_columns
+from .symplectic import _nullspace, _orth, _sigma_ratios, _unit_columns
 from .zeta import ZetaKind
 
 __all__ = [
@@ -155,16 +155,11 @@ def _spanning_probe(space: np.ndarray, k: int):
         w = rng.normal(size=space.shape[1])
         v = space @ w
         probes.append(v / np.linalg.norm(v))
-    best, best_ratio = None, 0.0
-    for v in probes:
-        pair = np.column_stack([dx @ v, dy @ v])
-        s = np.linalg.svd(pair, compute_uv=False)
-        ratio = s[1] / s[0] if s[0] > 0 else 0.0
-        if ratio > best_ratio:
-            best, best_ratio = v, ratio
-    if best_ratio <= 1e-8:
+    ratios = _sigma_ratios(np.stack([np.column_stack([dx @ v, dy @ v]) for v in probes]))
+    best = int(np.argmax(ratios))  # the first of equal ratios
+    if ratios[best] <= 1e-8:
         return None
-    return best
+    return probes[best]
 
 
 def _witness(k: int, space: np.ndarray):

@@ -543,8 +543,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _value_options() -> dict:
+    """Subcommand -> its options that take a value (all but --help)."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: frozenset(option for action in p._actions if action.nargs is None
+                            for option in action.option_strings)
+            for name, p in sub.choices.items()}
+
+
+def _attach_values(argv: list) -> list:
+    """``--D -x1`` as ``--D=-x1``: each value-taking option gets the next
+    token as its value, which argparse would read as an option if it
+    starts with ``-`` and is no plain negative number."""
+    options = _value_options().get(argv[0], ()) if argv else ()
+    out, tokens = argv[:1], iter(argv[1:])
+    for token in tokens:
+        value = next(tokens, None) if token in options else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_attach_values(argv))
     try:
         return args.func(args)
     except ParseError as exc:

@@ -26,6 +26,7 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -97,20 +98,11 @@ class Call:
 @lru_cache(maxsize=None)
 def multi_indices(n: int, order: int) -> tuple:
     """All multi-indices with ``|alpha| <= order`` in graded-lex order."""
-    if n == 0:
-        return ((),)  # over no variables only the constant term is left
     idx = []
     for degree in range(order + 1):
-        block = []
-        def exact(prefix, left, slots):
-            if slots == 1:
-                block.append(tuple(prefix + [left]))
-                return
-            for v in range(left + 1):
-                exact(prefix + [v], left - v, slots - 1)
-        exact([], degree, n)
-        block.sort()
-        idx.extend(block)
+        # a multiset of ``degree`` variables is one exponent tuple
+        idx.extend(sorted(tuple(combo.count(i) for i in range(n))
+                          for combo in combinations_with_replacement(range(n), degree)))
     return tuple(idx)
 
 
@@ -404,8 +396,9 @@ def _fail(lanes, mask, text: str, arg=None):
 
 
 def _call(func: str, x, lanes=None):
-    """``func`` of one float by its ``_FUNCS`` entry, or of a column by the
-    same ``math`` call lane by lane; a lane that failed reads 0.0."""
+    """``func`` of one float by its ``_FUNCS`` entry, or over lanes by the
+    same ``math`` call lane by lane, a constant ``x`` filling every lane;
+    a lane that failed reads 0.0."""
     call, outside, text = _FUNCS[func]
     _fail(lanes, outside(x), text, x)
     if lanes is None:
@@ -417,7 +410,8 @@ def _call(func: str, x, lanes=None):
 
 def _pow(x, m: int, lanes=None):
     """Python's ``x ** m`` of one float or lane by lane (numpy's power
-    differs on some lanes); where it overflows, it fails with Python's text."""
+    differs on some lanes); where it overflows, it fails with Python's text.
+    Python raises exactly where a finite ``x`` gives inf."""
     text = None
     def power(v):
         nonlocal text
@@ -428,10 +422,9 @@ def _pow(x, m: int, lanes=None):
             return math.inf
     if lanes is None:
         out = power(x)
-        _fail(None, text is not None, text)
-        return out
-    out = np.array(list(map(power, np.where(lanes.raised, 1.0, x).tolist())))
-    lanes.fail(np.isinf(out) & np.isfinite(x), text)  # where Python raised
+    else:
+        out = np.array(list(map(power, np.where(lanes.raised, 1.0, x).tolist())))
+    _fail(lanes, np.isinf(out) & np.isfinite(x), text)
     return out
 
 
@@ -553,12 +546,16 @@ class Expr:
     # -- evaluation
 
     def eval(self, point) -> float:
-        """Evaluate at a point (one value per declared variable)."""
+        """Evaluate at a point (one value per declared variable).
+
+        The value walk in its point mode: Python floats throughout, and the
+        first error raises.  It is the reference that :meth:`_columns`
+        matches lane by lane."""
         point = tuple(float(p) for p in point)
         if len(point) != len(self.variables):
             raise ValueError(f"point has {len(point)} entries for "
                              f"{len(self.variables)} variables")
-        return _eval_node(self.node, point)
+        return _value_node(self.node, point, None)
 
     def _columns(self, columns, lanes) -> np.ndarray:
         """Evaluate at many points at once: one array per declared variable.
@@ -567,10 +564,11 @@ class Expr:
         negative power, a function leaving its domain or overflowing)
         fails with its first error in the batch's failure channel
         ``lanes``, and its value is meaningless.  Every other lane holds
-        the bits of :meth:`eval`, finite or not."""
+        the bits of :meth:`eval`, finite or not: it is the same walk over
+        float64 columns."""
         columns = self._lane_columns(columns)
         with np.errstate(all="ignore"):
-            values = _columns_node(self.node, columns, lanes)
+            values = _value_node(self.node, columns, lanes)
         return np.broadcast_to(values, lanes.raised.shape).copy()
 
     def _lane_columns(self, columns) -> tuple:
@@ -628,40 +626,6 @@ class Expr:
         return self.to_string()
 
 
-def _eval_node(node, point) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return point[node.index]
-    if isinstance(node, Neg):
-        return -_eval_node(node.child, point)
-    if isinstance(node, BinOp):
-        a = _eval_node(node.left, point)
-        b = _eval_node(node.right, point)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        _fail(None, b == 0.0, "division by zero")
-        return a / b
-    if isinstance(node, Pow):
-        base = _eval_node(node.child, point)
-        k = node.exponent
-        if k < 0:
-            _fail(None, base == 0.0, "zero raised to a negative power")
-            base, k = 1.0 / base, -k
-        # repeated multiplication, mirroring jet arithmetic bit for bit
-        out = 1.0
-        for _ in range(k):
-            out = out * base
-        return out
-    if isinstance(node, Call):
-        return _call(node.func, _eval_node(node.arg, point))
-    raise TypeError(f"bad node {node!r}")
-
-
 class _Lanes:
     """The failure channel of one batch of lanes, shared by every pass over
     it (of values or of jets): the lanes that raised, with the text of
@@ -676,7 +640,8 @@ class _Lanes:
 
     def fail(self, mask, text: str, arg=None):
         """The lanes of ``mask`` raise ``text``, formatted with the lane's
-        ``arg`` if given, unless they raised before: the first error wins.
+        ``arg`` (a column or one value for every lane) if given, unless
+        they raised before: the first error wins.
         Each distinct value (by its bits) is formatted once."""
         new = np.broadcast_to(mask, self.raised.shape) & ~self.raised
         if new.any():
@@ -684,7 +649,7 @@ class _Lanes:
             if arg is None:
                 self.errors.update(dict.fromkeys(lanes.tolist(), text))
             else:
-                values = np.asarray(arg, dtype=float)[lanes]
+                values = np.broadcast_to(np.asarray(arg, dtype=float), self.raised.shape)[lanes]
                 _, first, inverse = np.unique(values.view(np.int64), return_index=True,
                                               return_inverse=True)
                 texts = [text.format(v) for v in values[first].tolist()]
@@ -698,49 +663,54 @@ class _Lanes:
             raise EvalDomainError(self.errors[min(self.errors)])
 
 
-def _columns_node(node, columns, lanes: _Lanes):
-    """Column twin of ``_eval_node`` over the variable ``columns``: same
-    operations in the same order.
+def _number(value: float, lanes):
+    """A constant: a Python float at one point, a float64 scalar over
+    lanes, which divides by a failed lane's zero without raising."""
+    return value if lanes is None else np.float64(value)
 
-    ``+ - * /`` on float64 arrays round exactly like Python floats, and
-    each check of the scalar walk (a zero divisor, zero to a negative
-    power, ``_call``'s domain test) is the same ``_fail`` on a mask, so a
-    lane fails where the scalar walk raises and every other lane keeps
-    the scalar bits, non-finite ones too.
+
+def _value_node(node, point, lanes):
+    """Value of the subtree at ``point``: Python floats at one point
+    (``lanes`` None, where errors raise), or over lanes float64 columns
+    whose lanes that raise are recorded in the ``_Lanes`` ``lanes``.
+
+    Both modes run the same operations in the same order.  ``+ - * /`` on
+    float64 arrays round exactly like Python floats, and each check (a
+    zero divisor, zero to a negative power, ``_call``'s domain test) is
+    one ``_fail`` on a bool or a mask, so a lane fails where the point
+    walk raises and every other lane keeps its bits, non-finite ones too.
     """
     if isinstance(node, Num):
-        out = np.float64(node.value)  # numpy scalars divide by 0 without raising
-    elif isinstance(node, Var):
-        out = columns[node.index]
-    elif isinstance(node, Neg):
-        out = -_columns_node(node.child, columns, lanes)
-    elif isinstance(node, BinOp):
-        a = _columns_node(node.left, columns, lanes)
-        b = _columns_node(node.right, columns, lanes)
+        return _number(node.value, lanes)
+    if isinstance(node, Var):
+        return point[node.index]
+    if isinstance(node, Neg):
+        return -_value_node(node.child, point, lanes)
+    if isinstance(node, BinOp):
+        a = _value_node(node.left, point, lanes)
+        b = _value_node(node.right, point, lanes)
         if node.op == "+":
-            out = a + b
-        elif node.op == "-":
-            out = a - b
-        elif node.op == "*":
-            out = a * b
-        else:
-            _fail(lanes, b == 0.0, "division by zero")
-            out = a / b
-    elif isinstance(node, Pow):
-        base = _columns_node(node.child, columns, lanes)
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        _fail(lanes, b == 0.0, "division by zero")
+        return a / b
+    if isinstance(node, Pow):
+        base = _value_node(node.child, point, lanes)
         k = node.exponent
         if k < 0:
             _fail(lanes, base == 0.0, "zero raised to a negative power")
             base, k = 1.0 / base, -k
-        out = 1.0
+        # repeated multiplication, mirroring jet arithmetic bit for bit
+        out = _number(1.0, lanes)
         for _ in range(k):
             out = out * base
-    elif isinstance(node, Call):
-        arg = np.broadcast_to(_columns_node(node.arg, columns, lanes), lanes.raised.shape)
-        out = _call(node.func, arg, lanes)
-    else:
-        raise TypeError(f"bad node {node!r}")
-    return out
+        return out
+    if isinstance(node, Call):
+        return _call(node.func, _value_node(node.arg, point, lanes), lanes)
+    raise TypeError(f"bad node {node!r}")
 
 
 def _jet_node(node, zero, lanes) -> Jet:

@@ -37,6 +37,7 @@ import numpy as np
 
 from .bends import HomPoly, normal_form, poly_from_fiber_vector, span_angle
 from .expr import EvalDomainError, multi_indices
+from .symplectic import _sigma_ratios
 from .zeta import ZetaKind, frac_factorial
 
 __all__ = [
@@ -366,10 +367,9 @@ def singular_point_report(spec: RManifoldSpec, radius: float = 0.5,
     base = np.vstack([ta[[px, py], :-1], tb[[px, py], :-1]])
     _require_finite("tangent of the family", base, kept)
     blocks = base.T.reshape(-1, 2, 2)
+    ratios = _sigma_ratios(blocks)
     with np.errstate(all="ignore"):
-        sigmas = np.linalg.svd(blocks, compute_uv=False)
         dets = np.linalg.det(blocks)
-        ratios = np.where(sigmas[:, 0] > 0, sigmas[:, 1] / sigmas[:, 0], 0.0)
     _require_finite("determinant of the base projection",
                     np.vstack([dets, ratios]), kept)
     samples_out = [((a, b), det, ratio, ratio > 1e-6) for (a, b), det, ratio

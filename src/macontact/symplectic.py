@@ -137,6 +137,14 @@ def _nullspace(m: np.ndarray, rtol: float = _RANK_TOL) -> np.ndarray:
     return _fix_signs(vh[int(np.sum(s > rtol * s[0])):].T)
 
 
+def _sigma_ratios(stack: np.ndarray) -> np.ndarray:
+    """Smallest over largest singular value of each matrix of ``stack``
+    (0 for a zero matrix), from one batched SVD."""
+    s = np.linalg.svd(stack, compute_uv=False)
+    with np.errstate(all="ignore"):
+        return np.where(s[..., 0] > 0, s[..., -1] / s[..., 0], 0.0)
+
+
 def _unit_columns(m: np.ndarray) -> tuple:
     """The columns of ``m`` divided by their Euclidean norms (hypot cannot
     overflow; a zero column stays zero), and whether they are independent

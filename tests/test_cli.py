@@ -624,3 +624,32 @@ def test_dumps_refuses_types_outside_the_payload_vocabulary():
     for value in (np.float64(1.0), np.int64(1), np.bool_(True), {1, 2}):
         with pytest.raises(TypeError, match="cannot serialize"):
             dumps({"v": value})
+
+
+@pytest.mark.parametrize("argv, joined", [
+    (["classify", "--A", "1", "--C", "1", "--D", "-x1", "--grid", "x1=0:1:2"],
+     ["classify", "--A", "1", "--C", "1", "--D=-x1", "--grid", "x1=0:1:2"]),
+    (["classify", "--A", "1", "--C", "1", "--D", "-1e3", "--grid", "x1=0:1:2"],
+     ["classify", "--A", "1", "--C", "1", "--D=-1e3", "--grid", "x1=0:1:2"]),
+    (["classify", "--A", "1", "--C", "1", "--D", "-(x1)", "--grid", "x1=0:1:2"],
+     ["classify", "--A", "1", "--C", "1", "--D=-(x1)", "--grid", "x1=0:1:2"]),
+    (["contact", "--nu", "x1", "--point", "-1,0,0,0,0"],
+     ["contact", "--nu", "x1", "--point=-1,0,0,0,0"]),
+])
+def test_a_value_may_start_with_a_minus_sign(argv, joined, capsys):
+    code, out, err = _run_main(argv, capsys)
+    assert code == 0 and err == ""
+    assert (code, out, err) == _run_main(joined, capsys)
+
+
+@pytest.mark.parametrize("argv", [["classify", "--A", "1", "--D"], ["contact", "--nu"]])
+def test_a_value_flag_at_the_end_still_exits_2(argv, capsys):
+    code, _, err = _run_main(argv, capsys)
+    assert code == 2 and "expected one argument" in err
+
+
+@pytest.mark.parametrize("command", [[], ["classify"], ["verify"], ["bend"], ["contact"],
+                                     ["rmanifold"], ["selfadjoint"]])
+def test_help_exits_0(command, capsys):
+    code, out, _ = _run_main(command + ["--help"], capsys)
+    assert code == 0 and out.startswith("usage: macontact")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -155,6 +156,20 @@ def test_constant_over_no_variables_has_a_jet():
         jet = expr.eval_jet((), order)
         assert jet.value == expr.eval(())
         assert jet.coeffs == {(): expr.eval(())}
+
+
+def _graded_lex(n, order):
+    """Every multi-index of |alpha| <= order, by degree and then as tuples."""
+    return tuple(sorted((alpha for alpha in itertools.product(range(order + 1), repeat=n)
+                         if sum(alpha) <= order), key=lambda alpha: (sum(alpha), alpha)))
+
+
+def test_multi_indices_match_a_filter_of_every_exponent_tuple():
+    for n in range(7):
+        every = _graded_lex(n, 11)
+        for order in range(12):
+            assert multi_indices(n, order) == tuple(a for a in every if sum(a) <= order)
+    assert multi_indices(2, 32) == _graded_lex(2, 32)
 
 
 def test_jet_order_zero_equals_eval():

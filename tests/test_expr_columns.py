@@ -1,6 +1,7 @@
-"""Column evaluation (``Expr._columns``) against the scalar reference
-``Expr.eval``: a lane fails exactly where ``eval`` raises, with its text,
-and every other lane holds the bits ``eval`` returns, finite or not."""
+"""One value walker in two modes: over numpy lanes (``Expr._columns``)
+against Python floats at a point (``Expr.eval``, the reference).  A lane
+fails exactly where ``eval`` raises, with its text, and every other lane
+holds the bits ``eval`` returns, finite or not."""
 
 import math
 import struct
@@ -59,6 +60,18 @@ def test_columns_match_scalar_eval_bitwise(node, points):
             continue
         assert not flagged[lane], (expr.to_string(), point)
         assert _same_bits(values[lane], expected), (expr.to_string(), point)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees, st.tuples(numbers, numbers, numbers))
+def test_eval_returns_a_python_float(node, point):
+    # cli.dumps writes only an exact float: no numpy scalar may leak from the walk
+    expr = Expr(node, VARS)
+    try:
+        value = expr.eval(point)
+    except EvalDomainError:
+        return
+    assert type(value) is float, (expr.to_string(), point)
 
 
 def _columns(text, *columns):
@@ -164,6 +177,15 @@ def test_first_error_in_depth_first_order_wins():
 
 def test_constant_error_is_broadcast_to_every_lane():
     assert _errors("1/0 + x", [1.0, 2.0, 3.0])[1] == dict.fromkeys(range(3), "division by zero")
+
+
+def test_zero_power_of_a_lane_is_a_float64_that_fails_as_eval_raises():
+    # x^0 is 1.0 in every lane; a difference of two is a zero divisor
+    assert _errors("x^0/(x^0 - x^0)", [1.0, 2.0])[1] == dict.fromkeys(range(2), "division by zero")
+    assert (_errors("(x^0 - x^0)^-1", [1.0, 2.0])[1]
+            == dict.fromkeys(range(2), "zero raised to a negative power"))
+    with pytest.raises(EvalDomainError, match="division by zero"):
+        parse("x^0/(x^0 - x^0)", VARS[:1]).eval((1.0,))
 
 
 class _CountingText(str):
