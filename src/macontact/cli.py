@@ -60,6 +60,40 @@ def _quote(text: str) -> str:
     return '"' + text.translate(_STRING_ESCAPES) + '"'
 
 
+class Rows:
+    """A list of dicts with the same keys, held as float64 columns: each
+    column is 1-D (a float per row) or 2-D (a list of floats per row).
+
+    ``dumps`` writes it with one ``%`` template per row, ``%.17g`` being
+    ``_format_float``'s text for a finite float, after one finiteness
+    check over the columns; ``find_nan`` reads it as the list of dicts it
+    stands for.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, **columns):
+        self.columns = columns
+
+    def dicts(self) -> list:
+        keys = list(self.columns)
+        return [dict(zip(keys, row))
+                for row in zip(*(column.tolist() for column in self.columns.values()))]
+
+    def render(self) -> str:
+        fields = []
+        for key, column in self.columns.items():
+            spec = ("%.17g" if column.ndim == 1
+                    else "[" + ", ".join(["%.17g"] * column.shape[1]) + "]")
+            fields.append(f"{_quote(key)}: {spec}")
+        template = "{" + ", ".join(fields) + "}"
+        table = np.column_stack(list(self.columns.values()))
+        finite = np.isfinite(table)
+        if not finite.all():
+            raise NonFiniteError(table[~finite][0])
+        return "[" + ", ".join([template % tuple(row) for row in table.tolist()]) + "]"
+
+
 def dumps(obj) -> str:
     """JSON with floats at 17 significant digits (bitwise reproducible).
 
@@ -94,6 +128,8 @@ def dumps(obj) -> str:
                 walk(value)
                 sep = ", "
             append("]")
+        elif kind is Rows:
+            append(obj.render())
         elif obj is None:
             append("null")
         elif kind is bool:
@@ -115,6 +151,8 @@ def find_nan(obj, path="$"):
             hit = find_nan(value, f"{path}.{key}")
             if hit:
                 return hit
+    elif isinstance(obj, Rows):
+        return find_nan(obj.dicts(), path)
     elif isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
         for i, value in enumerate(seq):
@@ -355,19 +393,15 @@ def cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     bases = rng.uniform(-args.range, args.range, size=(args.samples, 2))
     report = monge_ampere.invariance_defects(eq, f, bases)
-    entries = [{"base": base, "residual": res, "defect": defect,
-                "decomposition_deviation": dev}
-               for base, res, defect, dev in zip(
-                   bases.tolist(), report.residual.tolist(), report.defect.tolist(),
-                   report.decomposition_deviation.tolist())]
-    max_res = max(abs(e["residual"]) for e in entries)
-    max_defect = max(e["defect"] for e in entries)
-    max_dev = max(e["decomposition_deviation"] for e in entries)
+    max_res = max(map(abs, report.residual.tolist()))
+    max_defect = max(report.defect.tolist())
+    max_dev = max(report.decomposition_deviation.tolist())
     passed = max_res <= args.residual_tol and max_defect <= args.defect_tol
     payload = {
         "equation": {name: getattr(args, name) for name in "NABCD"},
         "solution": args.f,
-        "samples": entries,
+        "samples": Rows(base=bases, residual=report.residual, defect=report.defect,
+                        decomposition_deviation=report.decomposition_deviation),
         "max_residual": max_res,
         "max_defect": max_defect,
         "max_decomposition_deviation": max_dev,
@@ -544,23 +578,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @lru_cache(maxsize=None)
-def _value_options() -> dict:
-    """Subcommand -> its options that take a value (all but --help)."""
+def _options() -> dict:
+    """Subcommand -> (all its option strings, those that take a value)."""
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    return {name: frozenset(option for action in p._actions if action.nargs is None
-                            for option in action.option_strings)
+    return {name: (frozenset(o for action in p._actions for o in action.option_strings),
+                   frozenset(o for action in p._actions if action.nargs is None
+                             for o in action.option_strings))
             for name, p in sub.choices.items()}
 
 
 def _attach_values(argv: list) -> list:
-    """``--D -x1`` as ``--D=-x1``: each value-taking option gets the next
-    token as its value, which argparse would read as an option if it
-    starts with ``-`` and is no plain negative number."""
-    options = _value_options().get(argv[0], ()) if argv else ()
+    """``--D -x1`` as ``--D=-x1``: each value-taking option, or a prefix
+    that argparse resolves to exactly one (``--poin`` for ``--point``),
+    gets the next token as its value, which argparse would read as an
+    option if it starts with ``-`` and is no plain negative number."""
+    options, values = _options().get(argv[0], ((), ())) if argv else ((), ())
     out, tokens = argv[:1], iter(argv[1:])
     for token in tokens:
-        value = next(tokens, None) if token in options else None
+        if token.startswith("--") and token not in options:
+            matches = [o for o in options if o.startswith(token)]
+            option = matches[0] if len(matches) == 1 else None
+        else:
+            option = token
+        value = next(tokens, None) if option in values else None
         out.append(token if value is None else f"{token}={value}")
     return out
 

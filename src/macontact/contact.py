@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Expr, Jet
+from .expr import Expr, Jet, _partial_table, _product
 
 __all__ = [
     "CHART_VARIABLES",
@@ -142,17 +142,37 @@ def contact_field_jets(nu: Expr, pt: DarbouxPoint, order: int) -> list:
 
 
 def bracket_fields(x_field: list, y_field: list) -> list:
-    """Commutator [X, Y] of jet fields; the jet order drops by one."""
-    order = x_field[0].order
-    out = []
+    """Commutator [X, Y] of jet fields; the jet order drops by one.
+
+    Component i is the sum over j of X_j d_j Y_i - Y_j d_j X_i.  Both
+    fields are stacked, every partial of every component comes from one
+    gather, and the 25 terms X_j d_j Y_i, then the 25 terms Y_j d_j X_i,
+    are one ``_product`` call, lane (i, j) holding one term.  The sums
+    add the terms in the order of the jet arithmetic ``acc + P - Q`` for
+    j = 0..4, so every coefficient has the bits of that arithmetic.
+    """
+    first = x_field[0]
+    for jet in (*x_field, *y_field):
+        first._check(jet)
+    if first.order < 1:
+        raise ValueError("order-0 jet cannot be differentiated")
+    n, order = first.n, first.order - 1
+    rows, factors = _partial_table(n, first.order)
+    lanes = first.data.shape[1:]
+    factors = factors.reshape(factors.shape + (1,) * (1 + len(lanes)))
+    # (row, component) stacks; b[rows] * factors is (j, row, i) = d_j B_i
+    x, y = (np.stack([jet.data for jet in field], axis=1) for field in (x_field, y_field))
+    terms = []
     with np.errstate(all="ignore"):  # IEEE overflow, as with Python floats
-        for i in range(5):
-            acc = Jet.constant(0.0, x_field[0].base, order - 1)
-            for j in range(5):
-                acc = acc + x_field[j].truncate(order - 1) * y_field[i].partial(j)
-                acc = acc - y_field[j].truncate(order - 1) * x_field[i].partial(j)
-            out.append(acc)
-    return out
+        for a, b in ((x, y), (y, x)):
+            low = a[:len(rows[0])]
+            left = np.broadcast_to(low[:, None], low.shape[:1] + (5,) + low.shape[1:])
+            terms.append(_product(left, np.moveaxis(b[rows] * factors, 0, 2), n, order))
+        acc = np.zeros(terms[0].shape[:2] + lanes)
+        for j in range(5):
+            acc = acc + terms[0][:, :, j]
+            acc = acc + (-terms[1][:, :, j])
+    return [Jet(first.base, order, acc[:, i]) for i in range(5)]
 
 
 def omega_of_field(pt: DarbouxPoint, field: list) -> float:

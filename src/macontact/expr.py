@@ -145,14 +145,39 @@ def _product_table(n: int, order: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _partial_table(n: int, order: int, i: int) -> tuple:
-    """Rows of the order-``order`` jet feeding its i-th partial, with factors."""
+def _partial_table(n: int, order: int) -> tuple:
+    """Rows of the order-``order`` jet feeding each partial, with factors:
+    row i of both (n, rows of order - 1) arrays is the i-th partial."""
     pos = _positions(n, order)
-    rows, factors = [], []
-    for beta in multi_indices(n, order - 1):
-        rows.append(pos[tuple(b + (1 if j == i else 0) for j, b in enumerate(beta))])
-        factors.append(beta[i] + 1)
+    lower = multi_indices(n, order - 1)
+    rows = [[pos[tuple(b + (j == i) for j, b in enumerate(beta))] for beta in lower]
+            for i in range(n)]
+    factors = [[beta[i] + 1 for beta in lower] for i in range(n)]
     return np.array(rows, dtype=np.intp), np.array(factors, dtype=float)
+
+
+def _product(a, b, n: int, order: int):
+    """Data of the product of two order-``order`` jets in n variables from
+    their data ``a`` and ``b``: rows on the first axis, any lane axes after
+    it, each lane the product of its own two jets.
+
+    Each coefficient is 0.0 plus its terms in table order, skipping a term
+    with a zero factor (so 0 * inf adds nothing): a skipped term is -0.0,
+    the addend that leaves every sum, signed zeros included, as it was, and
+    its product is never formed.
+    """
+    rows = len(a)
+    left, right, target = _product_table(n, order)
+    a, b = a[left], b[right]
+    terms = np.full_like(a, -0.0)
+    np.multiply(a, b, out=terms, where=(a != 0.0) & (b != 0.0))
+    if terms.ndim == 1:
+        return np.bincount(target, terms, minlength=rows)
+    # flat (row, lane) positions, term by term and lane by lane
+    lanes = terms[0].size
+    flat = (target[:, None] * lanes + np.arange(lanes)).ravel()
+    data = np.bincount(flat, terms.ravel(), minlength=rows * lanes)
+    return data.reshape((rows,) + terms.shape[1:])
 
 
 def _point(base) -> tuple:
@@ -258,9 +283,9 @@ class Jet:
         """Jet of the i-th partial derivative; the order drops by one."""
         if self.order < 1:
             raise ValueError("order-0 jet cannot be differentiated")
-        rows, factors = _partial_table(self.n, self.order, i)
+        rows, factors = _partial_table(self.n, self.order)
         # lanes are columns and the factors scale rows
-        return Jet(self.base, self.order - 1, (self.data[rows].T * factors).T)
+        return Jet(self.base, self.order - 1, (self.data[rows[i]].T * factors[i]).T)
 
     # -- ring operations
 
@@ -293,23 +318,7 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet(self.base, self.order, self.data * other)
         self._check(other)
-        left, right, target = _product_table(self.n, self.order)
-        a, b = self.data[left], other.data[right]
-        # Each coefficient is 0.0 plus its terms in table order, skipping a
-        # term with a zero factor (so 0 * inf adds nothing): a skipped term
-        # is -0.0, the addend that leaves every sum, signed zeros included,
-        # as it was, and its product is never formed.
-        terms = np.full_like(a, -0.0)
-        np.multiply(a, b, out=terms, where=(a != 0.0) & (b != 0.0))
-        rows = len(self.data)
-        if terms.ndim == 1:
-            data = np.bincount(target, terms, minlength=rows)
-        else:
-            # flat (row, lane) positions, term by term and lane by lane
-            lanes = terms.shape[1]
-            flat = (target[:, None] * lanes + np.arange(lanes)).ravel()
-            data = np.bincount(flat, terms.ravel(), minlength=rows * lanes).reshape(rows, lanes)
-        return Jet(self.base, self.order, data)
+        return Jet(self.base, self.order, _product(self.data, other.data, self.n, self.order))
 
     def __rmul__(self, other):
         return self * other

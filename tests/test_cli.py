@@ -635,6 +635,15 @@ def test_dumps_refuses_types_outside_the_payload_vocabulary():
      ["classify", "--A", "1", "--C", "1", "--D=-(x1)", "--grid", "x1=0:1:2"]),
     (["contact", "--nu", "x1", "--point", "-1,0,0,0,0"],
      ["contact", "--nu", "x1", "--point=-1,0,0,0,0"]),
+    # an option may be abbreviated to a prefix that names only it
+    (["contact", "--nu", "x1", "--poin", "-1,0,0,0,0"],
+     ["contact", "--nu", "x1", "--poin=-1,0,0,0,0"]),
+    (["contact", "--nu", "x1", "--po", "-1,0,0,0,0"],
+     ["contact", "--nu", "x1", "--po=-1,0,0,0,0"]),
+    (["contact", "--n", "-x1", "--p", "-1,0,0,0,0"],
+     ["contact", "--nu=-x1", "--point=-1,0,0,0,0"]),
+    (["selfadjoint", "--mat", "-1,0,0,0,0,-1,0,0,0,0,-1,0,0,0,0,-1"],
+     ["selfadjoint", "--matrix=-1,0,0,0,0,-1,0,0,0,0,-1,0,0,0,0,-1"]),
 ])
 def test_a_value_may_start_with_a_minus_sign(argv, joined, capsys):
     code, out, err = _run_main(argv, capsys)
@@ -642,10 +651,21 @@ def test_a_value_may_start_with_a_minus_sign(argv, joined, capsys):
     assert (code, out, err) == _run_main(joined, capsys)
 
 
-@pytest.mark.parametrize("argv", [["classify", "--A", "1", "--D"], ["contact", "--nu"]])
+@pytest.mark.parametrize("argv", [["classify", "--A", "1", "--D"], ["contact", "--nu"],
+                                  ["contact", "--nu", "x1", "--poin"]])
 def test_a_value_flag_at_the_end_still_exits_2(argv, capsys):
     code, _, err = _run_main(argv, capsys)
     assert code == 2 and "expected one argument" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--A", "1", "--C", "1", "--f", "x1", "--s", "-3"],
+     "ambiguous option: --s could match --samples, --seed"),
+    (["contact", "--nu", "x1", "--", "-1,0,0,0,0"], "unrecognized arguments"),
+])
+def test_an_ambiguous_prefix_still_exits_2(argv, message, capsys):
+    code, out, err = _run_main(argv, capsys)
+    assert (code, out) == (2, "") and message in err
 
 
 @pytest.mark.parametrize("command", [[], ["classify"], ["verify"], ["bend"], ["contact"],

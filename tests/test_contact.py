@@ -1,16 +1,21 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import chart_poly, random_darboux_points
+from macontact import contact as contact_module
+from macontact import expr as expr_module
 from macontact.contact import (CHART_VARIABLES, ContactChart, DarbouxPoint,
                                bracket_fields, contact_field,
                                contact_field_jets, contact_form_value,
                                curvature_gram, field_jets_from_exprs,
                                is_contact_field, lagrange_bracket,
                                omega_of_field)
-from macontact.expr import Expr
+from macontact.expr import Expr, Jet, _Lanes, multi_indices
 
 CHART = ContactChart()
 ORIGIN = DarbouxPoint(0, 0, 0, 0, 0)
@@ -244,3 +249,135 @@ def test_overflowing_bracket_is_quiet():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.isnan(lagrange_bracket(CHART, mu, nu, pt))
+
+
+# --- the stacked bracket against the jet arithmetic it replaced -----------------
+
+def _bracket_oracle(x_field, y_field):
+    """[X, Y] by jet arithmetic: 50 products, each summed into its component
+    in the order acc + X_j d_j Y_i - Y_j d_j X_i, j = 0..4."""
+    order = x_field[0].order
+    out = []
+    with np.errstate(all="ignore"):
+        for i in range(5):
+            acc = Jet.constant(0.0, x_field[0].base, order - 1)
+            for j in range(5):
+                acc = acc + x_field[j].truncate(order - 1) * y_field[i].partial(j)
+                acc = acc - y_field[j].truncate(order - 1) * x_field[i].partial(j)
+            out.append(acc)
+    return out
+
+
+def _bits(field):
+    """Order, shape and bits of each component, every NaN as one pattern:
+    numpy's add returns either operand's NaN, depending on its loop, so a
+    NaN's sign is not part of a result."""
+    return [(jet.order, jet.data.shape,
+             np.where(np.isnan(jet.data), np.nan, jet.data).tobytes()) for jet in field]
+
+
+# exact zeros of both signs, overflow (1e200 squared) and 0 * inf, underflow
+# (1e-200 squared, subnormals), and inexact values whose sums show the order
+SPECIALS = [0.0, -0.0, 1e200, -1e200, 1e-200, 5e-324, math.inf, -math.inf, 1.0, -3.0]
+
+
+def _random_field(rng, base, order, lanes, special_frac):
+    rows = len(multi_indices(5, order))
+    field = []
+    for _ in range(5):
+        data = rng.standard_normal((rows,) + lanes) * 10.0 ** rng.integers(-3, 4, (rows,) + lanes)
+        special = rng.random((rows,) + lanes) < special_frac
+        field.append(Jet(base, order, np.where(special, rng.choice(SPECIALS, (rows,) + lanes), data)))
+    return field
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=st.integers(1, 3), lanes=st.sampled_from([(), (1,), (3,)]),
+       special_frac=st.sampled_from([0.0, 0.1, 0.5]), seed=st.integers(0, 2**32 - 1))
+def test_bracket_fields_has_the_bits_of_the_jet_arithmetic(order, lanes, special_frac, seed):
+    rng = np.random.default_rng(seed)
+    base = tuple(rng.uniform(-1, 1, lanes) if lanes else float(rng.uniform(-1, 1))
+                 for _ in range(5))
+    x = _random_field(rng, base, order, lanes, special_frac)
+    y = _random_field(rng, base, order, lanes, special_frac)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = bracket_fields(x, y)
+    assert _bits(got) == _bits(_bracket_oracle(x, y))
+
+
+def test_bracket_fields_keeps_the_summation_order():
+    # component 0 has the terms X_0 d_0 Y_0 = 1e16, Y_0 d_0 X_0 = 1e16 and
+    # X_1 d_1 Y_0 = 1: the jet arithmetic gives ((0 + 1e16) - 1e16) + 1 = 1,
+    # where summing each product stack first gives (1e16 + 1) - 1e16 = 0
+    base = (0.0,) * 5
+    zero = Jet.constant(0.0, base, 1)
+    x = [zero + 1e16 + 1e16 * Jet.variable(0, base, 1), zero + 1.0, zero, zero, zero]
+    y = [zero + 1.0 + Jet.variable(0, base, 1) + Jet.variable(1, base, 1),
+         zero, zero, zero, zero]
+    got = bracket_fields(x, y)
+    assert got[0].value == 1.0
+    assert _bits(got) == _bits(_bracket_oracle(x, y))
+
+
+def test_bracket_fields_at_lanes_is_the_bracket_at_each_point():
+    rng = np.random.default_rng(12)
+    mu, nu = chart_poly(rng), chart_poly(rng)
+    pts = random_darboux_points(rng, 4)
+    columns = tuple(np.array(c) for c in zip(*(p.as_tuple() for p in pts)))
+    for order in (1, 2):
+        fields = []
+        for g in (mu, nu):
+            jet = g._jets(columns, order + 1, _Lanes(len(pts)))
+            d = [jet.partial(k) for k in range(5)]
+            p1, p2 = Jet.variable(3, jet.base, order), Jet.variable(4, jet.base, order)
+            fields.append([-d[3], -d[4], jet.truncate(order) - p1 * d[3] - p2 * d[4],
+                           d[0] + p1 * d[2], d[1] + p2 * d[2]])
+        lanes = bracket_fields(*fields)
+        for k, pt in enumerate(pts):
+            one = bracket_fields(contact_field_jets(mu, pt, order),
+                                 contact_field_jets(nu, pt, order))
+            assert [jet.data[:, k].tobytes() for jet in lanes] == [
+                jet.data.tobytes() for jet in one]
+
+
+def _unit_field(base, order):
+    return [Jet.constant(1.0, base, order) for _ in range(5)]
+
+
+@pytest.mark.parametrize("which", range(10))
+def test_bracket_fields_refuses_a_component_at_another_base_or_order(which):
+    base = (0.1, 0.2, 0.3, 0.4, 0.5)
+    for other in (Jet.constant(1.0, (0.0,) * 5, 2), Jet.constant(1.0, base, 1),
+                  Jet.constant(1.0, base, 3)):
+        x, y = _unit_field(base, 2), _unit_field(base, 2)
+        (x if which < 5 else y)[which % 5] = other
+        with pytest.raises(ValueError, match="jet base point / order mismatch"):
+            bracket_fields(x, y)
+
+
+def test_bracket_fields_refuses_order_0_fields():
+    base = (0.1, 0.2, 0.3, 0.4, 0.5)
+    with pytest.raises(ValueError, match="order-0 jet cannot be differentiated"):
+        bracket_fields(_unit_field(base, 0), _unit_field(base, 0))
+
+
+def test_bracket_fields_makes_two_product_calls(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return kernel(*args)
+
+    kernel = expr_module._product
+    monkeypatch.setattr(expr_module, "_product", counted)
+    monkeypatch.setattr(contact_module, "_product", counted)
+    pt = DarbouxPoint(0.1, -0.2, 0.3, 0.4, -0.5)
+    rng = np.random.default_rng(13)
+    x = contact_field_jets(chart_poly(rng), pt, 2)
+    y = contact_field_jets(chart_poly(rng), pt, 2)
+    calls.clear()
+    bracket_fields(x, y)
+    assert len(calls) == 2
+    Jet.constant(2.0, pt.as_tuple(), 1) * Jet.variable(0, pt.as_tuple(), 1)
+    assert len(calls) == 3  # Jet.__mul__ runs the same kernel
