@@ -460,8 +460,7 @@ def cmd_rmanifold(args) -> int:
         rng = np.random.default_rng(args.seed)
         params = rng.uniform(-args.param_range, args.param_range,
                              size=(args.count, 2))
-        rmanifold.write_point_cloud(spec, [tuple(p) for p in params],
-                                    args.export)
+        rmanifold.write_point_cloud(spec, params, args.export)
         return _emit({"exported": args.export, "count": args.count}, args)
     report = rmanifold.singular_point_report(
         spec, radius=args.radius, samples=args.samples)

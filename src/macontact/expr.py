@@ -208,12 +208,14 @@ class Jet:
     ``multi_indices(n, order)``.  A jet at one point (a base of floats)
     is the one-lane case, a 1-D array; a jet over lanes (a base of n
     arrays, one entry per point, as ``Expr._jets`` builds) has one column
-    per lane.  Every operation acts on all lanes at once with
-    the float64 operations the one-point case performs, so each lane is
-    bitwise the jet at its point.  Products are truncated at the order, so a Jet is an element of
-    the truncated polynomial ring and all ring identities hold exactly up
-    to floating point roundoff.  Arithmetic may overflow to inf or NaN;
-    the library runs it under ``np.errstate``, so numpy does not warn.
+    per lane.  Every operation acts on all lanes at once with the float64
+    operations the one-point case performs, so each lane is bitwise the
+    jet at its point, up to the sign of a NaN (numpy's add may return
+    either NaN operand).  Products are truncated at the order, so a Jet
+    is an element of the truncated polynomial ring and all ring
+    identities hold exactly up to floating point roundoff.  Arithmetic
+    may overflow to inf or NaN; the library runs it under
+    ``np.errstate``, so numpy does not warn.
 
     ``value``, ``coefficient``, ``derivative`` and ``coeffs`` give Python
     floats at one point and one array per coefficient over lanes.
@@ -573,8 +575,8 @@ class Expr:
         negative power, a function leaving its domain or overflowing)
         fails with its first error in the batch's failure channel
         ``lanes``, and its value is meaningless.  Every other lane holds
-        the bits of :meth:`eval`, finite or not: it is the same walk over
-        float64 columns."""
+        the bits of :meth:`eval`, finite or not, up to the sign of a NaN:
+        it is the same walk over float64 columns."""
         columns = self._lane_columns(columns)
         with np.errstate(all="ignore"):
             values = _value_node(self.node, columns, lanes)
@@ -604,7 +606,7 @@ class Expr:
         where :meth:`eval_jet` raises fails with its first error in the
         failure channel ``lanes``, as in :meth:`_columns`, and its column
         is meaningless; on every other lane each coefficient is bitwise
-        :meth:`eval_jet`, finite or not."""
+        :meth:`eval_jet`, finite or not, up to the sign of a NaN."""
         columns = self._lane_columns(columns)
         if order < 0:
             raise ValueError("jet order must be nonnegative")
@@ -639,7 +641,8 @@ class _Lanes:
     """The failure channel of one batch of lanes, shared by every pass over
     it (of values or of jets): the lanes that raised, with the text of
     their first error.  A lane fails only when it raises; every other lane
-    holds the bits of the one-point walk, finite or not."""
+    holds the bits of the one-point walk, finite or not, up to the sign
+    of a NaN."""
 
     __slots__ = ("raised", "errors")
 

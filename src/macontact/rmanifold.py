@@ -32,6 +32,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -59,6 +60,7 @@ __all__ = [
 ]
 
 _CONSISTENCY_TOL = 1e-9  # largest |residual| of the prolonged equation on L_{k,l}
+_SIGN_BIT = np.int64(-2 ** 63)  # a float64's sign bit, as int64
 
 
 def jet_indices(k: int) -> tuple:
@@ -393,21 +395,64 @@ def singular_point_report(spec: RManifoldSpec, radius: float = 0.5,
         float(angle), float(angle_swapped), bend_ok, unique)
 
 
+def _copy_plan(columns) -> list:
+    """``(root, negated)`` per column: the first column whose bits equal
+    this one's (``negated``: its sign bits flipped) on every row, or the
+    column itself.  Only roots are looked up, so a copy of a copy resolves
+    to its root.  A hit of the bytes' hash is confirmed bit for bit.
+    """
+    roots, plan = {}, []  # hash of a root's bits -> its indices
+    for i, col in enumerate(columns):
+        bits = col.view(np.int64)
+        match = next(((j, negated)
+                      for negated, probe in ((False, bits), (True, bits ^ _SIGN_BIT))
+                      for j in roots.get(hash(probe.tobytes()), ())
+                      if np.array_equal(probe, columns[j].view(np.int64))), None)
+        if match is None:
+            roots.setdefault(hash(bits.tobytes()), []).append(i)
+            match = (i, False)
+        plan.append(match)
+    return plan
+
+
 def write_point_cloud(spec: RManifoldSpec, params, path) -> None:
     """CSV with one row per parameter pair: a, b, x, y, u_{p,q} (graded-lex).
 
-    Every point is computed before the file is opened; a NaN or infinity
-    (say from overflowing powers) raises EvalDomainError and writes nothing.
+    ``params`` is an iterable of pairs or a ``(count, 2)`` array.  Every
+    point is computed before the file is opened; a NaN or infinity (say
+    from overflowing powers) raises EvalDomainError and writes nothing.
+
+    Each distinct column is formatted once per row with ``%.17g``, which
+    depends on a float's bits alone: a column bitwise equal to an earlier
+    one reuses its text, and one equal to its negation (the prolonged
+    equation's u_{p,q} = -u_{p+2,q-2} for the complex numbers) the text
+    with its leading ``-`` flipped, ``0``/``-0`` included.
     """
-    pairs = np.array([(float(a), float(b)) for a, b in params]).reshape(-1, 2)
+    if not isinstance(params, np.ndarray):
+        params = np.array([(float(a), float(b)) for a, b in params]).reshape(-1, 2)
+    if params.ndim != 2 or params.shape[1] != 2:
+        raise ValueError(f"parameter pairs need shape (count, 2), not {params.shape}")
+    pairs = np.asarray(params, dtype=float)
     cols = _family_columns(spec, pairs[:, 0], pairs[:, 1])
     _require_finite("point of the family", cols, pairs)
     keys = jet_indices(spec.k)  # (k + 1)(k + 2)/2 of them: after the overflow check
+    plan = _copy_plan([pairs[:, 0], pairs[:, 1], *cols])
+    # a row's texts: the roots' in order, then, if any column is negated,
+    # every root's negation
+    roots = sorted({root for root, _ in plan})
+    slot = {root: n for n, root in enumerate(roots)}
+    take_roots = itemgetter(*roots)
+    flip = any(negated for _, negated in plan)
+    place = itemgetter(*[slot[root] + negated * len(roots) for root, negated in plan])
     # numbers need no CSV quoting: a row is 17-digit values joined by
     # commas, ended like the csv module's rows
-    row = ",".join(["%.17g"] * (2 + len(cols))) + "\r\n"
+    root_row = ",".join(["%.17g"] * len(roots))
+    row = ",".join(["%s"] * len(plan)) + "\r\n"
     with open(path, "w", newline="") as handle:
         csv.writer(handle).writerow(["a", "b", "x", "y"]
                                     + [f"u_{{{p},{q}}}" for p, q in keys])
         for pair, col in zip(pairs.tolist(), cols.T):
-            handle.write(row % (*pair, *col.tolist()))
+            texts = (root_row % take_roots(pair + col.tolist())).split(",")
+            if flip:
+                texts += [t[1:] if t[0] == "-" else "-" + t for t in texts]
+            handle.write(row % place(texts))

@@ -271,6 +271,97 @@ def test_point_cloud_csv(tmp_path):
     assert float(rows[1][2]) == pytest.approx(pt.x, rel=1e-15)
 
 
+def _oracle_write(spec, params, path):
+    """The point cloud with every value formatted: one template per row."""
+    pairs = np.array([(float(a), float(b)) for a, b in params]).reshape(-1, 2)
+    cols = _family_columns(spec, pairs[:, 0], pairs[:, 1])
+    rmanifold._require_finite("point of the family", cols, pairs)
+    row = ",".join(["%.17g"] * (2 + len(cols))) + "\r\n"
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle).writerow(["a", "b", "x", "y"]
+                                    + [f"u_{{{p},{q}}}" for p, q in jet_indices(spec.k)])
+        for pair, col in zip(pairs.tolist(), cols.T):
+            handle.write(row % (*pair, *col.tolist()))
+
+
+def _assert_cloud_matches_oracle(tmp_path, spec, params):
+    written, expected = tmp_path / "cloud.csv", tmp_path / "oracle.csv"
+    write_point_cloud(spec, params, written)
+    _oracle_write(spec, params, expected)
+    assert written.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("kind", list(ZetaKind))
+@pytest.mark.parametrize("k", range(2, 10))
+@pytest.mark.parametrize("l", range(2, 5))
+def test_point_cloud_bytes_match_the_oracle(tmp_path, kind, k, l):
+    try:
+        _scaling_constants(k, l)
+    except ValueError:
+        pytest.skip("the scaling constants overflow")
+    spec = RManifoldSpec(k, l, kind)
+    rng = np.random.default_rng(100 * k + l)
+    for count in (1, 2, 33, 600):
+        params = rng.uniform(-1.2, 1.2, size=(count, 2))
+        _assert_cloud_matches_oracle(tmp_path, spec, params)
+        _assert_cloud_matches_oracle(tmp_path, spec, [tuple(p) for p in params])
+
+
+# signed zeros, a repeated pair, a negated pair and a = b on every row
+_HAND_PARAMS = {
+    "zeros": [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)],
+    "mixed": [(0.0, -0.0), (0.5, -0.25), (0.5, -0.25), (-0.5, 0.25), (-0.0, 0.75),
+              (1e-200, -1e-200)],
+    "diagonal": [(0.3, 0.3), (-0.0, -0.0), (-1.1, -1.1)],
+    "one": [(0.5, -0.0)],
+    "none": [],
+}
+
+
+@pytest.mark.parametrize("kind", list(ZetaKind))
+@pytest.mark.parametrize("k, l", [(2, 2), (3, 3), (6, 2), (7, 4)])
+@pytest.mark.parametrize("name", sorted(_HAND_PARAMS))
+def test_point_cloud_bytes_match_the_oracle_on_hand_made_pairs(tmp_path, kind, k, l, name):
+    _assert_cloud_matches_oracle(tmp_path, RManifoldSpec(k, l, kind), _HAND_PARAMS[name])
+
+
+def test_copy_plan_resolves_a_copy_of_a_copy_to_its_root(tmp_path):
+    # for the complex numbers u_{0,4} = -u_{2,2} = u_{4,0}; u_{0,4} comes first
+    spec = RManifoldSpec(6, 2, ZetaKind.MINUS)
+    params = np.random.default_rng(5).uniform(-1.3, 1.3, size=(40, 2))
+    cols = _family_columns(spec, params[:, 0], params[:, 1])
+    columns = [params[:, 0], params[:, 1], *cols]
+    plan = rmanifold._copy_plan(columns)
+    pos = {key: 2 + i for i, key in enumerate(layout_keys(6))}
+    assert plan[pos[(0, 4)]] == (pos[(0, 4)], False)
+    assert plan[pos[(2, 2)]] == (pos[(0, 4)], True)
+    assert plan[pos[(4, 0)]] == (pos[(0, 4)], False)
+    assert plan[pos[(6, 0)]] == (0, False) and plan[pos[(5, 1)]] == (1, False)
+    for i, (root, negated) in enumerate(plan):
+        assert plan[root] == (root, False)
+        sign = -1.0 if negated else 1.0
+        assert (sign * columns[root]).tobytes() == columns[i].tobytes()
+    _assert_cloud_matches_oracle(tmp_path, spec, params)
+
+
+@pytest.mark.parametrize("collide", [False, True])
+def test_copy_plan_confirms_every_row(monkeypatch, tmp_path, collide):
+    if collide:  # every column's bytes hash alike: only the bits decide
+        monkeypatch.setattr(rmanifold, "hash", lambda data: 0, raising=False)
+    # equal on all rows but the last, where the bits differ only in sign
+    base = np.array([0.5, -0.0, 2.0, 0.0])
+    columns = [base, base.copy(), -base, base * np.array([1, 1, 1, -1.0])]
+    assert rmanifold._copy_plan(columns) == [(0, False), (0, False), (0, True), (3, False)]
+    _assert_cloud_matches_oracle(tmp_path, RManifoldSpec(6, 2, ZetaKind.MINUS),
+                                 _HAND_PARAMS["mixed"])
+
+
+def test_point_cloud_rejects_a_parameter_array_of_the_wrong_shape(tmp_path):
+    with pytest.raises(ValueError):
+        write_point_cloud(RManifoldSpec(2, 2, ZetaKind.MINUS), np.zeros((2, 3)),
+                          tmp_path / "cloud.csv")
+
+
 # --- column evaluation of L_{k,l} ------------------------------------------------------------
 
 def _oracle_point(spec, a, b):

@@ -10,7 +10,11 @@ derivative became 0, every flag stayed).  They cover a double-number
 report with directions excluded around the null cone, a dual-number report,
 a report whose unread rows overflow and a point-cloud export, so any change
 in the order of the float operations, in the tangents or in formatting
-shows up as a byte difference.
+shows up as a byte difference.  ``rmanifold_export_minus.csv`` (columns
+that are negations of others, and a copy of a copy) and
+``rmanifold_export_zero.csv`` (signed zeros) were written by the writer
+that formatted every value of a row, before it formatted each distinct
+column once.
 
 To rewrite the goldens after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_rmanifold_golden.py``.
@@ -38,9 +42,19 @@ REPORTS = {
     "rmanifold_minus_overflow.json": ["--k", "8", "--l", "5", "--kind", "minus",
                                       "--samples", "4", "--radius", "1e8"],
 }
-EXPORT = ("rmanifold_export.csv",
-          ["--k", "6", "--l", "4", "--kind", "plus", "--count", "40",
-           "--param-range", "1.1", "--seed", "9"])
+EXPORTS = {
+    "rmanifold_export.csv": ["--k", "6", "--l", "4", "--kind", "plus",
+                             "--count", "40", "--param-range", "1.1",
+                             "--seed", "9"],
+    # negated columns and a copy of a copy (u_{0,4} = -u_{2,2} = u_{4,0})
+    "rmanifold_export_minus.csv": ["--k", "6", "--l", "2", "--kind", "minus",
+                                   "--count", "40", "--param-range", "1.3",
+                                   "--seed", "5"],
+    # every q >= 2 column is 0 * value, a +0 or a -0
+    "rmanifold_export_zero.csv": ["--k", "5", "--l", "3", "--kind", "zero",
+                                  "--count", "30", "--param-range", "0.9",
+                                  "--seed", "11"],
+}
 
 
 def _run(argv):
@@ -50,9 +64,9 @@ def _run(argv):
     return code, out.getvalue()
 
 
-def _export(directory):
-    path = os.path.join(directory, EXPORT[0])
-    code, _ = _run(EXPORT[1] + ["--export", path])
+def _export(directory, name):
+    path = os.path.join(directory, name)
+    code, _ = _run(EXPORTS[name] + ["--export", path])
     with open(path, newline="") as handle:
         return code, handle.read()
 
@@ -70,9 +84,10 @@ def test_rmanifold_report_matches_golden(name):
 
 
 def test_rmanifold_export_matches_golden(tmp_path):
-    code, text = _export(str(tmp_path))
-    assert code == 0
-    assert text == _golden(EXPORT[0])
+    for name in EXPORTS:
+        code, text = _export(str(tmp_path), name)
+        assert code == 0, name
+        assert text == _golden(name), name
 
 
 def test_golden_report_covers_the_null_cone_and_the_dual_numbers():
@@ -90,9 +105,10 @@ if __name__ == "__main__":
             sys.exit(f"{name}: exit {code}")
         with open(os.path.join(GOLDEN, name), "w", newline="") as handle:
             handle.write(text)
-    with tempfile.TemporaryDirectory() as tmp:
-        code, text = _export(tmp)
-    if code != 0:
-        sys.exit(f"{EXPORT[0]}: exit {code}")
-    with open(os.path.join(GOLDEN, EXPORT[0]), "w", newline="") as handle:
-        handle.write(text)
+    for name in EXPORTS:
+        with tempfile.TemporaryDirectory() as tmp:
+            code, text = _export(tmp, name)
+        if code != 0:
+            sys.exit(f"{name}: exit {code}")
+        with open(os.path.join(GOLDEN, name), "w", newline="") as handle:
+            handle.write(text)
