@@ -205,7 +205,9 @@ def _index_labels(shape, sep: str) -> list:
 
 
 def _region_json(region) -> str:
-    """``dumps`` of ``region.to_json_dict()`` plus a newline."""
+    """The JSON of a region plus a newline: its grid, then one object per
+    cell in row-major order with the cell's index, delta and type (both
+    null on an error cell, which adds its error text)."""
     labels = _index_labels(region.grid.shape(), ", ")
     types = _JSON_TYPES
     rows = [f'{{"index": [{i}], "delta": {d:.17g}, "type": {types[c]}}}'
@@ -230,13 +232,18 @@ def _region_csv(region) -> str:
 
 # --- argument helpers ----------------------------------------------------------
 
+def _convert(kind, text: str):
+    """``kind(text)``, or the ArgumentTypeError argparse reports for it."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+
+
 def _positive_int(text: str, cap=None) -> int:
     """An int of at least 1 and, if ``cap`` is given, at most ``cap``: a
     count that would exhaust memory exits 2 before anything is allocated."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _convert(int, text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     if cap is not None and value > cap:
@@ -247,10 +254,7 @@ def _positive_int(text: str, cap=None) -> int:
 def _positive_float(text: str) -> float:
     """A positive float whose double is finite: the flags that take it
     sample [-x, x] or a circle of radius 2x."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    value = _convert(float, text)
     if not 0 < value <= MAX_HALF_FLOAT:
         raise argparse.ArgumentTypeError(f"must be positive and at most "
                                          f"{MAX_HALF_FLOAT!r}, got {value!r}")
@@ -260,10 +264,7 @@ def _positive_float(text: str) -> float:
 def _nonneg_float(text: str) -> float:
     """A finite float of at least 0: every tolerance and band takes it, so
     no comparison against it turns vacuous (``x > nan`` is always false)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    value = _convert(float, text)
     if not (math.isfinite(value) and value >= 0):
         raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {value!r}")
     return value
@@ -302,16 +303,12 @@ def _parse_fixed(text: str) -> dict:
     return fixed
 
 
-def _parse_point(text: str) -> DarbouxPoint:
+def _floats(text: str, count: int, name: str, items: str) -> list:
+    """Exactly ``count`` comma-separated floats, the value of --``name``."""
     values = [float(v) for v in text.split(",")]
-    if len(values) != 5:
-        raise ValueError("point needs 5 comma-separated values "
-                         "(x1, x2, u, p1, p2)")
-    return DarbouxPoint(*values)
-
-
-def _parse_kind(text: str) -> ZetaKind:
-    return ZetaKind(text)
+    if len(values) != count:
+        raise ValueError(f"{name} needs {count} comma-separated {items}")
+    return values
 
 
 def _homogeneous_poly(text: str, degree: int) -> bends.HomPoly:
@@ -319,7 +316,9 @@ def _homogeneous_poly(text: str, degree: int) -> bends.HomPoly:
 
     The jet is taken to order max(degree, degree bound of the input), so
     every term of the input is seen; an order above MAX_POLY_DEGREE, which
-    would make that jet costly, is refused.
+    would make that jet costly, is refused.  Every coefficient must be
+    finite, and one of another degree must be at most 1e-12 times the
+    largest coefficient.
     """
     expr = parse(text, ("x", "y"))
     bound = expr.degree_bound()
@@ -329,15 +328,16 @@ def _homogeneous_poly(text: str, degree: int) -> bends.HomPoly:
     if order > MAX_POLY_DEGREE:
         raise ValueError(f"{text!r} at --k {degree} needs a jet of order "
                          f"{order}, above the cap {MAX_POLY_DEGREE}")
-    jet = expr.eval_jet((0.0, 0.0), order)
+    jet = expr.eval_jet((0.0, 0.0), order).coeffs
+    if not all(map(math.isfinite, jet.values())):
+        raise ValueError(f"{text!r} has a non-finite coefficient")
+    tol = 1e-12 * max(map(abs, jet.values()), default=0.0)
     coeffs = np.zeros(degree + 1)
-    for alpha, value in jet.coeffs.items():
+    for alpha, value in jet.items():
         if sum(alpha) == degree:
             coeffs[alpha[0]] = value
-        elif abs(value) > 1e-12:
+        elif abs(value) > tol:
             raise ValueError(f"{text!r} is not homogeneous of degree {degree}")
-    if not np.all(np.isfinite(coeffs)):
-        raise ValueError(f"{text!r} has a non-finite coefficient")
     return bends.HomPoly(degree, coeffs)
 
 
@@ -430,7 +430,7 @@ def cmd_bend(args) -> int:
 
 def cmd_contact(args) -> int:
     nu = parse(args.nu, ("x1", "x2", "u", "p1", "p2"))
-    pt = _parse_point(args.point)
+    pt = DarbouxPoint(*_floats(args.point, 5, "point", "values (x1, x2, u, p1, p2)"))
     field = contact_field(ContactChart(), nu, pt)
     payload = {
         "nu": args.nu,
@@ -447,7 +447,7 @@ _REPORT_DEFAULTS = {"radius": 0.5, "samples": 16}
 
 
 def cmd_rmanifold(args) -> int:
-    spec = RManifoldSpec(args.k, args.l, _parse_kind(args.kind))
+    spec = RManifoldSpec(args.k, args.l, ZetaKind(args.kind))
     idle = _given(args, _REPORT_DEFAULTS if args.export else _CLOUD_DEFAULTS)
     if idle:
         raise ValueError(f"{idle[0]} acts only {'without' if args.export else 'with'} "
@@ -468,10 +468,7 @@ def cmd_rmanifold(args) -> int:
 
 
 def cmd_selfadjoint(args) -> int:
-    values = [float(v) for v in args.matrix.split(",")]
-    if len(values) != 16:
-        raise ValueError("matrix needs 16 comma-separated entries (row-major)")
-    matrix = np.array(values).reshape(4, 4)
+    matrix = np.array(_floats(args.matrix, 16, "matrix", "entries (row-major)")).reshape(4, 4)
     space = (monge_ampere.darboux_space() if args.space == "darboux"
              else symplectic.standard_space(2))
     result = symplectic.classify_dim4(space, symplectic.Operator(matrix, space),
@@ -618,6 +615,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:  # --out or --export cannot be written
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

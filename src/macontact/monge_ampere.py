@@ -153,12 +153,6 @@ def _structure_matrix(n, a, b, c, d) -> np.ndarray:
     return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
-def _lift_2jet(f: Expr, base) -> tuple:
-    """(lifted point, f11, f12, f22) from one order-2 jet of f at the base."""
-    u, p1, p2, f11, f12, f22 = _jet_lift(f.eval_jet(base, 2))
-    return DarbouxPoint(base[0], base[1], u, p1, p2), f11, f12, f22
-
-
 def _jet_lift(jet) -> tuple:
     """(f, f1, f2, f11, f12, f22) from an order-2 jet of f, at one point
     or over lanes."""
@@ -166,15 +160,10 @@ def _jet_lift(jet) -> tuple:
                                 ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
 
 
-def _equation_value(coeffs, f11, f12, f22) -> float:
-    n, a, b, c, d = coeffs
-    return n * (f11 * f22 - f12 * f12) + a * f11 + b * f12 + c * f22 + d
-
-
 def residual(eq: MAEquation, f: Expr, base) -> float:
-    """E = N (f11 f22 - f12^2) + A f11 + B f12 + C f22 + D at the lift."""
-    pt, f11, f12, f22 = _lift_2jet(f, base)
-    return _equation_value(eq.coefficients_at(pt), f11, f12, f22)
+    """E = N (f11 f22 - f12^2) + A f11 + B f12 + C f22 + D at the lift:
+    the one-point case of ``invariance_defects``."""
+    return invariance_defect(eq, f, base).residual
 
 
 def tangent_frame(f: Expr, base) -> tuple:
@@ -182,9 +171,10 @@ def tangent_frame(f: Expr, base) -> tuple:
 
     Z1 = e1 + f11 e3 + f12 e4,  Z2 = e2 + f12 e3 + f22 e4.
     """
-    pt, f11, f12, f22 = _lift_2jet(f, base)
-    z1 = VectorFieldValue((1.0, 0.0, pt.p1, f11, f12), pt)
-    z2 = VectorFieldValue((0.0, 1.0, pt.p2, f12, f22), pt)
+    u, p1, p2, f11, f12, f22 = _jet_lift(f.eval_jet(base, 2))
+    pt = DarbouxPoint(base[0], base[1], u, p1, p2)
+    z1 = VectorFieldValue((1.0, 0.0, p1, f11, f12), pt)
+    z2 = VectorFieldValue((0.0, 1.0, p2, f12, f22), pt)
     return z1, z2
 
 
@@ -248,7 +238,7 @@ def invariance_defects(eq: MAEquation, f: Expr, bases) -> InvarianceReport:
 def _defect_columns(f11, f12, f22, n, a, b, c, d) -> InvarianceReport:
     """The invariance report from columns of second derivatives and
     coefficients, in the order of the one-point formulas."""
-    e_val = _equation_value((n, a, b, c, d), f11, f12, f22)
+    e_val = n * (f11 * f22 - f12 * f12) + a * f11 + b * f12 + c * f22 + d
     m = _structure_matrix(n, a, b, c, d)
     one, zero = np.ones_like(f11), np.zeros_like(f11)
     z1 = np.stack([one, zero, f11, f12], axis=-1)
@@ -302,6 +292,8 @@ class GridSpec:
         for name in itertools.chain(self.axes, self.fixed):
             if name not in CHART_VARIABLES:
                 raise ValueError(f"unknown chart variable {name!r}")
+            if name in self.axes and name in self.fixed:
+                raise ValueError(f"{name!r} is both a grid axis and fixed")
         for name, (lo, hi, count) in self.axes.items():
             if count < 0:
                 raise ValueError(f"axis {name!r} has a negative count")
@@ -333,8 +325,8 @@ class GridSpec:
 
     def columns(self) -> tuple:
         """The five chart coordinates of every cell, one array each, in the
-        order of :meth:`indices`.  A fixed value wins over an axis of the
-        same name; a variable that is neither sits at 0.
+        order of :meth:`indices`; a variable that is neither an axis nor
+        fixed sits at 0.
         """
         names = self.axis_names()
         mesh = np.meshgrid(*(self.axis_values(n) for n in names), indexing="ij")
@@ -387,15 +379,6 @@ class RegionClassification:
             "fixed": dict(self.grid.fixed),
             "band": self.band,
         }
-
-    def to_json_dict(self) -> dict:
-        cells = []
-        for c in self.cells:
-            entry = {"index": list(c.index), "delta": c.delta, "type": c.type}
-            if c.error is not None:
-                entry["error"] = c.error
-            cells.append(entry)
-        return {"grid": self.grid_json_dict(), "cells": cells}
 
 
 def classify_region(eq: MAEquation, grid: GridSpec,

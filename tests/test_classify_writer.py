@@ -62,8 +62,9 @@ equations = st.builds(MAEquation.from_strings, *[st.sampled_from(COEFFS)] * 5)
 def grids(draw):
     names = draw(st.lists(st.sampled_from(CHART_VARIABLES), max_size=3, unique=True))
     axes = {n: draw(st.sampled_from(BOUNDS)) + (draw(st.integers(0, 9)),) for n in names}
-    fixed = {n: draw(st.sampled_from(FIXED)) for n in
-             draw(st.lists(st.sampled_from(CHART_VARIABLES), max_size=3, unique=True))}
+    rest = [n for n in CHART_VARIABLES if n not in axes]
+    fixed = {n: draw(st.sampled_from(FIXED))
+             for n in draw(st.lists(st.sampled_from(rest), max_size=3, unique=True))}
     return GridSpec(axes, fixed)
 
 
@@ -162,9 +163,3 @@ def test_cells_view_is_built_once_and_only_when_read(counter):
         "hyperbolic", "band", "parabolic", "band", "elliptic"]
     assert region.codes.tolist() == type_codes(region.deltas, 2.0).tolist()
 
-
-def test_cli_writer_skips_the_per_cell_dict(monkeypatch, tmp_path):
-    def refuse(self):
-        raise AssertionError("the CLI must not build the per-cell dict")
-    monkeypatch.setattr(monge_ampere.RegionClassification, "to_json_dict", refuse)
-    assert main(["classify", "--A", "1", "--C", "1", "--out", str(tmp_path / "o")]) == 0

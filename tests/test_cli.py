@@ -668,6 +668,66 @@ def test_an_ambiguous_prefix_still_exits_2(argv, message, capsys):
     assert (code, out) == (2, "") and message in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["contact", "--nu", "x1", "--point", "1,2,3,4"],
+     "input error: point needs 5 comma-separated values (x1, x2, u, p1, p2)\n"),
+    (["contact", "--nu", "x1", "--point", "1,2,x,4,5"],
+     "input error: could not convert string to float: 'x'\n"),
+    (["selfadjoint", "--matrix", ",".join(["1"] * 17)],
+     "input error: matrix needs 16 comma-separated entries (row-major)\n"),
+    (["verify", "--f", "x1", "--range", "wide"], "argument --range: invalid float value: 'wide'"),
+    (["verify", "--f", "x1", "--tol", "1,5"], "argument --tol: invalid float value: '1,5'"),
+    (["bend", "--k", "2.0", "--q1", "x^2", "--q2", "x*y"],
+     "argument --k: invalid int value: '2.0'"),
+])
+def test_list_and_number_flags_keep_their_error_texts(argv, message, capsys):
+    code, out, err = _run_main(argv, capsys)
+    assert (code, out) == (2, "") and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--A", "1", "--C", "1", "--out", "@DIR"],
+    ["classify", "--A", "1", "--C", "1", "--format", "csv", "--out", "@DIR/missing/x.csv"],
+    ["verify", "--A", "1", "--C", "1", "--f", "x1", "--out", "@DIR/missing/x.json"],
+    # a non-solution exits 1 once written; unwritten, it is an input error
+    ["verify", "--A", "1", "--C", "1", "--f", "x1^2", "--out", "@DIR"],
+    ["bend", "--k", "2", "--q1", "x^2", "--q2", "x*y", "--out", "@DIR/missing/x.json"],
+    ["rmanifold", "--k", "2", "--l", "2", "--kind", "minus", "--out", "@DIR"],
+    ["rmanifold", "--k", "2", "--l", "2", "--kind", "minus", "--export", "@DIR/missing/x.csv"],
+    ["rmanifold", "--k", "2", "--l", "2", "--kind", "minus", "--export", "@DIR"],
+])
+def test_unwritable_output_exits_2_with_one_error_line(argv, tmp_path, capsys):
+    code, out, err = _run_main([a.replace("@DIR", str(tmp_path)) for a in argv], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("output error: [Errno ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fixed_value_of_a_grid_axis_exits_2(capsys):
+    code, out, err = _run_main(["classify", "--A", "1", "--C", "1", "--grid", "x1=0:1:3",
+                                "--fixed", "x1=2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "input error: 'x1' is both a grid axis and fixed\n"
+
+
+@pytest.mark.parametrize("q1, code", [
+    # off-degree terms far above the degree-2 part, though below 1e-12
+    ("1e-20*x^2 + 1e-13*x", 2),
+    ("1e-20*x^2 + 1e-20*x", 2),
+    # an off-degree coefficient of roundoff size (5.6e-17) beside a unit one
+    ("x^2 + 0.1*x + 0.2*x - 0.3*x", 0),
+    # an infinite term is refused whatever its degree
+    ("x^2 + 1e300*1e300*x", 2),
+])
+def test_homogeneity_is_judged_against_the_largest_coefficient(q1, code, capsys):
+    got, out, err = _run_main(["bend", "--k", "2", "--q1", q1, "--q2", "x*y"], capsys)
+    assert got == code
+    if code == 2:
+        assert out == "" and err.startswith("input error: ")
+    else:
+        assert json.loads(out)["is_bend"] is True
+
+
 @pytest.mark.parametrize("command", [[], ["classify"], ["verify"], ["bend"], ["contact"],
                                      ["rmanifold"], ["selfadjoint"]])
 def test_help_exits_0(command, capsys):

@@ -85,6 +85,9 @@ def grids(draw):
 
 
 EXPORT, OUT = "@EXPORT", "@OUT"  # placeholders for the paths of one test run
+# and for two paths that cannot be written: the run's folder and a file in a missing one
+FOLDER, MISSING = "@FOLDER", "@MISSING"
+exports, outs = (mostly(st.just(path), [FOLDER, MISSING]) for path in (EXPORT, OUT))
 
 
 def _commands():
@@ -119,7 +122,7 @@ def _commands():
                                        .map(",".join), ["", "1,2,3,4", "1,2,3,4,5,6"])}),
         "rmanifold": (rmanifold, {"--radius": positives,
                                   "--samples": samples(MAX_REPORT_SAMPLES)}),
-        "rmanifold-export": ({**rmanifold, "--export": st.just(EXPORT)},
+        "rmanifold-export": ({**rmanifold, "--export": exports},
                              {"--count": mostly(small_ints, ["100001"]),
                               "--param-range": positives, "--seed": seeds}),
         "selfadjoint": ({"--matrix": mostly(st.lists(finite, min_size=16, max_size=16)
@@ -140,16 +143,17 @@ def argvs(draw):
     commands = _commands()
     name = draw(st.sampled_from(sorted(commands)))
     required, optional = commands[name]
+    optional = {**optional, "--out": outs}  # every subcommand takes --out
     flags = sorted(required)
     if flags and draw(st.integers(0, 9)) == 0:
         flags.remove(draw(st.sampled_from(flags)))
-    flags += draw(st.lists(st.sampled_from(sorted(optional)), unique=True)) if optional else []
+    flags += draw(st.lists(st.sampled_from(sorted(optional)), unique=True))
     if draw(st.integers(0, 9)) == 0:
         flags.append(draw(st.sampled_from(["--tol", "--residual-tol", "--radius", "--count",
-                                           "--seed", "--export", "--out", "--format"])))
+                                           "--seed", "--export", "--format"])))
     options = {**{f: tolerances for f in ("--tol", "--residual-tol")},
                "--radius": positives, "--count": small_ints, "--seed": seeds,
-               "--export": st.just(EXPORT), "--out": st.just(OUT),
+               "--export": exports,
                "--format": st.just("csv"), **optional, **required}
     # flag=value, so that argparse reads a value such as "-x1" as a value
     return [name.partition("-")[0]] + [f"{f}={draw(options[f])}" for f in flags]
@@ -178,9 +182,10 @@ def _finite_csv(text: str):
 
 @pytest.fixture(scope="module")
 def paths(tmp_path_factory):
-    """The --export and --out paths, one pair for all examples."""
+    """The --export and --out paths, one set for all examples."""
     folder = tmp_path_factory.mktemp("fuzz")
-    return {EXPORT: str(folder / "cloud.csv"), OUT: str(folder / "out.json")}
+    return {EXPORT: str(folder / "cloud.csv"), OUT: str(folder / "out.json"),
+            FOLDER: str(folder), MISSING: str(folder / "missing" / "out.json")}
 
 
 @settings(max_examples=200, deadline=None,
@@ -199,6 +204,11 @@ def test_hostile_argv_ends_in_a_documented_exit_code(paths, argv):
     assert code in (0, 1, 2, 3), (argv, code, stderr.getvalue())
     event(f"{argv[0]} exits {code}")
     out = stdout.getvalue()
+    if any(f"{flag}={paths[p]}" in argv for flag in ("--out", "--export")
+           for p in (FOLDER, MISSING)):
+        # an unwritable path is bad input, unless a numeric failure comes first
+        event(f"unwritable path, exits {code}")
+        assert code in (2, 3), (argv, code, stderr.getvalue())
     if code in (0, 1):
         if f"--out={paths[OUT]}" in argv:
             assert out == "", argv

@@ -20,8 +20,8 @@ from conftest import column_jets
 from macontact.contact import CHART_VARIABLES
 from macontact.expr import (FUNCTIONS, BinOp, Call, EvalDomainError, Expr, Jet,
                             Neg, Num, Pow, Var, _Lanes, multi_indices, parse)
-from macontact.monge_ampere import (MAEquation, invariance_defect,
-                                    invariance_defects, structure_operator)
+from macontact.monge_ampere import (MAEquation, invariance_defect, invariance_defects,
+                                    residual, structure_operator)
 from macontact.contact import DarbouxPoint
 
 SPECIAL = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e-300, -1e-300, 5e-324, 1e300, -1e300,
@@ -325,15 +325,20 @@ def test_batched_defects_match_point_defects_bitwise(which, node, bases):
         with pytest.raises(EvalDomainError) as exc:
             invariance_defects(eq, f, bases)
         assert str(exc.value) == error
+        # residual is the one-point case: the failing base raises the same text
+        with pytest.raises(EvalDomainError) as exc:
+            residual(eq, f, base)
+        assert str(exc.value) == error
         return
     report = invariance_defects(eq, f, bases)
-    for i, (defect, deviation, residual) in enumerate(expected):
+    for i, (defect, deviation, e_val) in enumerate(expected):
         assert _same(report.defect[i], defect)
         assert _same(report.decomposition_deviation[i], deviation)
-        assert _same(report.residual[i], residual)
+        assert _same(report.residual[i], e_val)
         one = invariance_defect(eq, f, bases[i])
         assert (_same(one.defect, defect) and _same(one.decomposition_deviation, deviation)
-                and _same(one.residual, residual))
+                and _same(one.residual, e_val))
+        assert _same(residual(eq, f, bases[i]), e_val)
 
 
 def test_batched_defects_match_point_defects_on_generic_equations():
@@ -395,7 +400,7 @@ def scalar_calls(monkeypatch):
 
     counting(expr_module.Expr, "eval")
     counting(expr_module.Expr, "eval_jet")
-    counting(monge_ampere, "_lift_2jet")
+    counting(monge_ampere, "invariance_defect")
     counting(MAEquation, "coefficients_at")
     return counts
 

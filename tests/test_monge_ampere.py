@@ -1,8 +1,10 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
+from macontact.cli import _region_json
 from macontact.contact import DarbouxPoint, contact_form_value
 from macontact.expr import Expr, parse
 from macontact.monge_ampere import (EquationType, GridSpec, MAEquation,
@@ -270,7 +272,7 @@ def test_classify_region_records_errors_per_cell():
 
 def test_region_json_shape():
     grid = GridSpec({"x1": (0, 1, 2)}, fixed={"u": 0.5})
-    payload = classify_region(LAPLACE, grid).to_json_dict()
+    payload = json.loads(_region_json(classify_region(LAPLACE, grid)))
     assert payload["grid"]["axes"] == {"x1": [0, 1, 2]}
     assert payload["grid"]["fixed"] == {"u": 0.5}
     assert payload["cells"][0]["index"] == [0]
@@ -338,6 +340,12 @@ def test_grid_columns_are_row_major_with_fixed_values():
     assert u.tolist() == [-1, 0, 1, -1, 0, 1]
     assert x2.tolist() == p1.tolist() == [0.0] * 6
     assert p2.tolist() == [0.5] * 6
+
+
+def test_grid_refuses_a_fixed_value_for_an_axis():
+    # the axis's values would never act: every cell would sit at the fixed value
+    with pytest.raises(ValueError, match="'x1' is both a grid axis and fixed"):
+        GridSpec({"x1": (0, 1, 3)}, fixed={"x1": 2.0})
 
 
 def test_grid_without_axes_is_one_cell():
