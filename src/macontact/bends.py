@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .symplectic import _nullspace, _orth, _sigma_ratios, _unit_columns
+from .gates import GATES, _nullspace, _orth, _sigma_ratios, _unit_columns, passes
 from .zeta import ZetaKind
 
 __all__ = [
@@ -110,8 +110,7 @@ def span_angle(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
     1973; Knyazev & Argentati, SIAM J. Sci. Comput. 2002): the arccos of a
     cosine near 1 resolves angles only down to about 1e-8.
     """
-    qa, qb = (_orth(m, max(m.shape) * np.finfo(float).eps)
-              for m in (basis_a, basis_b))
+    qa, qb = (_orth(m, "span_rank", max(m.shape)) for m in (basis_a, basis_b))
     if qa.shape[1] < qb.shape[1]:
         qa, qb = qb, qa
     cross = qa.T @ qb
@@ -143,7 +142,7 @@ def _prolongation_space(k: int, q1: HomPoly, q2: HomPoly) -> np.ndarray:
     proj_out = np.eye(k + 1) - q @ q.T
     dx, dy = _derivative_matrices(k + 1)
     constraints = np.vstack([proj_out @ dx, proj_out @ dy])
-    return _nullspace(constraints, 1e-10)
+    return _nullspace(constraints)
 
 
 def _spanning_probe(space: np.ndarray, k: int):
@@ -157,9 +156,7 @@ def _spanning_probe(space: np.ndarray, k: int):
         probes.append(v / np.linalg.norm(v))
     ratios = _sigma_ratios(np.stack([np.column_stack([dx @ v, dy @ v]) for v in probes]))
     best = int(np.argmax(ratios))  # the first of equal ratios
-    if ratios[best] <= 1e-8:
-        return None
-    return probes[best]
+    return probes[best] if passes("probe_rank2", ratios[best]) else None
 
 
 def _witness(k: int, space: np.ndarray):
@@ -199,8 +196,8 @@ def is_bend(k: int, q1: HomPoly, q2: HomPoly):
 def structure_matrix(f: HomPoly, g: HomPoly) -> tuple:
     """(alpha, beta, gamma, delta) with g_x = alpha f_x + beta f_y etc.
 
-    Solved by least squares on coefficient vectors; a residual above
-    1e-10 (at the data's scale) means the pair is not a valid witness.
+    Solved by least squares on coefficient vectors; a residual failing the
+    ``witness_span`` gate (1e-10 at the data's scale) rules the pair out.
     That bounds the cross-derivative identity gamma f_xx + (delta - alpha)
     f_xy - beta f_yy = 0: with r_x = alpha f_x + beta f_y - g_x and r_y
     alike, its left side is exactly d/dx r_y - d/dy r_x, and d/dx, d/dy
@@ -215,13 +212,13 @@ def structure_matrix(f: HomPoly, g: HomPoly) -> tuple:
     sol_y, *_ = np.linalg.lstsq(basis, gy.coeffs, rcond=None)
     res_x = float(np.abs(basis @ sol_x - gx.coeffs).max())
     res_y = float(np.abs(basis @ sol_y - gy.coeffs).max())
-    if max(res_x, res_y) > 1e-10 * scale:
+    if not passes("witness_span", np.maximum(res_x, res_y), scale):
         raise ValueError("derivatives of g do not lie in span{f_x, f_y}")
     return (float(sol_x[0]), float(sol_x[1]),
             float(sol_y[0]), float(sol_y[1]))
 
 
-def classify_bend(matrix, tol: float = 1e-9):
+def classify_bend(matrix, tol: float = GATES["bend_kind"].threshold):
     """Algebra kind of a structure matrix, plus its normalized generator.
 
     With B the trace-free part, B^2 = c*I for c = ((alpha-delta)/2)^2 +
@@ -234,15 +231,16 @@ def classify_bend(matrix, tol: float = 1e-9):
         if not math.isfinite(value):
             raise ValueError(f"structure matrix entry {name} is not finite: {value!r}")
     alpha, beta, gamma, delta = entries
-    scale = max(1.0, abs(alpha), abs(beta), abs(gamma), abs(delta))
-    if max(abs(beta), abs(gamma), abs(alpha - delta)) <= tol * scale:
+    size = max(abs(alpha), abs(beta), abs(gamma), abs(delta))  # floored at 1 by the gates
+    if not passes("bend_nonscalar", max(abs(beta), abs(gamma), abs(alpha - delta)), size,
+                  threshold=tol):
         raise ValueError("structure matrix is scalar: degenerate bend data")
     b = np.array([[(alpha - delta) / 2.0, beta],
                   [gamma, (delta - alpha) / 2.0]])
     c = ((alpha - delta) / 2.0) ** 2 + beta * gamma
-    if c < -tol * scale * scale:
+    if passes("bend_kind", -c, size, size, threshold=tol):
         return ZetaKind.MINUS, b / np.sqrt(-c)
-    if c > tol * scale * scale:
+    if passes("bend_kind", c, size, size, threshold=tol):
         return ZetaKind.PLUS, b / np.sqrt(c)
     return ZetaKind.ZERO, b
 

@@ -10,6 +10,7 @@ no code path returns it.
 
 import argparse
 import math
+import os
 import sys
 from functools import lru_cache, partial
 
@@ -18,6 +19,7 @@ import numpy as np
 from . import bends, monge_ampere, rmanifold, symplectic
 from .contact import ContactChart, DarbouxPoint, contact_field, contact_form_value
 from .expr import EvalDomainError, ParseError, parse
+from .gates import GATES, passes
 from .monge_ampere import GridSpec, MAEquation
 from .rmanifold import RManifoldSpec
 from .zeta import ZetaKind
@@ -317,8 +319,8 @@ def _homogeneous_poly(text: str, degree: int) -> bends.HomPoly:
     The jet is taken to order max(degree, degree bound of the input), so
     every term of the input is seen; an order above MAX_POLY_DEGREE, which
     would make that jet costly, is refused.  Every coefficient must be
-    finite, and one of another degree must be at most 1e-12 times the
-    largest coefficient.
+    finite, and one of another degree must pass the ``poly_homogeneous``
+    gate (at most 1e-12 times the largest coefficient).
     """
     expr = parse(text, ("x", "y"))
     bound = expr.degree_bound()
@@ -331,12 +333,12 @@ def _homogeneous_poly(text: str, degree: int) -> bends.HomPoly:
     jet = expr.eval_jet((0.0, 0.0), order).coeffs
     if not all(map(math.isfinite, jet.values())):
         raise ValueError(f"{text!r} has a non-finite coefficient")
-    tol = 1e-12 * max(map(abs, jet.values()), default=0.0)
+    scale = max(map(abs, jet.values()), default=0.0)
     coeffs = np.zeros(degree + 1)
     for alpha, value in jet.items():
         if sum(alpha) == degree:
             coeffs[alpha[0]] = value
-        elif abs(value) > tol:
+        elif not passes("poly_homogeneous", abs(value), scale):
             raise ValueError(f"{text!r} is not homogeneous of degree {degree}")
     return bends.HomPoly(degree, coeffs)
 
@@ -361,7 +363,7 @@ def cmd_classify(args) -> int:
     if grid.size() > MAX_GRID_CELLS:
         raise ValueError(f"grid has {grid.size()} cells, above the cap {MAX_GRID_CELLS}")
     region = monge_ampere.classify_region(eq, grid, band=args.band)
-    if region.error_fraction > args.max_error_fraction:
+    if not passes("error_fraction", region.error_fraction, threshold=args.max_error_fraction):
         print(f"error: {region.error_fraction:.2%} of cells failed to "
               "evaluate", file=sys.stderr)
         return EXIT_NUMERIC
@@ -375,19 +377,12 @@ def _given(args, names) -> list:
     return ["--" + n.replace("_", "-") for n in names if getattr(args, n) is not None]
 
 
-def _defaults(args, defaults: dict):
-    for name, value in defaults.items():
-        if getattr(args, name) is None:
-            setattr(args, name, value)
-
-
 def cmd_verify(args) -> int:
     if args.tol is not None:
         own = _given(args, ("residual_tol", "defect_tol"))
         if own:
             raise ValueError(f"--tol sets both tolerances; drop {' and '.join(own)}")
         args.residual_tol = args.defect_tol = args.tol
-    _defaults(args, {"residual_tol": 1e-9, "defect_tol": 1e-8})
     eq = _equation_from_args(args)
     f = parse(args.f, ("x1", "x2"))
     rng = np.random.default_rng(args.seed)
@@ -396,7 +391,8 @@ def cmd_verify(args) -> int:
     max_res = max(map(abs, report.residual.tolist()))
     max_defect = max(report.defect.tolist())
     max_dev = max(report.decomposition_deviation.tolist())
-    passed = max_res <= args.residual_tol and max_defect <= args.defect_tol
+    passed = (passes("verify_residual", max_res, threshold=args.residual_tol)
+              and passes("verify_defect", max_defect, threshold=args.defect_tol))
     payload = {
         "equation": {name: getattr(args, name) for name in "NABCD"},
         "solution": args.f,
@@ -452,8 +448,12 @@ def cmd_rmanifold(args) -> int:
     if idle:
         raise ValueError(f"{idle[0]} acts only {'without' if args.export else 'with'} "
                          "--export")
-    _defaults(args, _CLOUD_DEFAULTS if args.export else _REPORT_DEFAULTS)
+    for name, value in (_CLOUD_DEFAULTS if args.export else _REPORT_DEFAULTS).items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
     if args.export:
+        if args.out and os.path.realpath(args.out) == os.path.realpath(args.export):
+            raise ValueError("--out and --export name the same file")
         if args.count > MAX_CLOUD_POINTS:
             raise ValueError(f"point cloud has {args.count} points, "
                              f"above the cap {MAX_CLOUD_POINTS}")
@@ -461,7 +461,11 @@ def cmd_rmanifold(args) -> int:
         params = rng.uniform(-args.param_range, args.param_range,
                              size=(args.count, 2))
         rmanifold.write_point_cloud(spec, params, args.export)
-        return _emit({"exported": args.export, "count": args.count}, args)
+        try:
+            return _emit({"exported": args.export, "count": args.count}, args)
+        except OSError:  # --out cannot be written: leave no cloud behind
+            os.remove(args.export)
+            raise
     report = rmanifold.singular_point_report(
         spec, radius=args.radius, samples=args.samples)
     return _emit(report.to_json_dict(), args)
@@ -506,9 +510,10 @@ def build_parser() -> argparse.ArgumentParser:
                         f"'default' means {DEFAULT_GRID}")
     p.add_argument("--fixed", default="",
                    help="fixed values for non-axis variables, var=value pairs")
-    p.add_argument("--band", type=_nonneg_float, default=1e-9,
+    p.add_argument("--band", type=_nonneg_float, default=GATES["type_band"].threshold,
                    help="parabolic band half-width on the discriminant")
-    p.add_argument("--max-error-fraction", type=_nonneg_float, default=0.25)
+    p.add_argument("--max-error-fraction", type=_nonneg_float,
+                   default=GATES["error_fraction"].threshold)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_classify)
 
@@ -564,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="16 comma-separated entries, row-major")
     p.add_argument("--space", choices=("standard", "darboux"),
                    default="standard")
-    p.add_argument("--tol", type=_nonneg_float, default=1e-9,
+    p.add_argument("--tol", type=_nonneg_float, default=GATES["dim4_scalar"].threshold,
                    help="residual tolerance of the classification")
     p.set_defaults(func=cmd_selfadjoint)
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import Expr, Jet, _partial_table, _product
+from .gates import GATES, passes
 
 __all__ = [
     "CHART_VARIABLES",
@@ -204,13 +205,14 @@ def contact_field(chart: ContactChart, nu: Expr, pt: DarbouxPoint) -> VectorFiel
     return VectorFieldValue(comps, pt)
 
 
-def is_contact_field(chart: ContactChart, field, points, tol: float = 1e-9) -> bool:
+def is_contact_field(chart: ContactChart, field, points,
+                     tol: float = GATES["contact_field"].threshold) -> bool:
     """Check [e_i, Z] in D for every frame field at every sample point."""
     for pt in points:
         z = field_jets_from_exprs(field, pt, 1)
         for e in frame_field_jets(pt, 1):
             br = bracket_fields(e, z)
-            if abs(omega_of_field(pt, br)) > tol:
+            if not passes("contact_field", abs(omega_of_field(pt, br)), threshold=tol):
                 return False
     return True
 

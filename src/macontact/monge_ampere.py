@@ -22,6 +22,7 @@ import numpy as np
 from . import symplectic
 from .contact import CHART_VARIABLES, ContactChart, DarbouxPoint, VectorFieldValue, curvature_gram
 from .expr import EvalDomainError, Expr, _Lanes, parse
+from .gates import GATES, passes
 from .symplectic import ClassificationResult, Operator, SymplecticSpace
 
 __all__ = [
@@ -111,8 +112,8 @@ def type_codes(deltas, band: float) -> np.ndarray:
     sign to read, so it gets ERROR.
     """
     deltas = np.asarray(deltas, dtype=float)
-    return np.select([~np.isfinite(deltas), deltas == 0.0, np.abs(deltas) <= band,
-                      deltas < 0.0],
+    return np.select([~np.isfinite(deltas), deltas == 0.0,
+                      passes("type_band", np.abs(deltas), threshold=band), deltas < 0.0],
                      [ERROR, PARABOLIC, BAND, ELLIPTIC], HYPERBOLIC).astype(np.int8)
 
 
@@ -129,7 +130,8 @@ def delta_type(delta: float, band: float) -> str:
     return TYPE_NAMES[code]
 
 
-def classify(eq: MAEquation, pt: DarbouxPoint, band: float = 1e-9) -> EquationType:
+def classify(eq: MAEquation, pt: DarbouxPoint,
+             band: float = GATES["type_band"].threshold) -> EquationType:
     """Equation type at a point; the band around Delta = 0 counts as parabolic."""
     kind = delta_type(discriminant(eq, pt), band)
     return EquationType.PARABOLIC if kind == "band" else EquationType(kind)
@@ -265,7 +267,8 @@ class BasicAlgebra:
     jordan_closure_defect: float
 
 
-def basic_algebra(eq: MAEquation, pt: DarbouxPoint, tol: float = 1e-9) -> BasicAlgebra:
+def basic_algebra(eq: MAEquation, pt: DarbouxPoint,
+                  tol: float = GATES["dim4_scalar"].threshold) -> BasicAlgebra:
     """span{I, frak_A} with its classification; requires frak_A non-scalar."""
     sp = darboux_space()
     op = structure_operator(eq, pt)
@@ -382,7 +385,7 @@ class RegionClassification:
 
 
 def classify_region(eq: MAEquation, grid: GridSpec,
-                    band: float = 1e-9) -> RegionClassification:
+                    band: float = GATES["type_band"].threshold) -> RegionClassification:
     """Pointwise type over the grid by ``type_codes``.
 
     The coefficients are evaluated as columns over all cells at once and

@@ -38,7 +38,7 @@ import numpy as np
 
 from .bends import HomPoly, normal_form, poly_from_fiber_vector, span_angle
 from .expr import EvalDomainError, multi_indices
-from .symplectic import _sigma_ratios
+from .gates import GATES, _sigma_ratios, passes
 from .zeta import ZetaKind, frac_factorial
 
 __all__ = [
@@ -59,7 +59,6 @@ __all__ = [
     "write_point_cloud",
 ]
 
-_CONSISTENCY_TOL = 1e-9  # largest |residual| of the prolonged equation on L_{k,l}
 _SIGN_BIT = np.int64(-2 ** 63)  # a float64's sign bit, as int64
 
 
@@ -228,14 +227,11 @@ def family_point(spec: RManifoldSpec, a: float, b: float) -> JetChartPoint:
 
 
 def family_consistency(pt: JetChartPoint, kind: ZetaKind,
-                       tol: float = _CONSISTENCY_TOL) -> list:
+                       tol: float = GATES["family_consistency"].threshold) -> list:
     """Offending (index, residual) pairs of the prolonged equation, if any."""
     res = prolonged_residuals(pt, kind)
-    out = []
-    for pq, value in zip(jet_indices(pt.k - 2), res):
-        if abs(value) > tol:
-            out.append((pq, float(value)))
-    return out
+    ok = passes("family_consistency", np.abs(res), threshold=tol).tolist()
+    return [(pq, float(v)) for pq, v, fine in zip(jet_indices(pt.k - 2), res, ok) if not fine]
 
 
 def tangent_vectors(spec: RManifoldSpec, a: float, b: float,
@@ -374,8 +370,8 @@ def singular_point_report(spec: RManifoldSpec, radius: float = 0.5,
         dets = np.linalg.det(blocks)
     _require_finite("determinant of the base projection",
                     np.vstack([dets, ratios]), kept)
-    samples_out = [((a, b), det, ratio, ratio > 1e-6) for (a, b), det, ratio
-                   in zip(kept, dets.tolist(), ratios.tolist())]
+    samples_out = list(zip(kept, dets.tolist(), ratios.tolist(),
+                           passes("base_rank2", ratios).tolist()))
 
     ta0, tb0 = ta[:, -1], tb[:, -1]
     base_mag = float(max(abs(ta0[px]), abs(ta0[py]), abs(tb0[px]), abs(tb0[py])))
@@ -386,7 +382,7 @@ def singular_point_report(spec: RManifoldSpec, radius: float = 0.5,
     swapped = nf[::-1, :]  # reversing coefficients swaps x and y
     angle = span_angle(bend, nf)
     angle_swapped = span_angle(bend, swapped)
-    bend_ok = bool(angle <= 1e-8)
+    bend_ok = bool(passes("bend_angle", angle))
 
     unique = bool(all(ok for *_, ok in samples_out) and rank0_ok and
                   (bend_ok or spec.kind is ZetaKind.ZERO))

@@ -14,6 +14,8 @@ from typing import Optional
 
 import numpy as np
 
+from .gates import GATES, _fix_signs, _nullspace, _orth, _unit_columns, passes
+
 __all__ = [
     "SymplecticSpace",
     "Operator",
@@ -28,11 +30,6 @@ __all__ = [
     "nilpotent_from_lagrangian",
     "direct_sum_operator",
 ]
-
-_RANK_TOL = 1e-10
-# ||A||_F above this makes ||A||^2, A^2 or the discriminant overflow, and
-# every tolerance scaled by them vacuous
-_MAX_NORM = 1e150
 
 
 @dataclass(frozen=True)
@@ -49,7 +46,7 @@ class SymplecticSpace:
         if not np.array_equal(j.T, -j):
             raise ValueError("Gram matrix must be antisymmetric")
         scale = np.abs(j).max()
-        if scale == 0 or abs(np.linalg.det(j / scale)) <= 1e-12:
+        if scale == 0 or not passes("gram_nondegenerate", abs(np.linalg.det(j / scale))):
             raise ValueError("Gram matrix must be nondegenerate")
 
     @property
@@ -101,59 +98,23 @@ def standard_space(n: int) -> SymplecticSpace:
     return SymplecticSpace(j)
 
 
-def is_self_adjoint(sp: SymplecticSpace, a: Operator, tol: float = 1e-10) -> bool:
+def _adjoint_defect(sp: SymplecticSpace, a: Operator) -> float:
+    """max |A^T J - J A|, zero exactly for a self-adjoint A."""
     if a.space.dim != sp.dim:
         raise ValueError("operator and space dimensions differ")
     m, j = a.matrix, sp.gram
-    return float(np.abs(m.T @ j - j @ m).max()) <= tol
+    return float(np.abs(m.T @ j - j @ m).max())
+
+
+def is_self_adjoint(sp: SymplecticSpace, a: Operator,
+                    tol: float = GATES["self_adjoint"].threshold) -> bool:
+    return passes("self_adjoint", _adjoint_defect(sp, a), threshold=tol)
 
 
 def jordan_product(a: Operator, b: Operator) -> Operator:
     if a.space.dim != b.space.dim:
         raise ValueError("operators live on different spaces")
     return Operator((a.matrix @ b.matrix + b.matrix @ a.matrix) / 2.0, a.space)
-
-
-def _fix_signs(basis: np.ndarray) -> np.ndarray:
-    """Deterministic orientation: first nonzero entry of each column >= 0."""
-    out = basis.copy()
-    for col in range(out.shape[1]):
-        v = out[:, col]
-        nz = np.nonzero(np.abs(v) > 1e-12)[0]
-        if nz.size and v[nz[0]] < 0:
-            out[:, col] = -v
-    return out
-
-
-def _orth(m: np.ndarray, rtol: float) -> np.ndarray:
-    """Orthonormal basis of the column span, cut at rtol * largest singular value."""
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    return u[:, :int(np.sum(s > rtol * s[0]))]
-
-
-def _nullspace(m: np.ndarray, rtol: float = _RANK_TOL) -> np.ndarray:
-    """Orthonormal null-space basis, rank cut at rtol * largest singular value."""
-    _, s, vh = np.linalg.svd(m)
-    return _fix_signs(vh[int(np.sum(s > rtol * s[0])):].T)
-
-
-def _sigma_ratios(stack: np.ndarray) -> np.ndarray:
-    """Smallest over largest singular value of each matrix of ``stack``
-    (0 for a zero matrix), from one batched SVD."""
-    s = np.linalg.svd(stack, compute_uv=False)
-    with np.errstate(all="ignore"):
-        return np.where(s[..., 0] > 0, s[..., -1] / s[..., 0], 0.0)
-
-
-def _unit_columns(m: np.ndarray) -> tuple:
-    """The columns of ``m`` divided by their Euclidean norms (hypot cannot
-    overflow; a zero column stays zero), and whether they are independent
-    whatever the scale of each: the smallest singular value above
-    ``_RANK_TOL`` times the largest."""
-    norms = np.hypot.reduce(m, axis=0)
-    units = m / np.where(norms > 0.0, norms, 1.0)
-    s = np.linalg.svd(units, compute_uv=False)
-    return units, bool(s[-1] > _RANK_TOL * s[0])
 
 
 def cyclic_subspace(sp: SymplecticSpace, a: Operator, v) -> np.ndarray:
@@ -166,7 +127,7 @@ def cyclic_subspace(sp: SymplecticSpace, a: Operator, v) -> np.ndarray:
     for _ in range(sp.dim):
         cols.append(w)
         w = a.matrix @ w
-    return _fix_signs(_orth(np.column_stack(cols), _RANK_TOL))
+    return _fix_signs(_orth(np.column_stack(cols)))
 
 
 def is_lagrangian(sp: SymplecticSpace, plane) -> bool:
@@ -180,10 +141,11 @@ def is_lagrangian(sp: SymplecticSpace, plane) -> bool:
         raise ValueError("plane vectors are linearly dependent")
     if sp.dim != 4:
         return False
-    return abs(sp.pairing(p[:, 0], p[:, 1])) <= 1e-10
+    return passes("lagrangian", abs(sp.pairing(p[:, 0], p[:, 1])))
 
 
-def classify_dim4(sp: SymplecticSpace, a: Operator, tol: float = 1e-9,
+def classify_dim4(sp: SymplecticSpace, a: Operator,
+                  tol: float = GATES["dim4_scalar"].threshold,
                   band: Optional[float] = None) -> ClassificationResult:
     """Classify a self-adjoint operator on a 4-dimensional symplectic space.
 
@@ -197,14 +159,8 @@ def classify_dim4(sp: SymplecticSpace, a: Operator, tol: float = 1e-9,
     * |d| <= band: parabolic, with the Lagrangian plane
       W = Ker(A - lambda I) = Im(A - lambda I).
 
-    Parameters
-    ----------
-    tol : float
-        Residual tolerance for self-adjointness, the scalar test and the
-        minimal-polynomial residual (scaled by the operator norm).
-    band : float, optional
-        Width of the parabolic discriminant band; defaults to
-        1e-9 * max(1, ||A||_F^2).
+    ``tol`` is the threshold of the self-adjoint, scalar and minimal-
+    polynomial gates, ``band`` that of ``dim4_band`` (README "Gates").
     """
     if sp.dim != 4:
         raise ValueError("classification implemented for dimension 4 only")
@@ -215,17 +171,15 @@ def classify_dim4(sp: SymplecticSpace, a: Operator, tol: float = 1e-9,
         raise ValueError(f"operator entry ({i}, {j}) is not finite: {float(m[i, j])!r}")
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(m))
-    if not norm <= _MAX_NORM:
+    if not passes("dim4_norm", norm):  # above it ||A||^2 or A^2 overflows
         raise ValueError(f"operator too large to classify: ||A||_F = {norm!r} "
-                         f"exceeds {_MAX_NORM:g}, so ||A||^2 and A^2 overflow")
-    scale = max(1.0, norm)
-    if not is_self_adjoint(sp, a, tol * scale):
+                         f"exceeds {GATES['dim4_norm'].threshold:g}, so ||A||^2 and A^2 "
+                         "overflow")
+    if not passes("dim4_self_adjoint", _adjoint_defect(sp, a), norm, threshold=tol):
         raise ValueError("operator is not self-adjoint within tolerance")
-    if band is None:
-        band = 1e-9 * max(1.0, norm ** 2)
 
     lam = float(np.trace(m)) / 4.0
-    if float(np.abs(m - lam * np.eye(4)).max()) <= tol * scale:
+    if passes("dim4_scalar", float(np.abs(m - lam * np.eye(4)).max()), norm, threshold=tol):
         return ClassificationResult(OperatorType.SCALAR, (lam,), (lam,))
 
     square = m @ m
@@ -233,12 +187,13 @@ def classify_dim4(sp: SymplecticSpace, a: Operator, tol: float = 1e-9,
     p = -trace / 2.0
     q = -(p * trace + float(np.trace(square))) / 4.0
     resid = float(np.abs(square + p * m + q * np.eye(4)).max())
-    if resid > tol * max(1.0, norm ** 2):
+    if not passes("dim4_min_poly", resid, norm ** 2, threshold=tol):
         raise ValueError("A^2 is not in span{I, A}: input is not a "
                          "self-adjoint operator of a 4-dim symplectic space")
     disc = p * p - 4.0 * q
+    bands = () if band is not None else (norm ** 2,)  # a given band is absolute
 
-    if disc < -band:
+    if passes("dim4_band", -disc, *bands, threshold=band):
         re, im = -p / 2.0, np.sqrt(-disc) / 2.0
         b = (m - re * np.eye(4)) / im
         return ClassificationResult(
@@ -246,7 +201,7 @@ def classify_dim4(sp: SymplecticSpace, a: Operator, tol: float = 1e-9,
             (complex(re, im), complex(re, -im)),
             complex_structure=b)
 
-    if disc > band:
+    if passes("dim4_band", disc, *bands, threshold=band):
         root = np.sqrt(disc)
         l1, l2 = (-p - root) / 2.0, (-p + root) / 2.0
         planes = tuple(_nullspace(m - l * np.eye(4)) for l in (l1, l2))
@@ -276,7 +231,7 @@ def nilpotent_from_lagrangian(sp: SymplecticSpace, w_plane, u_plane) -> Operator
     if not is_lagrangian(sp, (w1, w2)):
         raise ValueError("W is not a Lagrangian plane")
     full = np.column_stack([u1, u2, w1, w2])
-    if abs(np.linalg.det(full)) <= 1e-12 * max(np.abs(full).max(), 1.0) ** 4:
+    if not passes("complement", abs(np.linalg.det(full)), np.abs(full).max() ** 4):
         raise ValueError("U is not complementary to W")
     if is_lagrangian(sp, (u1, u2)):
         raise ValueError("U must be non-Lagrangian for the line construction")
@@ -284,17 +239,14 @@ def nilpotent_from_lagrangian(sp: SymplecticSpace, w_plane, u_plane) -> Operator
     def line_in_w(u):
         # w = a w1 + b w2 with <u, w> = 0
         g1, g2 = sp.pairing(u, w1), sp.pairing(u, w2)
-        if abs(g1) <= 1e-12 and abs(g2) <= 1e-12:
+        if not passes("pairing_nonzero", np.abs([g1, g2])).any():
             raise ValueError("symplectic orthogonal of u contains all of W")
         return -g2 * w1 + g1 * w2
 
     b1, b2 = line_in_w(u1), line_in_w(u2)
     # scales (s, t) with s <u2, b1> + t <u1, b2> = 0
     c1, c2 = sp.pairing(u2, b1), sp.pairing(u1, b2)
-    if abs(c1) <= 1e-12 and abs(c2) <= 1e-12:
-        s, t = 1.0, 1.0
-    else:
-        s, t = c2, -c1
+    s, t = (c2, -c1) if passes("pairing_nonzero", np.abs([c1, c2])).any() else (1.0, 1.0)
     images = np.column_stack([s * b1, t * b2,
                               np.zeros(sp.dim), np.zeros(sp.dim)])
     b = images @ np.linalg.inv(full)

@@ -162,6 +162,41 @@ def test_rmanifold_export(tmp_path):
     assert len(lines) == 6
 
 
+_CLOUD = ["rmanifold", "--k", "2", "--l", "2", "--kind", "minus", "--count", "5"]
+
+
+@pytest.mark.parametrize("out", ["c.csv", "./c.csv", "sub/../c.csv"])
+def test_rmanifold_export_and_out_naming_one_file_exit_2_writing_nothing(out, tmp_path,
+                                                                         monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    code, stdout, err = _run_main(_CLOUD + ["--export", "c.csv", "--out", out], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == "input error: --out and --export name the same file\n"
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_rmanifold_unwritable_out_leaves_no_cloud(tmp_path, capsys):
+    cloud = tmp_path / "d.csv"
+    code, stdout, err = _run_main(_CLOUD + ["--export", str(cloud),
+                                            "--out", str(tmp_path / "missing" / "x.json")],
+                                  capsys)
+    assert (code, stdout) == (2, "") and err.startswith("output error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rmanifold_cloud_failing_with_exit_3_leaves_out_untouched(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    out.write_text("kept\n")
+    # s^2 overflows at a parameter near 1e200
+    code, stdout, err = _run_main(["rmanifold", "--k", "3", "--l", "2", "--kind", "minus",
+                                   "--export", str(tmp_path / "e.csv"), "--out", str(out),
+                                   "--param-range", "1e200"], capsys)
+    assert (code, stdout) == (3, "") and err.startswith("numeric error: non-finite point")
+    assert out.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json"]
+
+
 # --- determinism ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("args", [

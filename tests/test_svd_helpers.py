@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from macontact.bends import span_angle
-from macontact.symplectic import _fix_signs, _nullspace
+from macontact.gates import _fix_signs, _nullspace
 
 
 def test_import_does_not_load_scipy():
