@@ -224,7 +224,8 @@ def classify_bend(matrix, tol: float = GATES["bend_kind"].threshold):
     With B the trace-free part, B^2 = c*I for c = ((alpha-delta)/2)^2 +
     beta*gamma; c < 0, = 0, > 0 select the complex, dual and double
     numbers.  The generator is B/sqrt|c| when c is nonzero, B itself in the
-    nilpotent case.  A non-finite entry has no kind: it is a ValueError.
+    nilpotent case.  A non-finite entry, or a c that overflows, has no
+    kind: it is a ValueError.
     """
     entries = tuple(float(v) for v in matrix)
     for name, value in zip(("alpha", "beta", "gamma", "delta"), entries):
@@ -237,7 +238,13 @@ def classify_bend(matrix, tol: float = GATES["bend_kind"].threshold):
         raise ValueError("structure matrix is scalar: degenerate bend data")
     b = np.array([[(alpha - delta) / 2.0, beta],
                   [gamma, (delta - alpha) / 2.0]])
-    c = ((alpha - delta) / 2.0) ** 2 + beta * gamma
+    try:
+        c = ((alpha - delta) / 2.0) ** 2 + beta * gamma
+    except OverflowError:  # the float power raises where a product gives inf
+        c = math.inf + beta * gamma
+    if not math.isfinite(c):
+        raise ValueError(f"structure matrix invariant c = ((alpha - delta)/2)^2 + "
+                         f"beta*gamma is not finite: {c!r}")
     if passes("bend_kind", -c, size, size, threshold=tol):
         return ZetaKind.MINUS, b / np.sqrt(-c)
     if passes("bend_kind", c, size, size, threshold=tol):

@@ -406,23 +406,31 @@ def _fail(lanes, mask, text: str, arg=None):
         raise EvalDomainError(text if arg is None else text.format(arg))
 
 
+def _elementwise(func, x) -> np.ndarray:
+    """The Python float function ``func`` of every element of ``x``, at
+    the shape of ``x``: once per distinct lane value of a broadcast axis,
+    not once per lane of the batch."""
+    return np.array(list(map(func, np.ravel(x).tolist()))).reshape(np.shape(x))
+
+
 def _call(func: str, x, lanes=None):
     """``func`` of one float by its ``_FUNCS`` entry, or over lanes by the
-    same ``math`` call lane by lane, a constant ``x`` filling every lane;
-    a lane that failed reads 0.0."""
+    same ``math`` call element by element of ``x``, at its own shape; an
+    element outside the domain fails and reads 0.0."""
     call, outside, text = _FUNCS[func]
-    _fail(lanes, outside(x), text, x)
+    bad = outside(x)
+    _fail(lanes, bad, text, x)
     if lanes is None:
         return call(x)
-    out = np.array(list(map(call, np.where(lanes.raised, 1.0, x).tolist())))
-    out[lanes.raised] = 0.0  # they computed 1.0, which is in every domain
+    out = _elementwise(call, np.where(bad, 1.0, x))  # 1.0 is in every domain
+    out[bad] = 0.0
     return out
 
 
 def _pow(x, m: int, lanes=None):
-    """Python's ``x ** m`` of one float or lane by lane (numpy's power
-    differs on some lanes); where it overflows, it fails with Python's text.
-    Python raises exactly where a finite ``x`` gives inf."""
+    """Python's ``x ** m`` of one float or element by element of ``x``
+    (numpy's power differs on some lanes); where it overflows, it fails with
+    Python's text.  Python raises exactly where a finite ``x`` gives inf."""
     text = None
     def power(v):
         nonlocal text
@@ -431,10 +439,7 @@ def _pow(x, m: int, lanes=None):
         except OverflowError as exc:
             text = f"evaluation overflow: {exc}"
             return math.inf
-    if lanes is None:
-        out = power(x)
-    else:
-        out = np.array(list(map(power, np.where(lanes.raised, 1.0, x).tolist())))
+    out = power(x) if lanes is None else _elementwise(power, x)
     _fail(lanes, np.isinf(out) & np.isfinite(x), text)
     return out
 
@@ -569,18 +574,22 @@ class Expr:
         return _value_node(self.node, point, None)
 
     def _columns(self, columns, lanes) -> np.ndarray:
-        """Evaluate at many points at once: one array per declared variable.
+        """Evaluate at many points at once: one array per declared variable,
+        each of which broadcasts to the lane shape ``lanes.raised.shape``
+        (a grid axis along its own dimension, a fixed value as a 0-d
+        array).  Each subtree is evaluated at the shape of the variables it
+        reads, and the result is a read-only view at the lane shape.
 
         Each lane where :meth:`eval` raises (a zero divisor, zero to a
         negative power, a function leaving its domain or overflowing)
         fails with its first error in the batch's failure channel
         ``lanes``, and its value is meaningless.  Every other lane holds
         the bits of :meth:`eval`, finite or not, up to the sign of a NaN:
-        it is the same walk over float64 columns."""
+        it is the same walk over float64 arrays."""
         columns = self._lane_columns(columns)
         with np.errstate(all="ignore"):
             values = _value_node(self.node, columns, lanes)
-        return np.broadcast_to(values, lanes.raised.shape).copy()
+        return np.broadcast_to(values, lanes.raised.shape)
 
     def _lane_columns(self, columns) -> tuple:
         if len(columns) != len(self.variables):
@@ -640,28 +649,31 @@ class Expr:
 class _Lanes:
     """The failure channel of one batch of lanes, shared by every pass over
     it (of values or of jets): the lanes that raised, with the text of
-    their first error.  A lane fails only when it raises; every other lane
-    holds the bits of the one-point walk, finite or not, up to the sign
-    of a NaN."""
+    their first error, keyed by flat lane number in row-major order.  A
+    lane fails only when it raises; every other lane holds the bits of the
+    one-point walk, finite or not, up to the sign of a NaN."""
 
     __slots__ = ("raised", "errors")
 
-    def __init__(self, size: int):
-        self.raised = np.zeros(size, dtype=bool)
+    def __init__(self, shape):
+        """``shape``: the number of lanes, or the shape of a grid of them."""
+        self.raised = np.zeros(shape, dtype=bool)
         self.errors = {}
 
     def fail(self, mask, text: str, arg=None):
         """The lanes of ``mask`` raise ``text``, formatted with the lane's
-        ``arg`` (a column or one value for every lane) if given, unless
-        they raised before: the first error wins.
+        ``arg`` if given, unless they raised before: the first error wins.
+        ``mask`` and ``arg`` broadcast to the lane shape.
         Each distinct value (by its bits) is formatted once."""
+        if not np.any(mask):  # most checks fail nowhere: skip the lane-shape work
+            return
         new = np.broadcast_to(mask, self.raised.shape) & ~self.raised
         if new.any():
             lanes = np.flatnonzero(new)
             if arg is None:
                 self.errors.update(dict.fromkeys(lanes.tolist(), text))
             else:
-                values = np.broadcast_to(np.asarray(arg, dtype=float), self.raised.shape)[lanes]
+                values = np.broadcast_to(np.asarray(arg, dtype=float), self.raised.shape)[new]
                 _, first, inverse = np.unique(values.view(np.int64), return_index=True,
                                               return_inverse=True)
                 texts = [text.format(v) for v in values[first].tolist()]
@@ -683,8 +695,11 @@ def _number(value: float, lanes):
 
 def _value_node(node, point, lanes):
     """Value of the subtree at ``point``: Python floats at one point
-    (``lanes`` None, where errors raise), or over lanes float64 columns
-    whose lanes that raise are recorded in the ``_Lanes`` ``lanes``.
+    (``lanes`` None, where errors raise), or over lanes float64 arrays
+    whose lanes that raise are recorded in the ``_Lanes`` ``lanes``.  Over
+    lanes, a subtree's value has the broadcast shape of the variables it
+    reads, so a subtree of one grid axis is computed once per value of
+    that axis, and a constant one once.
 
     Both modes run the same operations in the same order.  ``+ - * /`` on
     float64 arrays round exactly like Python floats, and each check (a

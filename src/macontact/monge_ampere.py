@@ -326,18 +326,24 @@ class GridSpec:
         """Cell indices in row-major order over the axes (last axis fastest)."""
         return itertools.product(*(range(count) for count in self.shape()))
 
-    def columns(self) -> tuple:
-        """The five chart coordinates of every cell, one array each, in the
-        order of :meth:`indices`; a variable that is neither an axis nor
-        fixed sits at 0.
+    def axis_columns(self) -> tuple:
+        """The five chart coordinates as arrays that broadcast to
+        :meth:`shape`: an axis holds its values along its own dimension,
+        e.g. shape (n1, 1) for the first of two axes, and a fixed variable
+        is a 0-d float64, as is one that is neither an axis nor fixed, at 0.
         """
         names = self.axis_names()
-        mesh = np.meshgrid(*(self.axis_values(n) for n in names), indexing="ij")
-        size = self.size()
-        by_name = {n: m.ravel() for n, m in zip(names, mesh)}
-        for n, v in self.fixed.items():
-            by_name[n] = np.full(size, float(v))
-        return tuple(by_name.get(v, np.zeros(size)) for v in CHART_VARIABLES)
+        by_name = {n: self.axis_values(n).reshape([-1 if j == i else 1 for j in range(len(names))])
+                   for i, n in enumerate(names)}
+        return tuple(by_name.get(v, np.array(float(self.fixed.get(v, 0.0))))
+                     for v in CHART_VARIABLES)
+
+    def columns(self) -> tuple:
+        """The five chart coordinates of every cell, one array each, in the
+        order of :meth:`indices`: :meth:`axis_columns` spread over the grid.
+        """
+        shape = self.shape()
+        return tuple(np.broadcast_to(c, shape).flatten() for c in self.axis_columns())
 
 
 @dataclass(frozen=True)
@@ -388,22 +394,25 @@ def classify_region(eq: MAEquation, grid: GridSpec,
                     band: float = GATES["type_band"].threshold) -> RegionClassification:
     """Pointwise type over the grid by ``type_codes``.
 
-    The coefficients are evaluated as columns over all cells at once and
-    Delta is one column expression in the scalar operation order.  They
-    write into one failure channel, where a cell's first error wins (N..D
-    in order, then a non-finite Delta), so each value and error text is
-    the one of the scalar ``discriminant`` and ``delta_type``.
+    The coefficients are evaluated over the grid's broadcast axes
+    (``GridSpec.axis_columns``), each subexpression once per value of the
+    axes it reads, and Delta is one array expression in the scalar
+    operation order.  They write into one failure channel, where a cell's
+    first error wins (N..D in order, then a non-finite Delta), so each
+    value and error text is the one of the scalar ``discriminant`` and
+    ``delta_type``.  The results are flat, in row-major cell order.
     """
-    columns = grid.columns()
-    lanes = _Lanes(grid.size())
+    columns = grid.axis_columns()
+    lanes = _Lanes(grid.shape())
     n, a, b, c, d = (coeff._columns(columns, lanes)
                      for coeff in (eq.N, eq.A, eq.B, eq.C, eq.D))
     with np.errstate(all="ignore"):
         deltas = b * b - 4.0 * a * c + 4.0 * n * d
     lanes.fail(~np.isfinite(deltas), _NON_FINITE, deltas)
+    deltas, raised = deltas.ravel(), lanes.raised.ravel()
     codes = type_codes(deltas, band)
-    codes[lanes.raised] = ERROR
-    deltas[lanes.raised] = np.nan
+    codes[raised] = ERROR
+    deltas[raised] = np.nan
     return RegionClassification(grid, band, deltas, codes, dict(sorted(lanes.errors.items())))
 
 

@@ -9,6 +9,7 @@ sign splits the classification into elliptic / parabolic / hyperbolic.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -164,6 +165,9 @@ def classify_dim4(sp: SymplecticSpace, a: Operator,
     """
     if sp.dim != 4:
         raise ValueError("classification implemented for dimension 4 only")
+    if band is not None and not (math.isfinite(band) and band >= 0):
+        # below 0 a parabolic d passes the elliptic test; a NaN passes none
+        raise ValueError(f"band must be finite and at least 0, got {band!r}")
     m = a.matrix
     bad = np.argwhere(~np.isfinite(m))
     if bad.size:

@@ -165,6 +165,24 @@ def test_classify_bend_refuses_non_finite_entries(matrix, entry):
         classify_bend(matrix)
 
 
+@pytest.mark.parametrize("matrix, c", [
+    ((1e200, 1e200, -1e200, -1e200), "nan"),  # escaped as OverflowError
+    ((1e200, 0, -1e200, 0), "inf"),
+    ((0, 1e200, 1e200, 0), "inf"),
+    ((0, 1e200, -1e200, 0), "-inf"),
+])
+def test_classify_bend_refuses_an_overflowing_invariant(matrix, c):
+    with pytest.raises(ValueError, match=r"invariant c = .* is not finite: " + c):
+        classify_bend(matrix)
+
+
+def test_classify_bend_keeps_a_large_finite_invariant():
+    # c = (1e150)^2 - 1e299 is near the top of the float range, yet finite
+    kind, gen = classify_bend((2e150, 1e150, -1e149, 0))
+    assert kind is ZetaKind.PLUS
+    assert np.allclose(gen @ gen, np.eye(2))
+
+
 # --- normal forms ---------------------------------------------------------------------------
 
 def test_normal_form_examples():

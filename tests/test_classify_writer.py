@@ -15,12 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macontact import monge_ampere
+from macontact import expr, monge_ampere
 from macontact.cli import _format_float, _region_csv, _region_json, dumps, main
-from macontact.contact import CHART_VARIABLES
+from macontact.contact import CHART_VARIABLES, DarbouxPoint
 from macontact.expr import Expr
 from macontact.monge_ampere import (ERROR, TYPE_NAMES, GridSpec, MAEquation,
-                                    classify_region, delta_type, type_codes)
+                                    classify_region, delta_type, discriminant, type_codes)
 from test_monge_ampere import _scalar_region
 
 
@@ -48,10 +48,14 @@ def _reference_csv(cells) -> str:
 
 # error cells (ln, sqrt, 1/x), overflow to inf - inf (exp and 1e200 terms),
 # exact zeros, values that land on the band (Delta = -4 x1 with band 1) and
-# inexact ones, whose sum shows the operation order in its last bits
+# inexact ones, whose sum shows the operation order in its last bits; the
+# compounds of subtrees over different axes fail on differently shaped
+# parts of the grid within one coefficient, so the first error of a cell
+# comes from the right subtree
 COEFFS = ["0", "1", "-1", "0.25", "x1", "x2", "u", "-u", "0*x1", "0.5*x1 - u",
           "ln(x1)", "sqrt(x2)", "1/x1", "x2^-1", "1/(x1 - u)", "exp(700*x1)",
-          "1e200*x1*x2", "sin(u)*x1", "ln(u + 0.5)", "0.1*x1 + 0.7", "cos(x2)/3"]
+          "1e200*x1*x2", "sin(u)*x1", "ln(u + 0.5)", "0.1*x1 + 0.7", "cos(x2)/3",
+          "ln(x1) + sqrt(x2)", "sqrt(u)*ln(x1)", "1/u + ln(x2)"]
 BOUNDS = [(-1.0, 1.0), (0.0, 1.0), (-2.0, 0.5), (-0.0, 0.0)]
 FIXED = [0.0, -0.0, 0.3, 1.0, -1.5]
 
@@ -163,3 +167,23 @@ def test_cells_view_is_built_once_and_only_when_read(counter):
         "hyperbolic", "band", "parabolic", "band", "elliptic"]
     assert region.codes.tolist() == type_codes(region.deltas, 2.0).tolist()
 
+
+def test_an_axis_subexpression_is_evaluated_once_per_value_of_its_axis(monkeypatch):
+    # sin(x1) over a 1000x1000 grid reads one axis: 1,000 math.sin calls,
+    # not one per cell
+    calls = Counter()
+    sin, outside, text = expr._FUNCS["sin"]
+
+    def counting(x):
+        calls["sin"] += 1
+        return sin(x)
+    monkeypatch.setitem(expr._FUNCS, "sin", (counting, outside, text))
+    eq = MAEquation.from_strings(A="sin(x1)", C="1")
+    grid = GridSpec({"x1": (-1.0, 1.0, 1000), "x2": (-1.0, 1.0, 1000)})
+    region = classify_region(eq, grid)
+    assert calls["sin"] == 1000
+    assert not region.errors and region.deltas.shape == (1_000_000,)
+    rows = [discriminant(eq, DarbouxPoint(x, 0.0, 0.0, 0.0, 0.0))
+            for x in grid.axis_values("x1").tolist()]
+    assert np.array_equal(region.deltas.reshape(1000, 1000),
+                          np.broadcast_to(np.array(rows)[:, None], (1000, 1000)))

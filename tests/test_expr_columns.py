@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import column_values
 from macontact.expr import (FUNCTIONS, BinOp, Call, EvalDomainError, Expr, Neg,
-                            Num, Pow, Var, _Lanes, parse)
+                            Num, Pow, Var, _call, _Lanes, _pow, parse)
 from macontact.monge_ampere import GridSpec, MAEquation, classify_region
 
 VARS = ("x", "y", "z")
@@ -210,6 +210,60 @@ def test_failing_lanes_format_each_distinct_value_once():
                             for i, v in enumerate(values.tolist()) if mask[i] or v == 1e-300}
     assert lanes.raised.tolist() == (mask | (values == 1e-300)).tolist()
     assert {"bad value -0.0", "bad value 0.0"} <= set(lanes.errors.values())
+
+
+# --- broadcast lanes: each subtree at the shape of the variables it reads ----------
+
+grid_axes = st.lists(wide_numbers, min_size=1, max_size=4)
+
+
+@settings(max_examples=400, deadline=None)
+@given(wide_trees, grid_axes, grid_axes, wide_numbers)
+def test_broadcast_columns_match_scalar_eval(node, xs, ys, z):
+    # x runs along the first lane axis, y along the second and z is 0-d, as
+    # GridSpec.axis_columns lays out a grid
+    expr = Expr(node, VARS)
+    lanes = _Lanes((len(xs), len(ys)))
+    columns = (np.array(xs)[:, None], np.array(ys)[None, :], np.array(z))
+    values = expr._columns(columns, lanes)
+    assert values.shape == lanes.raised.shape
+    for lane, point in enumerate((x, y, z) for x in xs for y in ys):
+        try:
+            expected = expr.eval(point)
+        except EvalDomainError as exc:
+            assert lanes.errors.get(lane) == str(exc), (expr.to_string(), point)
+            assert lanes.raised.flat[lane]
+            continue
+        assert lane not in lanes.errors and not lanes.raised.flat[lane], (expr.to_string(), point)
+        assert _same_bits(values.flat[lane], expected), (expr.to_string(), point)
+
+
+def test_call_on_a_broadcast_argument_fails_each_lane_with_its_own_value():
+    # a 2x3 grid of lanes: ln's argument runs along rows, sqrt's along columns
+    lanes = _Lanes((2, 3))
+    logs = _call("ln", np.array([[-1.0], [4.0]]), lanes)
+    roots = _call("sqrt", np.array([[0.25, -2.0, -3.0]]), lanes)
+    assert logs.shape == (2, 1) and roots.shape == (1, 3)
+    assert logs.tolist() == [[0.0], [math.log(4.0)]]  # out of the domain reads 0.0
+    assert roots.tolist() == [[0.5, 0.0, 0.0]]
+    assert lanes.errors == {0: "ln of nonpositive value -1.0",
+                            1: "ln of nonpositive value -1.0",
+                            2: "ln of nonpositive value -1.0",
+                            4: "sqrt of negative value -2.0",
+                            5: "sqrt of negative value -3.0"}
+    assert lanes.raised.tolist() == [[True, True, True], [False, True, True]]
+
+
+def test_pow_on_a_broadcast_argument_fails_where_it_overflows():
+    try:
+        1e200 ** 2
+    except OverflowError as exc:
+        text = f"evaluation overflow: {exc}"
+    lanes = _Lanes((2, 3))
+    lanes.fail(np.array([[True], [False]]), "first")  # the first error wins
+    out = _pow(np.array([[1e200, 3.0, -1e200]]), 2, lanes)
+    assert out.shape == (1, 3) and out.tolist() == [[math.inf, 9.0, math.inf]]
+    assert lanes.errors == {0: "first", 1: "first", 2: "first", 3: text, 5: text}
 
 
 def test_classify_keeps_the_first_coefficient_error():

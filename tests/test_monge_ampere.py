@@ -342,6 +342,16 @@ def test_grid_columns_are_row_major_with_fixed_values():
     assert p2.tolist() == [0.5] * 6
 
 
+def test_grid_axis_columns_broadcast_to_the_grid_shape():
+    # each axis along its own dimension, a fixed or absent variable 0-d
+    grid = GridSpec({"x1": (0, 1, 2), "u": (-1, 1, 3)}, fixed={"p2": 0.5})
+    x1, x2, u, p1, p2 = grid.axis_columns()
+    assert (x1.shape, u.shape, x2.shape, p2.shape) == ((2, 1), (1, 3), (), ())
+    assert x1.ravel().tolist() == [0, 1] and u.ravel().tolist() == [-1, 0, 1]
+    assert (float(x2), float(p1), float(p2)) == (0.0, 0.0, 0.5)
+    assert all(c.dtype == np.float64 for c in grid.axis_columns())
+
+
 def test_grid_refuses_a_fixed_value_for_an_axis():
     # the axis's values would never act: every cell would sit at the fixed value
     with pytest.raises(ValueError, match="'x1' is both a grid axis and fixed"):

@@ -394,3 +394,12 @@ def test_classify_keeps_the_minimal_polynomial_at_every_scale(exponent):
     assert parabolic.type is OperatorType.PARABOLIC
     assert parabolic.minimal_polynomial == (-2.0, 1.0)
     assert parabolic.eigenvalues == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("band", [-1.0, -1e-300, float("nan"), float("inf")])
+def test_classify_dim4_refuses_a_band_below_zero_or_not_finite(band):
+    # band=-1 labelled this parabolic operator elliptic, with a NaN/-inf structure
+    op = direct_sum_operator([[1, 1], [0, 1]])
+    with pytest.raises(ValueError, match="band must be finite and at least 0"):
+        classify_dim4(standard_space(2), op, band=band)
+    assert classify_dim4(standard_space(2), op, band=0.0).type is OperatorType.PARABOLIC
