@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Expr, Jet, _partial_table, _product
+from .expr import Expr, Jet, _coordinate, _partial_table, _product
 from .gates import GATES, passes
 
 __all__ = [
@@ -125,21 +125,18 @@ def field_jets_from_exprs(field, pt: DarbouxPoint, order: int) -> list:
 
 
 def contact_field_jets(nu: Expr, pt: DarbouxPoint, order: int) -> list:
-    """Jet field of the contact vector field with generating function nu."""
-    base = pt.as_tuple()
-    jet = nu.eval_jet(base, order + 1)
-    d_x1, d_x2, d_u = jet.partial(_DX1), jet.partial(_DX2), jet.partial(_DU)
-    d_p1, d_p2 = jet.partial(_DP1), jet.partial(_DP2)
-    p1 = Jet.variable(_DP1, base, order)
-    p2 = Jet.variable(_DP2, base, order)
+    """Jet field of the contact vector field with generating function nu; the
+    partials come from one gather, the four products from one ``_product``."""
+    jet = nu.eval_jet(pt.as_tuple(), order + 1)
+    rows, factors = _partial_table(5, order + 1)
     with np.errstate(all="ignore"):  # IEEE overflow, as with Python floats
-        return [
-            -d_p1,
-            -d_p2,
-            jet.truncate(order) - p1 * d_p1 - p2 * d_p2,
-            d_x1 + p1 * d_u,
-            d_x2 + p2 * d_u,
-        ]
+        d = jet.data[rows] * factors  # d[i] is the i-th partial
+        p = [_coordinate(d[0], jet.base, i) for i in (_DP1, _DP2)]
+        terms = _product(np.stack(p + p, axis=1),
+                         np.stack([d[_DP1], d[_DP2], d[_DU], d[_DU]], axis=1), 5, order)
+        field = [-d[_DP1], -d[_DP2], jet.data[:len(d[0])] - terms[:, 0] - terms[:, 1],
+                 d[_DX1] + terms[:, 2], d[_DX2] + terms[:, 3]]
+    return [Jet(jet.base, order, data) for data in field]
 
 
 def bracket_fields(x_field: list, y_field: list) -> list:
@@ -207,7 +204,11 @@ def contact_field(chart: ContactChart, nu: Expr, pt: DarbouxPoint) -> VectorFiel
 
 def is_contact_field(chart: ContactChart, field, points,
                      tol: float = GATES["contact_field"].threshold) -> bool:
-    """Check [e_i, Z] in D for every frame field at every sample point."""
+    """Check [e_i, Z] in D for every frame field at every sample point; an
+    empty point set is a ValueError, since it would check nothing."""
+    points = list(points)
+    if not points:
+        raise ValueError("is_contact_field needs a sample point: the point set is empty")
     for pt in points:
         z = field_jets_from_exprs(field, pt, 1)
         for e in frame_field_jets(pt, 1):

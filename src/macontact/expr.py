@@ -162,42 +162,99 @@ def _product(a, b, n: int, order: int):
     it, each lane the product of its own two jets.
 
     Each coefficient is 0.0 plus its terms in table order, skipping a term
-    with a zero factor (so 0 * inf adds nothing): a skipped term is -0.0,
-    the addend that leaves every sum, signed zeros included, as it was, and
-    its product is never formed.
+    with a zero factor (so 0 * inf adds nothing).  The sum of all terms is
+    kept unless it holds a NaN, as it then may by 0 * inf (README); if so,
+    each skipped term is -0.0, which leaves every sum as it was.
     """
     rows = len(a)
     left, right, target = _product_table(n, order)
     a, b = a[left], b[right]
-    terms = np.full_like(a, -0.0)
-    np.multiply(a, b, out=terms, where=(a != 0.0) & (b != 0.0))
-    if terms.ndim == 1:
-        return np.bincount(target, terms, minlength=rows)
-    # flat (row, lane) positions, term by term and lane by lane
-    lanes = terms[0].size
-    flat = (target[:, None] * lanes + np.arange(lanes)).ravel()
-    data = np.bincount(flat, terms.ravel(), minlength=rows * lanes)
-    return data.reshape((rows,) + terms.shape[1:])
+    lanes = a.size // len(a)
+    if a.ndim > 1:  # flat (row, lane) positions, term by term and lane by lane
+        target = (target[:, None] * lanes + np.arange(lanes)).ravel()
+    with np.errstate(all="ignore"):
+        terms = a * b
+        data = np.bincount(target, terms.ravel(), minlength=rows * lanes)
+        if math.isnan(data.sum()):  # a NaN anywhere (or inf - inf)
+            terms = np.where((a != 0.0) & (b != 0.0), terms, -0.0)
+            data = np.bincount(target, terms.ravel(), minlength=rows * lanes)
+    return data.reshape((rows,) + a.shape[1:])
 
 
-def _point(base) -> tuple:
-    """A base point: floats, or float64 arrays with one entry per lane."""
-    return tuple(b if isinstance(b, np.ndarray) else float(b) for b in base)
+def _scale(c, b):
+    """``_product`` of the constant jet ``c`` (a number, or one per lane) and
+    the data ``b`` without the table: 0.0 plus the one term c * b of each row."""
+    with np.errstate(all="ignore"):
+        data = c * b + 0.0
+        if math.isnan(data.sum()):
+            data = np.where((b != 0.0) & (c != 0.0), data, 0.0)
+    return data
+
+
+def _constant(zero, value):
+    """Data of the constant ``value``, shaped as the jet data ``zero``."""
+    data = np.zeros(zero.shape)
+    data[0] = value
+    return data
+
+
+def _value(data):
+    """The first row: a Python float at one point, a row of lanes over lanes."""
+    return float(data[0]) if data.ndim == 1 else data[0]
+
+
+def _power(data, k: int, n: int, order: int, lanes=None):
+    """Integer power by repeated multiplication, as ``Expr.eval`` does."""
+    if k < 0:
+        data, k = _apply(data, "1/x", n, order, lanes), -k
+    out = _scale(1.0, data) if k else _constant(data, 1.0)
+    for _ in range(k - 1):
+        out = _product(out, data, n, order)
+    return out
+
+
+def _apply(data, func: str, n: int, order: int, lanes=None):
+    """``func`` (in FUNCTIONS, or "1/x") of the jet; leaving its domain fails."""
+    return _compose(data, _series_for(func, _value(data), order, lanes), n, order)
+
+
+def _quotient(a, b, n: int, order: int, lanes=None):
+    """``a / b``; dividing by a zero constant term fails."""
+    if order == 0:
+        # keep order-0 jets bitwise identical to plain evaluation
+        _series_for("1/x", _value(b), 0, lanes)  # fails where b is 0
+        return _constant(a, _value(a) / _value(b))
+    return _product(a, _apply(b, "1/x", n, order, lanes), n, order)
+
+
+def _compose(data, series, n: int, order: int):
+    """g of the jet, from g's Taylor coefficients ``series`` at its value, by Horner."""
+    t = data - _constant(data, data[0])
+    out = _constant(data, series[order])
+    for m in range(order - 1, -1, -1):
+        out = _product(out, t, n, order) if m < order - 1 else _scale(series[order], t)
+        out[0] += series[m]
+    return out
+
+
+def _coordinate(zero, base, i: int):
+    """Data of the i-th coordinate at ``base``, shaped as the jet data ``zero``."""
+    data = _constant(zero, base[i])
+    if len(zero) > 1:  # order >= 1; degree-1 rows run from e_(n-1) to e_0
+        data[len(base) - i] = 1.0
+    return data
 
 
 def _zero_jet(base, order: int) -> "Jet":
-    base = _point(base)
+    """The zero jet at a base of floats, or of float64 arrays (one per lane)."""
+    base = tuple(b if isinstance(b, np.ndarray) else float(b) for b in base)
     lanes = np.shape(base[0]) if base else ()
     return Jet(base, order, np.zeros((len(multi_indices(len(base), order)),) + lanes))
 
 
 def _same_point(a, b) -> bool:
-    if a is b:
-        return True
-    if len(a) != len(b):
-        return False
     if a and isinstance(a[0], np.ndarray):
-        return all(x is y or np.array_equal(x, y) for x, y in zip(a, b))
+        return len(a) == len(b) and all(x is y or np.array_equal(x, y) for x, y in zip(a, b))
     return a == b
 
 
@@ -236,29 +293,18 @@ class Jet:
 
     @classmethod
     def variable(cls, i, base, order):
-        return _zero_jet(base, order)._variable(i)
+        zero = _zero_jet(base, order)
+        return Jet(zero.base, zero.order, _coordinate(zero.data, zero.base, i))
 
     def _constant(self, value) -> "Jet":
         """The constant ``value`` at this jet's base point and order."""
-        data = np.zeros_like(self.data)
-        data[0] = value
-        return Jet(self.base, self.order, data)
-
-    def _variable(self, i: int) -> "Jet":
-        """The i-th coordinate at this jet's base point and order."""
-        out = self._constant(self.base[i])
-        if self.order >= 1:
-            out.data[self.n - i] = 1.0  # degree-1 rows run from e_(n-1) to e_0
-        return out
+        return Jet(self.base, self.order, _constant(self.data, value))
 
     # -- accessors
 
-    def _entry(self, row):
-        return float(row) if self.data.ndim == 1 else row
-
     @property
     def value(self):
-        return self._entry(self.data[0])
+        return _value(self.data)
 
     @property
     def coeffs(self) -> dict:
@@ -267,7 +313,7 @@ class Jet:
         return dict(zip(multi_indices(self.n, self.order), rows))
 
     def coefficient(self, alpha):
-        return self._entry(self.data[_positions(self.n, self.order)[tuple(alpha)]])
+        return _value(self.data[_positions(self.n, self.order)[tuple(alpha)]:])
 
     def derivative(self, alpha):
         """Partial derivative for the multi-index (coefficient times alpha!)."""
@@ -334,45 +380,31 @@ class Jet:
     def __pow__(self, k: int):
         return self.power(k)
 
-    # ``lanes`` (the failure channel ``_Lanes`` of a batch) records the lanes
-    # that raise instead of raising; ``Expr._jets`` passes it.
+    # each is its kernel on the data; ``lanes`` (a batch's ``_Lanes``) records failing lanes
 
     def divide(self, other, lanes=None) -> "Jet":
         """``self / other``; dividing by a zero constant term raises."""
-        other = self._lift(other)
-        if self.order == 0:
-            # keep order-0 jets bitwise identical to plain evaluation
-            _series_for("1/x", other.value, 0, lanes)  # fails where other is 0
-            return self._constant(self.value / other.value)
-        return self * other.reciprocal(lanes)
+        other = self._lift(other).data
+        return Jet(self.base, self.order, _quotient(self.data, other, self.n, self.order, lanes))
 
     def power(self, k: int, lanes=None) -> "Jet":
         """Integer power by repeated multiplication, as ``Expr.eval`` does."""
         if not isinstance(k, int):
             raise TypeError("jet exponent must be an integer")
-        if k < 0:
-            return self.reciprocal(lanes).power(-k)
-        out = self._constant(1.0)
-        for _ in range(k):
-            out = out * self
-        return out
+        return Jet(self.base, self.order, _power(self.data, k, self.n, self.order, lanes))
 
     def reciprocal(self, lanes=None) -> "Jet":
-        return self.compose_series(_series_for("1/x", self.value, self.order, lanes))
+        return Jet(self.base, self.order, _apply(self.data, "1/x", self.n, self.order, lanes))
 
     def apply(self, func: str, lanes=None) -> "Jet":
         """``func`` (one of FUNCTIONS) of the jet; leaving its domain raises."""
         if func not in FUNCTIONS:
             raise ValueError(f"unknown function {func!r}")
-        return self.compose_series(_series_for(func, self.value, self.order, lanes))
+        return Jet(self.base, self.order, _apply(self.data, func, self.n, self.order, lanes))
 
     def compose_series(self, series) -> "Jet":
         """Apply a univariate Taylor series g (coefficients around value)."""
-        t = self - self.value
-        out = self._constant(series[self.order])
-        for m in range(self.order - 1, -1, -1):
-            out = out * t + series[m]
-        return out
+        return Jet(self.base, self.order, _compose(self.data, series, self.n, self.order))
 
     def __repr__(self):
         lanes = "" if self.data.ndim == 1 else f", lanes={self.data.shape[1]}"
@@ -605,8 +637,9 @@ class Expr:
                              f"{len(self.variables)} variables")
         if order < 0:
             raise ValueError("jet order must be nonnegative")
+        zero = _zero_jet(base, order)
         with np.errstate(all="ignore"):
-            return _jet_node(self.node, _zero_jet(base, order), None)
+            return Jet(zero.base, order, _jet_data(self.node, zero, None))
 
     def _jets(self, columns, order: int, lanes) -> Jet:
         """Jets at many points at once: one array per declared variable.
@@ -619,8 +652,9 @@ class Expr:
         columns = self._lane_columns(columns)
         if order < 0:
             raise ValueError("jet order must be nonnegative")
+        zero = _zero_jet(columns, order)
         with np.errstate(all="ignore"):
-            return _jet_node(self.node, _zero_jet(columns, order), lanes)
+            return Jet(zero.base, order, _jet_data(self.node, zero, lanes))
 
     def subs(self, mapping: dict) -> "Expr":
         """Substitute expressions for variables (by name)."""
@@ -740,30 +774,35 @@ def _value_node(node, point, lanes):
     raise TypeError(f"bad node {node!r}")
 
 
-def _jet_node(node, zero, lanes) -> Jet:
-    """Jet of the subtree at the base point and order of the jet ``zero``;
-    over lanes, lanes that raise are recorded in the ``_Lanes`` ``lanes``
-    (None at one point, where errors raise)."""
+def _jet_data(node, zero: Jet, lanes):
+    """Data of the jet of the subtree at the base point and order of the jet
+    ``zero``, by the kernels of the ``Jet`` operations, ``_scale`` for a factor
+    that is a (negated) number; lanes that raise go to ``lanes`` (or raise)."""
     if isinstance(node, Num):
-        return zero._constant(node.value)
+        return _constant(zero.data, node.value)
     if isinstance(node, Var):
-        return zero._variable(node.index)
+        return _coordinate(zero.data, zero.base, node.index)
     if isinstance(node, Neg):
-        return -_jet_node(node.child, zero, lanes)
+        return -_jet_data(node.child, zero, lanes)
     if isinstance(node, BinOp):
-        a = _jet_node(node.left, zero, lanes)
-        b = _jet_node(node.right, zero, lanes)
+        if node.op == "*":
+            for factor, other in ((node.left, node.right), (node.right, node.left)):
+                sign, factor = (-1.0, factor.child) if isinstance(factor, Neg) else (1.0, factor)
+                if isinstance(factor, Num):
+                    return _scale(sign * factor.value, _jet_data(other, zero, lanes))
+        a = _jet_data(node.left, zero, lanes)
+        b = _jet_data(node.right, zero, lanes)
         if node.op == "+":
             return a + b
         if node.op == "-":
             return a - b
         if node.op == "*":
-            return a * b
-        return a.divide(b, lanes)
+            return _product(a, b, zero.n, zero.order)
+        return _quotient(a, b, zero.n, zero.order, lanes)
     if isinstance(node, Pow):
-        return _jet_node(node.child, zero, lanes).power(node.exponent, lanes)
+        return _power(_jet_data(node.child, zero, lanes), node.exponent, zero.n, zero.order, lanes)
     if isinstance(node, Call):
-        return _jet_node(node.arg, zero, lanes).apply(node.func, lanes)
+        return _apply(_jet_data(node.arg, zero, lanes), node.func, zero.n, zero.order, lanes)
     raise TypeError(f"bad node {node!r}")
 
 

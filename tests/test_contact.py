@@ -164,6 +164,18 @@ def test_is_contact_field_dp1_false():
     assert not is_contact_field(CHART, E3, random_darboux_points(rng, 6))
 
 
+@pytest.mark.parametrize("points", [[], (), iter([])], ids=["list", "tuple", "exhausted"])
+def test_is_contact_field_refuses_an_empty_point_set(points):
+    # no sample checks nothing: that is an error, not a pass
+    x1_field = (_var("x1"), _const(0), _const(0), _const(0), _const(0))
+    # [e1, x1 d/dx1] = d/dx1, and omega(d/dx1) = -p1
+    assert not is_contact_field(CHART, x1_field, [DarbouxPoint(0.1, 0.2, 0.3, 0.4, 0.5)])
+    with pytest.raises(ValueError, match="point set is empty"):
+        is_contact_field(CHART, x1_field, points)
+    with pytest.raises(ValueError, match="point set is empty"):
+        is_contact_field(CHART, DU, points)
+
+
 # --- Lagrange bracket -------------------------------------------------------------
 
 def test_bracket_of_one_and_u_is_one():

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from conftest import column_jets
 from macontact.contact import CHART_VARIABLES
 from macontact.expr import (FUNCTIONS, BinOp, Call, EvalDomainError, Expr, Jet,
-                            Neg, Num, Pow, Var, _Lanes, multi_indices, parse)
+                            Neg, Num, Pow, Var, _Lanes, _product, _product_table, _scale,
+                            multi_indices, parse)
 from macontact.monge_ampere import (MAEquation, invariance_defect, invariance_defects,
                                     residual, structure_operator)
 from macontact.contact import DarbouxPoint
@@ -86,6 +87,91 @@ def test_product_skips_zero_factors_of_infinite_terms():
         warnings.simplefilter("error")  # no 0 * inf is ever formed
         product = inf_jet * zero_jet
     assert [_bits(c) for c in product.data.tolist()] == [_bits(0.0)] * 3
+
+
+def _masked_product(a, b, n, order):
+    """The product with every zero-factor term -0.0 and never formed: each
+    coefficient is 0.0 plus its terms in table order."""
+    rows = len(a)
+    left, right, target = _product_table(n, order)
+    a, b = a[left], b[right]
+    terms = np.full_like(a, -0.0)
+    np.multiply(a, b, out=terms, where=(a != 0.0) & (b != 0.0))
+    lanes = terms[0].size
+    flat = (target[:, None] * lanes + np.arange(lanes)).ravel() if terms.ndim > 1 else target
+    data = np.bincount(flat, terms.ravel(), minlength=rows * lanes)
+    return data.reshape((rows,) + terms.shape[1:])
+
+
+def _int64(data):
+    """Bits of the data, every NaN as one pattern (numpy's add may return
+    either NaN operand, README)."""
+    return np.where(np.isnan(data), np.nan, data).view(np.int64).tolist()
+
+
+# signed zeros, infinities and NaN make every case of the unmasked-first sum:
+# 0 * inf and 0 * NaN terms, inf - inf sums, and zero factors of finite terms
+kernel_entries = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan,
+                                            1e200, -1e-200, 5e-324]),
+                           st.floats(-10, 10, allow_nan=False))
+lane_shapes = st.sampled_from([(), (1,), (3,), (2, 3)])
+
+
+def _draw_data(data, shape):
+    size = int(np.prod(shape))
+    return np.array(data.draw(st.lists(kernel_entries, min_size=size, max_size=size)),
+                    dtype=float).reshape(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shapes, lane_shapes, st.data())
+def test_unmasked_first_product_has_the_masked_bits(shape, lanes, data):
+    n, order = shape
+    size = (len(multi_indices(n, order)),) + lanes
+    a, b = _draw_data(data, size), _draw_data(data, size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning outside np.errstate
+        got = _product(a, b, n, order)
+    with np.errstate(all="ignore"):
+        expected = _masked_product(a, b, n, order)
+    assert got.shape == expected.shape
+    assert _int64(got) == _int64(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shapes, lane_shapes, st.data())
+def test_scale_is_the_product_by_a_constant_jet(shape, lanes, data):
+    n, order = shape
+    size = (len(multi_indices(n, order)),) + lanes
+    b = _draw_data(data, size)
+    c = _draw_data(data, lanes)  # one constant per lane
+    constant = np.zeros(size)
+    constant[0] = c
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _scale(c if lanes else float(c), b)
+    with np.errstate(all="ignore"):
+        expected = _masked_product(constant, b, n, order)
+    assert _int64(got) == _int64(expected)
+    assert _int64(got) == _int64(_product(constant, b, n, order))
+
+
+@pytest.mark.parametrize("c", [0.0, -0.0, 1.0, -2.5, math.inf, math.nan])
+@pytest.mark.parametrize("lanes", [None, 4])
+def test_numeric_factor_is_the_constant_jet_product(c, lanes):
+    n, order = 2, 3
+    rows = len(multi_indices(n, order))
+    values = np.resize([0.0, -0.0, 1.5, -1e200, math.inf, -math.inf, math.nan, 5e-324],
+                       rows * (lanes or 1))
+    data = values.reshape((rows, lanes) if lanes else rows)
+    base = tuple(np.zeros(lanes) for _ in range(n)) if lanes else (0.0,) * n
+    jet = Jet(base, order, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _scale(c, data)
+        expected = (Jet.constant(c, base, order) * jet).data
+    assert _int64(got) == _int64(expected)
+    assert not np.signbit(got[got == 0.0]).any()  # 0.0 plus the term is never -0.0
 
 
 # --- lane jets against the one-point jet -------------------------------------------
