@@ -32,7 +32,6 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 
 import numpy as np
 
@@ -60,6 +59,7 @@ __all__ = [
 ]
 
 _SIGN_BIT = np.int64(-2 ** 63)  # a float64's sign bit, as int64
+_BLOCK_ROWS = 64  # point-cloud rows per write; 32-128 rows measured the same
 
 
 def jet_indices(k: int) -> tuple:
@@ -219,9 +219,20 @@ def _family_columns(spec: RManifoldSpec, a, b, tangents: bool = False):
     return out
 
 
+def _finite_params(a, b) -> tuple:
+    """``(a, b)`` as floats; a NaN or infinite one raises ValueError naming it."""
+    a, b = float(a), float(b)
+    for name, value in (("a", a), ("b", b)):
+        if not math.isfinite(value):
+            raise ValueError(f"parameter {name} must be finite, not {value!r}")
+    return a, b
+
+
 def family_point(spec: RManifoldSpec, a: float, b: float) -> JetChartPoint:
-    """The point of L_{k,l} at parameters (a, b) = (u_{k,0}, u_{k-1,1})."""
-    col = _family_columns(spec, [float(a)], [float(b)])[:, 0].tolist()
+    """The point of L_{k,l} at parameters (a, b) = (u_{k,0}, u_{k-1,1}),
+    which must be finite (ValueError)."""
+    a, b = _finite_params(a, b)
+    col = _family_columns(spec, [a], [b])[:, 0].tolist()
     return JetChartPoint(spec.k, col[0], col[1],
                          dict(zip(jet_indices(spec.k), col[2:])))
 
@@ -250,21 +261,24 @@ def tangent_vectors(spec: RManifoldSpec, a: float, b: float,
 
 
 def cartan_defect_at(pt: JetChartPoint, tangents) -> float:
-    """max |t[u_{p,q}] - u_{p+1,q} t[x] - u_{p,q+1} t[y]| over p+q <= k-1."""
+    """max |t[u_{p,q}] - u_{p+1,q} t[x] - u_{p,q+1} t[y]| over p+q <= k-1;
+    NaN if any term is NaN."""
     pos = _layout_pos(pt.k)
-    worst = 0.0
+    terms = []
     for t in tangents:
         tx, ty = t[pos["x"]], t[pos["y"]]
         for p, q in jet_indices(pt.k - 1):
-            val = (t[pos[(p, q)]] - pt.u[(p + 1, q)] * tx
-                   - pt.u[(p, q + 1)] * ty)
-            worst = max(worst, abs(val))
-    return worst
+            terms.append(abs(t[pos[(p, q)]] - pt.u[(p + 1, q)] * tx
+                             - pt.u[(p, q + 1)] * ty))
+    # np.max propagates NaN, where max(0.0, nan) is 0.0
+    return float(np.max(terms, initial=0.0))
 
 
 def cartan_tangency_defect(spec: RManifoldSpec, a: float, b: float,
                            h: float = 1e-4) -> float:
-    """Tangency defect of the family at (a, b); decays as h^2 on R-manifolds."""
+    """Tangency defect of the family at (a, b); decays as h^2 on R-manifolds.
+    A NaN or infinite parameter raises ValueError."""
+    a, b = _finite_params(a, b)
     if math.hypot(a, b) < 10.0 * h:
         raise ValueError("parameters too close to the singular point for "
                          "the finite-difference step")
@@ -418,11 +432,14 @@ def write_point_cloud(spec: RManifoldSpec, params, path) -> None:
     point is computed before the file is opened; a NaN or infinity (say
     from overflowing powers) raises EvalDomainError and writes nothing.
 
-    Each distinct column is formatted once per row with ``%.17g``, which
-    depends on a float's bits alone: a column bitwise equal to an earlier
-    one reuses its text, and one equal to its negation (the prolonged
-    equation's u_{p,q} = -u_{p+2,q-2} for the complex numbers) the text
-    with its leading ``-`` flipped, ``0``/``-0`` included.
+    Each distinct column is formatted with ``%.17g``, which depends on a
+    float's bits alone: a column bitwise equal to an earlier one reuses its
+    text, and one equal to its negation (the prolonged equation's
+    u_{p,q} = -u_{p+2,q-2} for the complex numbers) the text with its
+    leading ``-`` flipped, ``0``/``-0`` included.  The rows go out
+    ``_BLOCK_ROWS`` at a time, each block formatted by one template and
+    written in one call, so the writer holds one block's text beside the
+    computed columns.
     """
     if not isinstance(params, np.ndarray):
         params = np.array([(float(a), float(b)) for a, b in params]).reshape(-1, 2)
@@ -432,23 +449,23 @@ def write_point_cloud(spec: RManifoldSpec, params, path) -> None:
     cols = _family_columns(spec, pairs[:, 0], pairs[:, 1])
     _require_finite("point of the family", cols, pairs)
     keys = jet_indices(spec.k)  # (k + 1)(k + 2)/2 of them: after the overflow check
-    plan = _copy_plan([pairs[:, 0], pairs[:, 1], *cols])
-    # a row's texts: the roots' in order, then, if any column is negated,
-    # every root's negation
+    columns = [pairs[:, 0], pairs[:, 1], *cols]
+    plan = _copy_plan(columns)
     roots = sorted({root for root, _ in plan})
-    slot = {root: n for n, root in enumerate(roots)}
-    take_roots = itemgetter(*roots)
-    flip = any(negated for _, negated in plan)
-    place = itemgetter(*[slot[root] + negated * len(roots) for root, negated in plan])
-    # numbers need no CSV quoting: a row is 17-digit values joined by
-    # commas, ended like the csv module's rows
-    root_row = ",".join(["%.17g"] * len(roots))
-    row = ",".join(["%s"] * len(plan)) + "\r\n"
+    negated = {root for root, neg in plan if neg}
     with open(path, "w", newline="") as handle:
         csv.writer(handle).writerow(["a", "b", "x", "y"]
                                     + [f"u_{{{p},{q}}}" for p, q in keys])
-        for pair, col in zip(pairs.tolist(), cols.T):
-            texts = (root_row % take_roots(pair + col.tolist())).split(",")
-            if flip:
-                texts += [t[1:] if t[0] == "-" else "-" + t for t in texts]
-            handle.write(row % place(texts))
+        for start in range(0, len(pairs), _BLOCK_ROWS):
+            # root-major: the block's texts of the first root, then the next
+            values = np.concatenate([columns[root][start:start + _BLOCK_ROWS]
+                                     for root in roots]).tolist()
+            rows = len(values) // len(roots)
+            texts = (",".join(["%.17g"] * len(values)) % tuple(values)).split(",")
+            text = {root: texts[n * rows:(n + 1) * rows] for n, root in enumerate(roots)}
+            flipped = {root: [t[1:] if t[0] == "-" else "-" + t for t in text[root]]
+                       for root in negated}
+            # numbers need no CSV quoting: a row is 17-digit values joined
+            # by commas, ended like the csv module's rows
+            parts = [(flipped if neg else text)[root] for root, neg in plan]
+            handle.write("\r\n".join(map(",".join, zip(*parts))) + "\r\n")

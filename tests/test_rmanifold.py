@@ -1,10 +1,11 @@
 import csv
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from macontact.bends import normal_form, span_angle
@@ -207,6 +208,31 @@ def test_cartan_defect_guards_singular_point():
         cartan_tangency_defect(spec, 1e-6, 0.0, h=1e-4)
 
 
+@pytest.mark.parametrize("a, b, name", [(math.nan, 0.3, "a"), (math.inf, 0.3, "a"),
+                                        (0.3, -math.inf, "b"), (0.5, math.nan, "b")])
+def test_family_point_and_tangency_defect_refuse_a_non_finite_parameter(a, b, name):
+    # cartan_tangency_defect read 0.0 at (nan, 0.3) and at (inf, 0.3), and
+    # family_point gave a point of NaNs
+    spec = RManifoldSpec(3, 2, ZetaKind.PLUS)
+    for measure in (family_point, cartan_tangency_defect):
+        with pytest.raises(ValueError, match=f"parameter {name} must be finite"):
+            measure(spec, a, b)
+
+
+@pytest.mark.parametrize("where", ["point", "tangent"])
+def test_cartan_defect_propagates_nan(where):
+    # max(0.0, nan) is 0.0: a defect taken that way hid every NaN term
+    spec = RManifoldSpec(3, 2, ZetaKind.PLUS)
+    pt = family_point(spec, 0.5, 0.3)
+    tangents = [t.copy() for t in tangent_vectors(spec, 0.5, 0.3)]
+    assert math.isfinite(cartan_defect_at(pt, tangents))
+    if where == "point":
+        pt = JetChartPoint(pt.k, pt.x, pt.y, {**pt.u, (1, 0): math.nan})
+    else:
+        tangents[1][layout_keys(3).index((0, 0))] = math.nan
+    assert math.isnan(cartan_defect_at(pt, tangents))
+
+
 # --- singular point reports ------------------------------------------------------------------
 
 def test_singular_report_complex_case():
@@ -355,6 +381,59 @@ def test_copy_plan_confirms_every_row(monkeypatch, tmp_path, collide):
     _assert_cloud_matches_oracle(tmp_path, RManifoldSpec(6, 2, ZetaKind.MINUS),
                                  _HAND_PARAMS["mixed"])
 
+
+_BLOCK = rmanifold._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("kind", list(ZetaKind))
+@pytest.mark.parametrize("count", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+def test_point_cloud_block_edges_match_the_oracle(tmp_path, kind, count):
+    params = np.random.default_rng(count).uniform(-1.2, 1.2, size=(count, 2))
+    _assert_cloud_matches_oracle(tmp_path, RManifoldSpec(7, 4, kind), params)
+
+
+# signed zeros and subnormals, whose powers underflow to signed zeros
+_edge_value = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308]) \
+    | st.floats(-1.2, 1.2)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(list(ZetaKind)), k=st.integers(2, 7), l=st.integers(2, 4),
+       special=st.lists(st.tuples(_edge_value, _edge_value), min_size=1, max_size=6),
+       before=st.integers(0, 6), mirror=st.booleans())
+def test_point_cloud_block_edge_on_signed_zeros_and_subnormals(tmp_path, kind, k, l, special,
+                                                               before, mirror):
+    # the special rows straddle the first block edge; with ``mirror`` the b
+    # column is the negation of a, as the complex numbers' u_{0,2} is of u_{2,0}
+    params = np.random.default_rng(len(special)).uniform(-1.2, 1.2, size=(2 * _BLOCK + 3, 2))
+    start = _BLOCK - min(before, len(special))
+    params[start:start + len(special)] = special
+    if mirror:
+        params[:, 1] = -params[:, 0]
+    spec = RManifoldSpec(k, l, kind)
+    cols = _family_columns(spec, params[:, 0], params[:, 1])
+    plan = rmanifold._copy_plan([params[:, 0], params[:, 1], *cols])
+    assert any(negated for _, negated in plan) or not (mirror or kind is ZetaKind.MINUS)
+    _assert_cloud_matches_oracle(tmp_path, spec, params)
+
+
+@pytest.mark.parametrize("count", [2_000, 20_000])
+def test_point_cloud_memory_does_not_hold_the_whole_text(tmp_path, count):
+    # the writer keeps one block's text; what it holds beyond the computed
+    # columns is mostly the power ladder's temporaries in _family_columns,
+    # about 64 bytes a point (1.3 MB at 20,000 points), while the whole
+    # file as one string would be about 17 MB there
+    spec = RManifoldSpec(7, 4, ZetaKind.MINUS)
+    params = np.random.default_rng(count).uniform(-1.2, 1.2, size=(count, 2))
+    columns_bytes = _family_columns(spec, params[:, 0], params[:, 1]).nbytes
+    tracemalloc.start()
+    try:
+        write_point_cloud(spec, params, tmp_path / "cloud.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - columns_bytes < 2_000_000
 
 def test_point_cloud_rejects_a_parameter_array_of_the_wrong_shape(tmp_path):
     with pytest.raises(ValueError):
