@@ -62,14 +62,24 @@ def _quote(text: str) -> str:
     return '"' + text.translate(_STRING_ESCAPES) + '"'
 
 
+_BOOL_TEXT = np.array(["false", "true"], dtype=object)
+
+
+def _require_finite(values: np.ndarray) -> None:
+    """Raise NonFiniteError on the first NaN or infinity of ``values``."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise NonFiniteError(values[~finite][0])
+
+
 class Rows:
-    """A list of dicts with the same keys, held as float64 columns: each
-    column is 1-D (a float per row) or 2-D (a list of floats per row).
+    """A list of dicts with the same keys, held as columns: each column is
+    float64 or bool, and 1-D (a value per row) or 2-D (a list per row).
 
     ``dumps`` writes it with one ``%`` template per row, ``%.17g`` being
-    ``_format_float``'s text for a finite float, after one finiteness
-    check over the columns; ``find_nan`` reads it as the list of dicts it
-    stands for.
+    ``_format_float``'s text for a finite float and a bool written
+    ``true``/``false``, after one finiteness check over the float columns;
+    ``find_nan`` reads it as the list of dicts it stands for.
     """
 
     __slots__ = ("columns",)
@@ -83,17 +93,20 @@ class Rows:
                 for row in zip(*(column.tolist() for column in self.columns.values()))]
 
     def render(self) -> str:
-        fields = []
+        fields, cells = [], []
         for key, column in self.columns.items():
-            spec = ("%.17g" if column.ndim == 1
-                    else "[" + ", ".join(["%.17g"] * column.shape[1]) + "]")
+            if column.dtype == bool:
+                spec, column = "%s", _BOOL_TEXT[column.view(np.uint8)]
+            else:
+                spec = "%.17g"
+                _require_finite(column)
+            if column.ndim > 1:
+                spec = "[" + ", ".join([spec] * column.shape[1]) + "]"
             fields.append(f"{_quote(key)}: {spec}")
+            cells.append(column)
         template = "{" + ", ".join(fields) + "}"
-        table = np.column_stack(list(self.columns.values()))
-        finite = np.isfinite(table)
-        if not finite.all():
-            raise NonFiniteError(table[~finite][0])
-        return "[" + ", ".join([template % tuple(row) for row in table.tolist()]) + "]"
+        rows = np.column_stack(cells).tolist()
+        return "[" + ", ".join([template % tuple(row) for row in rows]) + "]"
 
 
 def dumps(obj) -> str:
@@ -122,6 +135,13 @@ def dumps(obj) -> str:
                 walk(value)
                 sep = ", "
             append("}")
+        elif kind is np.ndarray and obj.dtype == np.float64 and 0 < obj.ndim < 3:
+            row = "[" + ", ".join(["%.17g"] * obj.shape[-1]) + "]"
+            text = (row % tuple(obj.tolist()) if obj.ndim == 1
+                    else "[" + ", ".join([row % tuple(r) for r in obj.tolist()]) + "]")
+            if "n" in text:  # %.17g spells only inf and nan with letters other than e
+                _require_finite(obj)
+            append(text)
         elif kind is list or kind is tuple or kind is np.ndarray:
             append("[")
             sep = ""
@@ -188,7 +208,7 @@ def _write(text: str, args):
         sys.stdout.write(text)
 
 
-# --- classify output: one template per row, straight from the arrays ---------
+# --- classify and report output: one template per row, from the arrays ------
 #
 # A non-error cell's Delta is finite, and f"{v:.17g}" is _format_float for
 # a finite float; an error cell's row is replaced by its error row.
@@ -230,6 +250,20 @@ def _region_csv(region) -> str:
     for i, message in region.errors.items():
         rows[i] = f"{labels[i]},,,{message}\n"
     return "index,delta,type,error\n" + "".join(rows)
+
+
+def _report_payload(report) -> dict:
+    """A singular-point report's payload: samples as ``Rows``, excluded directions as an array."""
+    params, dets, ratios, oks = zip(*report.samples)
+    return {"k": report.spec.k, "l": report.spec.l, "kind": report.spec.kind.value,
+            "radius": report.radius,
+            "samples": Rows(params=np.array(params), det=np.array(dets),
+                            sigma_ratio=np.array(ratios), rank2_ok=np.array(oks)),
+            "excluded_null_cone": np.array(report.excluded_null_cone).reshape(-1, 2),
+            "origin_base_derivative": report.origin_base_derivative,
+            "origin_rank0_ok": report.origin_rank0_ok, "bend_angle": report.bend_angle,
+            "bend_angle_swapped": report.bend_angle_swapped, "bend_ok": report.bend_ok,
+            "unique_singular_point": report.unique_singular_point}
 
 
 # --- argument helpers ----------------------------------------------------------
@@ -468,7 +502,7 @@ def cmd_rmanifold(args) -> int:
             raise
     report = rmanifold.singular_point_report(
         spec, radius=args.radius, samples=args.samples)
-    return _emit(report.to_json_dict(), args)
+    return _emit(_report_payload(report), args)
 
 
 def cmd_selfadjoint(args) -> int:

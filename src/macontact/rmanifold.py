@@ -247,9 +247,13 @@ def family_consistency(pt: JetChartPoint, kind: ZetaKind,
 
 def tangent_vectors(spec: RManifoldSpec, a: float, b: float,
                     h: float = 1e-4) -> tuple:
-    """Unit central-difference tangents of the parametrization in a and b."""
+    """Unit central-difference tangents of the parametrization in a and b.
+    A step that vanishes next to a or b (``a + h == a``) raises ValueError."""
     if h <= 0:
         raise ValueError("step h must be positive")
+    for name, value in (("a", a), ("b", b)):
+        if value + h == value or value - h == value:
+            raise ValueError(f"step h={h!r} vanishes at parameter {name}={value!r}")
     # the zero steps are not no-ops: ``-0.0 + 0.0`` is ``0.0``, so they fix
     # the sign of zero coordinates, as stepping (a, b) by (h, 0) does
     lanes = [(a + h, b + 0.0), (a - h, b - 0.0), (a + 0.0, b + h), (a - 0.0, b - h)]
@@ -300,25 +304,6 @@ class SingularPointReport:
     bend_angle_swapped: float  # to the x<->y mirror span
     bend_ok: bool
     unique_singular_point: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.spec.k,
-            "l": self.spec.l,
-            "kind": self.spec.kind.value,
-            "radius": self.radius,
-            "samples": [
-                {"params": list(p), "det": d, "sigma_ratio": r, "rank2_ok": ok}
-                for p, d, r, ok in self.samples
-            ],
-            "excluded_null_cone": [list(p) for p in self.excluded_null_cone],
-            "origin_base_derivative": self.origin_base_derivative,
-            "origin_rank0_ok": self.origin_rank0_ok,
-            "bend_angle": self.bend_angle,
-            "bend_angle_swapped": self.bend_angle_swapped,
-            "bend_ok": self.bend_ok,
-            "unique_singular_point": self.unique_singular_point,
-        }
 
 
 def _require_finite(what: str, cols: np.ndarray, params) -> None:

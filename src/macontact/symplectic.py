@@ -99,6 +99,15 @@ def standard_space(n: int) -> SymplecticSpace:
     return SymplecticSpace(j)
 
 
+def _refuse_non_finite(m: np.ndarray, entry: str) -> None:
+    """Raise ValueError at the first NaN or infinity of ``m`` (row-major),
+    naming its place as ``entry.format(i, j)``."""
+    bad = np.argwhere(~np.isfinite(m))
+    if bad.size:
+        i, j = (int(v) for v in bad[0])
+        raise ValueError(f"{entry.format(i, j)} is not finite: {float(m[i, j])!r}")
+
+
 def _adjoint_defect(sp: SymplecticSpace, a: Operator) -> float:
     """max |A^T J - J A|, zero exactly for a self-adjoint A."""
     if a.space.dim != sp.dim:
@@ -109,6 +118,9 @@ def _adjoint_defect(sp: SymplecticSpace, a: Operator) -> float:
 
 def is_self_adjoint(sp: SymplecticSpace, a: Operator,
                     tol: float = GATES["self_adjoint"].threshold) -> bool:
+    """Whether A^T J = J A within ``tol``; a NaN or infinite entry of A
+    raises ValueError."""
+    _refuse_non_finite(a.matrix, "operator entry ({}, {})")
     return passes("self_adjoint", _adjoint_defect(sp, a), threshold=tol)
 
 
@@ -133,10 +145,12 @@ def cyclic_subspace(sp: SymplecticSpace, a: Operator, v) -> np.ndarray:
 
 def is_lagrangian(sp: SymplecticSpace, plane) -> bool:
     """True iff the two given vectors span a Lagrangian plane; both tests
-    read the unit columns, so neither depends on the scale of a vector."""
+    read the unit columns, so neither depends on the scale of a vector.
+    A NaN or infinite entry of a vector raises ValueError."""
     p = np.column_stack([np.asarray(v, dtype=float) for v in plane])
     if p.shape[1] != 2:
         raise ValueError("a plane needs exactly two spanning vectors")
+    _refuse_non_finite(p.T, "plane vector {} entry {}")
     p, independent = _unit_columns(p)
     if not independent:
         raise ValueError("plane vectors are linearly dependent")
@@ -169,10 +183,7 @@ def classify_dim4(sp: SymplecticSpace, a: Operator,
         # below 0 a parabolic d passes the elliptic test; a NaN passes none
         raise ValueError(f"band must be finite and at least 0, got {band!r}")
     m = a.matrix
-    bad = np.argwhere(~np.isfinite(m))
-    if bad.size:
-        i, j = (int(v) for v in bad[0])
-        raise ValueError(f"operator entry ({i}, {j}) is not finite: {float(m[i, j])!r}")
+    _refuse_non_finite(m, "operator entry ({}, {})")
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(m))
     if not passes("dim4_norm", norm):  # above it ||A||^2 or A^2 overflows

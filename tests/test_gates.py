@@ -233,6 +233,7 @@ ALLOWED = {
     ("bends.py", "k < 2"): DOMAIN,
     ("bends.py", "j % 2 == 0"): "the parity of a binomial term of z^k",
     ("cli.py", "len(pieces) != 3"): DIMENSION,
+    ("cli.py", "0 < obj.ndim < 3"): DIMENSION,
     ("contact.py", "self.n != 2"): DIMENSION,
     ("expr.py", "order > 170"): "171! is the first factorial above the float range",
     ("monge_ampere.py", "bases.ndim != 2"): DIMENSION,

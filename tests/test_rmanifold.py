@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from macontact.bends import normal_form, span_angle
+from macontact.cli import _report_payload
 from macontact.expr import EvalDomainError
 from macontact import rmanifold
 from macontact.rmanifold import (JetChartPoint, RManifoldSpec, _family_columns,
@@ -219,6 +220,29 @@ def test_family_point_and_tangency_defect_refuse_a_non_finite_parameter(a, b, na
             measure(spec, a, b)
 
 
+@pytest.mark.parametrize("a, b, name", [(1e20, 0.3, "a"), (0.3, 1e20, "b"),
+                                        (1e100, 0.3, "a"), (-0.3, -1e100, "b")])
+def test_a_step_lost_at_a_large_parameter_is_refused(a, b, name):
+    # at 1e20 the difference quotient was all zero, divided by its zero norm
+    # outside np.errstate: "invalid value encountered in divide", then NaN
+    spec = RManifoldSpec(3, 2, ZetaKind.PLUS)
+    with pytest.raises(ValueError, match=f"vanishes at parameter {name}="):
+        cartan_tangency_defect(spec, a, b)
+    with pytest.raises(ValueError, match=f"vanishes at parameter {name}="):
+        tangent_vectors(spec, a, b)
+
+
+@pytest.mark.parametrize("a", [1.0, -1.0])
+def test_a_step_lost_on_one_side_only_is_refused(a):
+    # 1 + 1e-16 rounds to 1 while 1 - 1e-16 does not (the spacing halves
+    # below a power of two), and the other way round at -1: either way the
+    # quotient would be halved
+    spec = RManifoldSpec(2, 2, ZetaKind.MINUS)
+    assert (a + 1e-16 == a) != (a - 1e-16 == a)
+    with pytest.raises(ValueError, match=f"vanishes at parameter a={a!r}"):
+        tangent_vectors(spec, a, 0.5, h=1e-16)
+
+
 @pytest.mark.parametrize("where", ["point", "tangent"])
 def test_cartan_defect_propagates_nan(where):
     # max(0.0, nan) is 0.0: a defect taken that way hid every NaN term
@@ -276,10 +300,10 @@ def test_singular_report_dual_case_emits_both_conventions():
 
 def test_report_json_is_serializable_shape():
     report = singular_point_report(RManifoldSpec(2, 2, ZetaKind.MINUS))
-    payload = report.to_json_dict()
+    payload = _report_payload(report)
     assert payload["k"] == 2 and payload["kind"] == "minus"
     assert payload["unique_singular_point"] is True
-    assert len(payload["samples"]) == len(report.samples)
+    assert len(payload["samples"].dicts()) == len(report.samples)
 
 
 # --- export -------------------------------------------------------------------------------
@@ -558,9 +582,9 @@ def test_singular_report_ignores_overflow_in_rows_it_does_not_read():
     a, b = 1e8, 0.5e8
     assert not np.isfinite(_family_columns(spec, [a], [b])).all()
     report = singular_point_report(spec, radius=1e8, samples=4)
-    data = report.to_json_dict()
+    data = _report_payload(report)
     assert all(math.isfinite(s["det"]) and math.isfinite(s["sigma_ratio"])
-               for s in data["samples"])
+               for s in data["samples"].dicts())
     assert math.isfinite(report.origin_base_derivative)
 
 

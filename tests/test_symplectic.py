@@ -66,6 +66,20 @@ def test_scalar_operators_are_self_adjoint():
         assert is_self_adjoint(sp, Operator(c * np.eye(4), sp))
 
 
+@pytest.mark.parametrize("where, bad", [((0, 0), np.nan), ((1, 2), np.inf), ((3, 0), -np.inf)])
+def test_is_self_adjoint_refuses_a_non_finite_entry(where, bad):
+    # a NaN operator read "not self-adjoint" (a decision made from a NaN), and
+    # an infinite entry also warned "invalid value encountered in matmul"
+    sp = standard_space(2)
+    m = np.eye(4)
+    m[where] = bad
+    text = rf"operator entry \({where[0]}, {where[1]}\) is not finite: {bad!r}"
+    with pytest.raises(ValueError, match=text):
+        is_self_adjoint(sp, Operator(m, sp))
+    with pytest.raises(ValueError, match=text):  # the same text as classify_dim4
+        classify_dim4(sp, Operator(m, sp))
+
+
 def test_gram_matrix_itself_is_not_self_adjoint():
     sp = standard_space(2)
     assert not is_self_adjoint(sp, Operator(sp.gram, sp))
@@ -280,6 +294,18 @@ def test_is_lagrangian_rejects_dependent_vectors():
     v = np.array([1.0, 2.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         is_lagrangian(sp, (v, 2 * v))
+
+
+@pytest.mark.parametrize("vector, entry, bad", [(0, 0, np.nan), (1, 2, np.inf),
+                                               (1, 3, -np.inf)])
+def test_is_lagrangian_refuses_a_non_finite_entry(vector, entry, bad):
+    # the SVD of the unit columns raised LinAlgError "SVD did not converge"
+    sp = standard_space(2)
+    plane = [np.eye(4)[:, 0], np.eye(4)[:, 1]]
+    plane[vector][entry] = bad
+    with pytest.raises(ValueError, match=rf"plane vector {vector} entry {entry} "
+                                         rf"is not finite: {bad!r}"):
+        is_lagrangian(sp, plane)
 
 
 # --- nilpotent construction -----------------------------------------------------------
