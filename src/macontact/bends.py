@@ -110,7 +110,16 @@ def span_angle(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
     1973; Knyazev & Argentati, SIAM J. Sci. Comput. 2002): the arccos of a
     cosine near 1 resolves angles only down to about 1e-8.
     """
-    qa, qb = (_orth(m, "span_rank", max(m.shape)) for m in (basis_a, basis_b))
+    return _orth_angle(_span_basis(basis_a), _span_basis(basis_b))
+
+
+def _span_basis(m: np.ndarray) -> np.ndarray:
+    """The orthonormal basis of the column span that ``span_angle`` measures."""
+    return _orth(m, "span_rank", max(m.shape))
+
+
+def _orth_angle(qa: np.ndarray, qb: np.ndarray) -> float:
+    """``span_angle`` of two ``_span_basis`` bases."""
     if qa.shape[1] < qb.shape[1]:
         qa, qb = qb, qa
     cross = qa.T @ qb
@@ -135,10 +144,17 @@ def _prolongation_space(k: int, q1: HomPoly, q2: HomPoly) -> np.ndarray:
     """Basis of {h in P_{k+1} : h_x, h_y in span(q1, q2)} (columns)."""
     if q1.degree != k or q2.degree != k:
         raise ValueError("witness polynomials must have the stated degree")
+    pair = {"q1": q1, "q2": q2}
+    for name, q in pair.items():
+        if not np.isfinite(q.coeffs).all():
+            raise ValueError(f"{name} = {q} has a non-finite coefficient")
     span = np.column_stack([q1.coeffs, q2.coeffs])
     if not _unit_columns(span)[1]:
         raise ValueError("q1, q2 must be linearly independent")
     q, _ = np.linalg.qr(span)
+    if not np.isfinite(q).all():  # a Householder step overflows near the largest float
+        name = max(pair, key=lambda n: np.abs(pair[n].coeffs).max())
+        raise ValueError(f"{name} = {pair[name]} is too large: its QR overflows")
     proj_out = np.eye(k + 1) - q @ q.T
     dx, dy = _derivative_matrices(k + 1)
     constraints = np.vstack([proj_out @ dx, proj_out @ dy])

@@ -9,9 +9,11 @@ no code path returns it.
 """
 
 import argparse
+import itertools
 import math
 import os
 import sys
+from collections import defaultdict
 from functools import lru_cache, partial
 
 import numpy as np
@@ -196,60 +198,86 @@ def _emit(payload, args) -> int:
     except NonFiniteError:
         print(f"error: non-finite value at {find_nan(payload)}", file=sys.stderr)
         return EXIT_NUMERIC
-    _write(text, args)
+    _write((text,), args)
     return EXIT_OK
 
 
-def _write(text: str, args):
+def _write(texts, args):
     if args.out:
         with open(args.out, "w") as handle:
-            handle.write(text)
+            handle.writelines(texts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
 
 
-# --- classify and report output: one template per row, from the arrays ------
+# --- classify and report output: one `%` template per line of the last axis --
 #
-# A non-error cell's Delta is finite, and f"{v:.17g}" is _format_float for
-# a finite float; an error cell's row is replaced by its error row.
+# A line is the cells that share every leading index.  Its template holds the
+# last-axis indices as text and \x00 for the leading-index label; %.17g is
+# _format_float's text, a non-error Delta being finite.  An error cell's row
+# takes its message in the Delta's place and drops its type text (%.0s).  A
+# line over _BLOCK_CELLS, a power of ten, is cut into pieces that long: index
+# q*_BLOCK_CELLS + r reads q, put in with the label, then r.
 
-_JSON_TYPES = tuple("null" if t is None else _quote(t) for t in monge_ampere.TYPE_NAMES)
-_CSV_TYPES = tuple(t or "" for t in monge_ampere.TYPE_NAMES)
-
-
-def _index_labels(shape, sep: str) -> list:
-    """Every cell index as text, in row-major order (last axis fastest)."""
-    labels = [""]
-    for axis, count in enumerate(shape):
-        digits = [str(i) for i in range(count)]
-        labels = digits if axis == 0 else [p + sep + d for p in labels for d in digits]
-    return labels
+_JSON_TYPES = np.array([_quote(t) if t else "null" for t in monge_ampere.TYPE_NAMES], dtype=object)
+_CSV_TYPES = np.array([t or "" for t in monge_ampere.TYPE_NAMES], dtype=object)
+_BLOCK_CELLS = 10_000  # cells per written block (README)
 
 
-def _region_json(region) -> str:
-    """The JSON of a region plus a newline: its grid, then one object per
-    cell in row-major order with the cell's index, delta and type (both
-    null on an error cell, which adds its error text)."""
-    labels = _index_labels(region.grid.shape(), ", ")
-    types = _JSON_TYPES
-    rows = [f'{{"index": [{i}], "delta": {d:.17g}, "type": {types[c]}}}'
-            for i, d, c in zip(labels, region.deltas.tolist(), region.codes.tolist())]
-    for i, message in region.errors.items():
-        rows[i] = (f'{{"index": [{labels[i]}], "delta": null, "type": null, '
-                   f'"error": {_quote(message)}}}')
-    return (f'{{"grid": {dumps(region.grid_json_dict())}, '
-            f'"cells": [{", ".join(rows)}]}}\n')
+def _region_blocks(region, sep, row, error_row, joiner, quote, types):
+    """The cells as text in blocks of whole lines or of one piece of a long line,
+    each block but the first led by ``joiner``; rows have ``{}`` for the index."""
+    shape, codes, deltas, errors = region.grid.shape(), region.codes, region.deltas, region.errors
+    if not codes.size:
+        return
+    last, lead = (shape[-1] if shape else 1), (sep if len(shape) > 1 else "")
+    seg, width = min(last, _BLOCK_CELLS), len(str(_BLOCK_CELLS)) - 1
+
+    def templates(padded, n):
+        tails = [f"\x00{j:0{width}d}" if padded else "\x00" + lead + str(j) * bool(shape)
+                 for j in range(n)]
+        rows = [row.format(t) for t in tails]
+        return joiner.join(rows), rows, [error_row.format(t) + "%.0s" for t in tails]
+    kinds = {k: templates(*k) for k in {(False, seg), (last > seg, seg), (True, last % seg)}}
+
+    def pieces():  # (label, kind) of each line, or of each piece of a long line
+        digits = ([str(i) for i in range(n)] for n in shape[:-1])
+        for head in map(sep.join, itertools.product(*digits)):
+            for j in range(0, last, seg):
+                yield (head + lead + str(j // seg) if j else head), (j > 0, min(seg, last - j))
+
+    lo, parts = 0, pieces()
+    while block := list(itertools.islice(parts, max(1, _BLOCK_CELLS // last))):
+        line, rows, error_rows = kinds[block[0][1]]  # a block's pieces are all of one kind
+        n = len(rows)
+        hi = lo + len(block) * n
+        values = np.stack([deltas[lo:hi].astype(object), types[codes[lo:hi]]], 1).ravel().tolist()
+        patched = defaultdict(rows.copy)  # line of the block -> its rows, error rows put in
+        for i in np.flatnonzero(codes[lo:hi] == monge_ampere.ERROR).tolist():
+            values[2 * i] = quote(errors[lo + i])
+            patched[i // n][i % n] = error_rows[i % n]
+        out = [""] if lo else []  # joiner.join(out) then leads with the joiner
+        for k, (head, _) in enumerate(block):
+            out.append((joiner.join(patched[k]) if k in patched else line).replace("\x00", head))
+        yield joiner.join(out) % tuple(values)
+        lo = hi
 
 
-def _region_csv(region) -> str:
-    """One line per cell, index,delta,type,error; error text is written raw."""
-    labels = _index_labels(region.grid.shape(), ";")
-    types = _CSV_TYPES
-    rows = [f"{i},{d:.17g},{types[c]},\n"
-            for i, d, c in zip(labels, region.deltas.tolist(), region.codes.tolist())]
-    for i, message in region.errors.items():
-        rows[i] = f"{labels[i]},,,{message}\n"
-    return "index,delta,type,error\n" + "".join(rows)
+def _region_json(region):
+    """The JSON of a region plus a newline, in blocks: its grid, then one
+    object per cell in row-major order with the cell's index, delta and
+    type (both null on an error cell, which adds its error text)."""
+    yield f'{{"grid": {dumps(region.grid_json_dict())}, "cells": ['
+    yield from _region_blocks(region, ", ", '{{"index": [{}], "delta": %.17g, "type": %s}}',
+                              '{{"index": [{}], "delta": null, "type": null, "error": %s}}',
+                              ", ", _quote, _JSON_TYPES)
+    yield "]}\n"
+
+
+def _region_csv(region):
+    """One line per cell, index,delta,type,error, in blocks; error text is written raw."""
+    yield "index,delta,type,error\n"
+    yield from _region_blocks(region, ";", "{},%.17g,%s,\n", "{},,,%s\n", "", str, _CSV_TYPES)
 
 
 def _report_payload(report) -> dict:

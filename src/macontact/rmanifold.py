@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bends import HomPoly, normal_form, poly_from_fiber_vector, span_angle
+from .bends import HomPoly, _orth_angle, _span_basis, normal_form, poly_from_fiber_vector
 from .expr import EvalDomainError, multi_indices
 from .gates import GATES, _sigma_ratios, passes
 from .zeta import ZetaKind, frac_factorial
@@ -379,8 +379,10 @@ def singular_point_report(spec: RManifoldSpec, radius: float = 0.5,
     bend = _origin_bend_basis(spec.k, (ta0, tb0))
     nf = normal_form(spec.k, spec.kind).basis_matrix()
     swapped = nf[::-1, :]  # reversing coefficients swaps x and y
-    angle = span_angle(bend, nf)
-    angle_swapped = span_angle(bend, swapped)
+    # one orthonormal basis of the bend serves both angles (span_angle's bits)
+    qbend, qnf, qswapped = map(_span_basis, (bend, nf, swapped))
+    angle = _orth_angle(qbend, qnf)
+    angle_swapped = _orth_angle(qbend, qswapped)
     bend_ok = bool(passes("bend_angle", angle))
 
     unique = bool(all(ok for *_, ok in samples_out) and rank0_ok and

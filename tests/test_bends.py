@@ -1,4 +1,7 @@
 import math
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -181,6 +184,46 @@ def test_classify_bend_keeps_a_large_finite_invariant():
     kind, gen = classify_bend((2e150, 1e150, -1e149, 0))
     assert kind is ZetaKind.PLUS
     assert np.allclose(gen @ gen, np.eye(2))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["q1", "q2"])
+def test_is_bend_refuses_a_non_finite_coefficient(value, name):
+    # it raised LinAlgError "SVD did not converge", with a RuntimeWarning for inf
+    pair = {"q1": hp(2, [0, 0, 1]), "q2": hp(2, [0, 1, 0])}
+    pair[name] = hp(2, [value, 0, 1])
+    text = f"{name} = 1*x^2 + {value!r}*y^2 has a non-finite coefficient"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        is_bend(2, pair["q1"], pair["q2"])
+    with pytest.raises(ValueError, match=f"^{name} = .* has a non-finite coefficient$"):
+        prolong_bend(BendSubspace(2, pair["q1"], pair["q2"]))
+
+
+@pytest.mark.parametrize("big", [9e307, 1e308, 1.7e308])
+@pytest.mark.parametrize("name", ["q1", "q2"])
+def test_is_bend_refuses_coefficients_whose_qr_overflows(big, name):
+    # a Householder step of the pair's QR doubles the largest column's norm
+    pair = {"q1": hp(2, [0, 1, 0]), "q2": hp(2, [0, 1, 0])}
+    pair[name] = hp(2, [big, 0, 1])
+    text = f"{name} = 1*x^2 + {big:g}*y^2 is too large: its QR overflows"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        is_bend(2, pair["q1"], pair["q2"])
+
+
+def test_is_bend_keeps_a_large_coefficient_whose_qr_is_finite():
+    ok, witness = is_bend(2, hp(2, [1e300, 0, 1]), hp(2, [0, 1, 0]))
+    assert ok and all(np.isfinite(w.coeffs).all() for w in witness)
+
+
+def test_bend_cli_refuses_an_overflowing_pair_without_a_warning():
+    # it printed a RuntimeWarning and exited 2 with "SVD did not converge";
+    # under -W error a traceback escaped with exit 1
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "macontact.cli", "bend",
+                           "--k", "2", "--q1", "x^2 + 1e308*y^2", "--q2", "x*y"],
+                          capture_output=True)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == (b"input error: q1 = 1*x^2 + 1e+308*y^2 is too large: "
+                           b"its QR overflows\n")
 
 
 # --- normal forms ---------------------------------------------------------------------------

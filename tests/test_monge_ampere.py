@@ -272,7 +272,7 @@ def test_classify_region_records_errors_per_cell():
 
 def test_region_json_shape():
     grid = GridSpec({"x1": (0, 1, 2)}, fixed={"u": 0.5})
-    payload = json.loads(_region_json(classify_region(LAPLACE, grid)))
+    payload = json.loads("".join(_region_json(classify_region(LAPLACE, grid))))
     assert payload["grid"]["axes"] == {"x1": [0, 1, 2]}
     assert payload["grid"]["fixed"] == {"u": 0.5}
     assert payload["cells"][0]["index"] == [0]

@@ -306,6 +306,22 @@ def test_report_json_is_serializable_shape():
     assert len(payload["samples"].dicts()) == len(report.samples)
 
 
+@pytest.mark.parametrize("kind", list(ZetaKind))
+def test_report_orthonormalises_the_bend_once(kind, monkeypatch):
+    # the bend, the normal form and its mirror: three bases for two angles,
+    # each angle the bits of span_angle
+    shapes, basis = [], rmanifold._span_basis
+    monkeypatch.setattr(rmanifold, "_span_basis", lambda m: shapes.append(m.shape) or basis(m))
+    spec = RManifoldSpec(4, 3, kind)
+    report = singular_point_report(spec)
+    assert shapes == [(5, 2)] * 3
+    bend = rmanifold._origin_bend_basis(4, tuple(c[:, 0] for c in _family_columns(
+        spec, [0.0], [0.0], tangents=True)[1:]))
+    nf = normal_form(4, kind).basis_matrix()
+    assert report.bend_angle == span_angle(bend, nf)
+    assert report.bend_angle_swapped == span_angle(bend, nf[::-1, :])
+
+
 # --- export -------------------------------------------------------------------------------
 
 def test_point_cloud_csv(tmp_path):
