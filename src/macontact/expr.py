@@ -25,7 +25,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
-MAX_DEPTH = 250  # deepest nesting the parser accepts (README)
 MAX_EXPONENT = 1000  # largest |k| of a power x^k the parser accepts (README)
 
 
@@ -371,40 +370,24 @@ class Jet:
     def __rmul__(self, other):
         return self * other
 
-    def __truediv__(self, other):
-        return self.divide(other)
-
     def __rtruediv__(self, other):
         return self.reciprocal() * other
 
-    def __pow__(self, k: int):
-        return self.power(k)
-
-    # each is its kernel on the data; ``lanes`` (a batch's ``_Lanes``) records failing lanes
-
-    def divide(self, other, lanes=None) -> "Jet":
+    def divide(self, other) -> "Jet":
         """``self / other``; dividing by a zero constant term raises."""
         other = self._lift(other).data
-        return Jet(self.base, self.order, _quotient(self.data, other, self.n, self.order, lanes))
+        return Jet(self.base, self.order, _quotient(self.data, other, self.n, self.order))
 
-    def power(self, k: int, lanes=None) -> "Jet":
+    def power(self, k: int) -> "Jet":
         """Integer power by repeated multiplication, as ``Expr.eval`` does."""
         if not isinstance(k, int):
             raise TypeError("jet exponent must be an integer")
-        return Jet(self.base, self.order, _power(self.data, k, self.n, self.order, lanes))
+        return Jet(self.base, self.order, _power(self.data, k, self.n, self.order))
 
-    def reciprocal(self, lanes=None) -> "Jet":
-        return Jet(self.base, self.order, _apply(self.data, "1/x", self.n, self.order, lanes))
+    __truediv__, __pow__ = divide, power
 
-    def apply(self, func: str, lanes=None) -> "Jet":
-        """``func`` (one of FUNCTIONS) of the jet; leaving its domain raises."""
-        if func not in FUNCTIONS:
-            raise ValueError(f"unknown function {func!r}")
-        return Jet(self.base, self.order, _apply(self.data, func, self.n, self.order, lanes))
-
-    def compose_series(self, series) -> "Jet":
-        """Apply a univariate Taylor series g (coefficients around value)."""
-        return Jet(self.base, self.order, _compose(self.data, series, self.n, self.order))
+    def reciprocal(self) -> "Jet":
+        return Jet(self.base, self.order, _apply(self.data, "1/x", self.n, self.order))
 
     def __repr__(self):
         lanes = "" if self.data.ndim == 1 else f", lanes={self.data.shape[1]}"
@@ -441,8 +424,13 @@ def _fail(lanes, mask, text: str, arg=None):
 def _elementwise(func, x) -> np.ndarray:
     """The Python float function ``func`` of every element of ``x``, at
     the shape of ``x``: once per distinct lane value of a broadcast axis,
-    not once per lane of the batch."""
-    return np.array(list(map(func, np.ravel(x).tolist()))).reshape(np.shape(x))
+    not once per lane of the batch.  It maps slices of 65,536 elements, so
+    the Python floats in flight stay a few MB at any lane count."""
+    flat = np.ravel(x)
+    out = np.empty(flat.shape)
+    for start in range(0, flat.size, 65536):
+        out[start:start + 65536] = list(map(func, flat[start:start + 65536].tolist()))
+    return out.reshape(np.shape(x))
 
 
 def _call(func: str, x, lanes=None):
@@ -520,12 +508,42 @@ def _series_for(func: str, c0, order: int, lanes=None) -> list:
 
 # --- expressions -----------------------------------------------------------
 
+def _operator(op: str, reflected: bool = False):
+    """The ``Expr`` method of the binary operator ``op``, with the
+    expression on the left, or on the right if ``reflected``."""
+    def method(self, other):
+        left, right = self.node, self._coerce(other).node
+        if reflected:
+            left, right = right, left
+        return Expr(BinOp(op, left, right), self.variables)
+    return method
+
+
 @dataclass(frozen=True)
 class Expr:
     """An expression tree over a fixed tuple of declared variables."""
 
     node: object
     variables: tuple
+
+    @cached_property
+    def _nodes(self) -> list:
+        """The nodes in postorder (children first, left before right) for every walk."""
+        out, todo = [], [self.node]
+        while todo:  # right before left, then reversed
+            node = todo.pop()
+            out.append(node)
+            kind = type(node)
+            if kind is BinOp:
+                todo += (node.left, node.right)
+            elif kind is Neg or kind is Pow:
+                todo.append(node.child)
+            elif kind is Call:
+                todo.append(node.arg)
+            elif kind is not Num and kind is not Var:
+                raise TypeError(f"bad node {node!r}")
+        out.reverse()
+        return out
 
     # -- construction helpers
 
@@ -545,29 +563,10 @@ class Expr:
             return other
         return Expr.const(other, self.variables)
 
-    def __add__(self, other):
-        return Expr(BinOp("+", self.node, self._coerce(other).node), self.variables)
-
-    def __radd__(self, other):
-        return Expr(BinOp("+", self._coerce(other).node, self.node), self.variables)
-
-    def __sub__(self, other):
-        return Expr(BinOp("-", self.node, self._coerce(other).node), self.variables)
-
-    def __rsub__(self, other):
-        return Expr(BinOp("-", self._coerce(other).node, self.node), self.variables)
-
-    def __mul__(self, other):
-        return Expr(BinOp("*", self.node, self._coerce(other).node), self.variables)
-
-    def __rmul__(self, other):
-        return Expr(BinOp("*", self._coerce(other).node, self.node), self.variables)
-
-    def __truediv__(self, other):
-        return Expr(BinOp("/", self.node, self._coerce(other).node), self.variables)
-
-    def __rtruediv__(self, other):
-        return Expr(BinOp("/", self._coerce(other).node, self.node), self.variables)
+    __add__, __radd__ = _operator("+"), _operator("+", True)
+    __sub__, __rsub__ = _operator("-"), _operator("-", True)
+    __mul__, __rmul__ = _operator("*"), _operator("*", True)
+    __truediv__, __rtruediv__ = _operator("/"), _operator("/", True)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -589,7 +588,7 @@ class Expr:
         polynomial; so do division by, negative powers of and functions of
         subexpressions free of variables, which are constants.
         """
-        return _degree_node(self.node)
+        return _degree(self._nodes)
 
     # -- evaluation
 
@@ -603,7 +602,7 @@ class Expr:
         if len(point) != len(self.variables):
             raise ValueError(f"point has {len(point)} entries for "
                              f"{len(self.variables)} variables")
-        return _value_node(self.node, point, None)
+        return _values(self._nodes, point, None)
 
     def _columns(self, columns, lanes) -> np.ndarray:
         """Evaluate at many points at once: one array per declared variable,
@@ -620,7 +619,7 @@ class Expr:
         it is the same walk over float64 arrays."""
         columns = self._lane_columns(columns)
         with np.errstate(all="ignore"):
-            values = _value_node(self.node, columns, lanes)
+            values = _values(self._nodes, columns, lanes)
         return np.broadcast_to(values, lanes.raised.shape)
 
     def _lane_columns(self, columns) -> tuple:
@@ -635,11 +634,7 @@ class Expr:
         if len(base) != len(self.variables):
             raise ValueError(f"base has {len(base)} entries for "
                              f"{len(self.variables)} variables")
-        if order < 0:
-            raise ValueError("jet order must be nonnegative")
-        zero = _zero_jet(base, order)
-        with np.errstate(all="ignore"):
-            return Jet(zero.base, order, _jet_data(self.node, zero, None))
+        return _jet(self._nodes, _zero_jet(base, order), None)
 
     def _jets(self, columns, order: int, lanes) -> Jet:
         """Jets at many points at once: one array per declared variable.
@@ -649,12 +644,7 @@ class Expr:
         failure channel ``lanes``, as in :meth:`_columns`, and its column
         is meaningless; on every other lane each coefficient is bitwise
         :meth:`eval_jet`, finite or not, up to the sign of a NaN."""
-        columns = self._lane_columns(columns)
-        if order < 0:
-            raise ValueError("jet order must be nonnegative")
-        zero = _zero_jet(columns, order)
-        with np.errstate(all="ignore"):
-            return Jet(zero.base, order, _jet_data(self.node, zero, lanes))
+        return _jet(self._nodes, _zero_jet(self._lane_columns(columns), order), lanes)
 
     def subs(self, mapping: dict) -> "Expr":
         """Substitute expressions for variables (by name)."""
@@ -670,14 +660,13 @@ class Expr:
             repl[name] = ex.node
         if variables is None:
             variables = self.variables
-        return Expr(_subs_node(self.node, repl, variables), variables)
+        return Expr(_substituted(self._nodes, repl, variables), variables)
 
     def to_string(self) -> str:
         """Canonical, re-parseable rendering (fully parenthesized)."""
-        return _print_node(self.node)
+        return _text(self._nodes)
 
-    def __str__(self):
-        return self.to_string()
+    __str__ = to_string
 
 
 class _Lanes:
@@ -721,159 +710,174 @@ class _Lanes:
             raise EvalDomainError(self.errors[min(self.errors)])
 
 
-def _number(value: float, lanes):
-    """A constant: a Python float at one point, a float64 scalar over
-    lanes, which divides by a failed lane's zero without raising."""
-    return value if lanes is None else np.float64(value)
+def _values(nodes, point, lanes):
+    """Value of the tree whose postorder is ``nodes`` at ``point``: Python
+    floats at one point (``lanes`` None, where errors raise), or over lanes
+    float64 arrays, each at the broadcast shape of the variables its
+    subtree reads, whose lanes that raise are recorded in ``lanes``.  Both
+    modes run the same operations in the same order, and each check is one
+    ``_fail`` on a bool or a mask, so a lane fails where the point walk
+    raises and every other lane keeps its bits, non-finite ones too."""
+    stack = []
+    push, pop = stack.append, stack.pop
+    for node in nodes:
+        kind = type(node)
+        if kind is BinOp:
+            b, a = pop(), pop()
+            if node.op == "+":
+                push(a + b)
+            elif node.op == "-":
+                push(a - b)
+            elif node.op == "*":
+                push(a * b)
+            else:
+                _fail(lanes, b == 0.0, "division by zero")
+                push(a / b)
+        elif kind is Var:
+            push(point[node.index])
+        elif kind is Num:  # over lanes a float64, which divides by a failed lane's zero
+            push(node.value if lanes is None else np.float64(node.value))
+        elif kind is Neg:
+            push(-pop())
+        elif kind is Pow:
+            base, k = pop(), node.exponent
+            if k < 0:
+                _fail(lanes, base == 0.0, "zero raised to a negative power")
+                base, k = 1.0 / base, -k
+            # repeated multiplication, mirroring jet arithmetic bit for bit
+            out = 1.0 if lanes is None else np.float64(1.0)
+            for _ in range(k):
+                out = out * base
+            push(out)
+        else:
+            push(_call(node.func, pop(), lanes))
+    return pop()
 
 
-def _value_node(node, point, lanes):
-    """Value of the subtree at ``point``: Python floats at one point
-    (``lanes`` None, where errors raise), or over lanes float64 arrays
-    whose lanes that raise are recorded in the ``_Lanes`` ``lanes``.  Over
-    lanes, a subtree's value has the broadcast shape of the variables it
-    reads, so a subtree of one grid axis is computed once per value of
-    that axis, and a constant one once.
-
-    Both modes run the same operations in the same order.  ``+ - * /`` on
-    float64 arrays round exactly like Python floats, and each check (a
-    zero divisor, zero to a negative power, ``_call``'s domain test) is
-    one ``_fail`` on a bool or a mask, so a lane fails where the point
-    walk raises and every other lane keeps its bits, non-finite ones too.
-    """
-    if isinstance(node, Num):
-        return _number(node.value, lanes)
-    if isinstance(node, Var):
-        return point[node.index]
-    if isinstance(node, Neg):
-        return -_value_node(node.child, point, lanes)
-    if isinstance(node, BinOp):
-        a = _value_node(node.left, point, lanes)
-        b = _value_node(node.right, point, lanes)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        _fail(lanes, b == 0.0, "division by zero")
-        return a / b
-    if isinstance(node, Pow):
-        base = _value_node(node.child, point, lanes)
-        k = node.exponent
-        if k < 0:
-            _fail(lanes, base == 0.0, "zero raised to a negative power")
-            base, k = 1.0 / base, -k
-        # repeated multiplication, mirroring jet arithmetic bit for bit
-        out = _number(1.0, lanes)
-        for _ in range(k):
-            out = out * base
-        return out
-    if isinstance(node, Call):
-        return _call(node.func, _value_node(node.arg, point, lanes), lanes)
-    raise TypeError(f"bad node {node!r}")
+def _jet(nodes, zero: Jet, lanes) -> Jet:
+    """Jet of the tree whose postorder is ``nodes`` at the base point and
+    order of the jet ``zero``, by the kernels of the ``Jet`` operations;
+    lanes that raise go to ``lanes`` (or raise).  The stack entry of a
+    number, or of a negated one, is its node: as a factor of ``*`` it
+    scales the other factor's data (``_scale``) and has no data of its
+    own; anywhere else it becomes its constant (``_built``)."""
+    if zero.order < 0:
+        raise ValueError("jet order must be nonnegative")
+    n, order, data = zero.n, zero.order, zero.data
+    stack = []
+    push, pop = stack.append, stack.pop
+    with np.errstate(all="ignore"):
+        for node in nodes:
+            kind = type(node)
+            if kind is BinOp:
+                b, a = pop(), pop()
+                if node.op == "*" and not type(a) is type(b) is np.ndarray:
+                    factor, other = (a, b) if type(a) is not np.ndarray else (b, a)
+                    sign, factor = (-1.0, factor.child) if type(factor) is Neg else (1.0, factor)
+                    push(_scale(sign * factor.value, _built(other, data)))
+                    continue
+                a, b = _built(a, data), _built(b, data)
+                if node.op == "+":
+                    push(a + b)
+                elif node.op == "-":
+                    push(a - b)
+                elif node.op == "*":
+                    push(_product(a, b, n, order))
+                else:
+                    push(_quotient(a, b, n, order, lanes))
+            elif kind is Var:
+                push(_coordinate(data, zero.base, node.index))
+            elif kind is Num:
+                push(node)
+            elif kind is Neg:
+                a = pop()
+                push(node if type(a) is Num else -_built(a, data))
+            elif kind is Pow:
+                push(_power(_built(pop(), data), node.exponent, n, order, lanes))
+            else:
+                push(_apply(_built(pop(), data), node.func, n, order, lanes))
+        return Jet(zero.base, order, _built(pop(), data))
 
 
-def _jet_data(node, zero: Jet, lanes):
-    """Data of the jet of the subtree at the base point and order of the jet
-    ``zero``, by the kernels of the ``Jet`` operations, ``_scale`` for a factor
-    that is a (negated) number; lanes that raise go to ``lanes`` (or raise)."""
-    if isinstance(node, Num):
-        return _constant(zero.data, node.value)
-    if isinstance(node, Var):
-        return _coordinate(zero.data, zero.base, node.index)
-    if isinstance(node, Neg):
-        return -_jet_data(node.child, zero, lanes)
-    if isinstance(node, BinOp):
-        if node.op == "*":
-            for factor, other in ((node.left, node.right), (node.right, node.left)):
-                sign, factor = (-1.0, factor.child) if isinstance(factor, Neg) else (1.0, factor)
-                if isinstance(factor, Num):
-                    return _scale(sign * factor.value, _jet_data(other, zero, lanes))
-        a = _jet_data(node.left, zero, lanes)
-        b = _jet_data(node.right, zero, lanes)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return _product(a, b, zero.n, zero.order)
-        return _quotient(a, b, zero.n, zero.order, lanes)
-    if isinstance(node, Pow):
-        return _power(_jet_data(node.child, zero, lanes), node.exponent, zero.n, zero.order, lanes)
-    if isinstance(node, Call):
-        return _apply(_jet_data(node.arg, zero, lanes), node.func, zero.n, zero.order, lanes)
-    raise TypeError(f"bad node {node!r}")
+def _built(entry, zero):
+    """The data of a ``_jet`` stack entry, shaped as the jet data ``zero``."""
+    if type(entry) is np.ndarray:
+        return entry
+    if type(entry) is Num:
+        return _constant(zero, entry.value)
+    return -_constant(zero, entry.child.value)  # a negated number
 
 
-def _degree_node(node):
-    if isinstance(node, Num):
-        return 0
-    if isinstance(node, Var):
-        return 1
-    if isinstance(node, Neg):
-        return _degree_node(node.child)
-    if isinstance(node, BinOp):
-        left, right = _degree_node(node.left), _degree_node(node.right)
-        if left is None or right is None:
-            return None
-        if node.op in "+-":
-            return max(left, right)
-        if node.op == "*":
-            return left + right
-        return left if right == 0 else None
-    if isinstance(node, Pow):
-        child = _degree_node(node.child)
-        if child == 0:
-            return 0
-        if child is None or node.exponent < 0:
-            return None
-        return child * node.exponent
-    if isinstance(node, Call):
-        return 0 if _degree_node(node.arg) == 0 else None
-    raise TypeError(f"bad node {node!r}")
+def _degree(nodes):
+    """``Expr.degree_bound`` of the tree whose postorder is ``nodes``."""
+    stack = []
+    for node in nodes:
+        kind = type(node)
+        if kind is Num or kind is Var:
+            stack.append(int(kind is Var))
+            continue
+        b = stack.pop() if kind is BinOp else 0
+        a = stack.pop()
+        if a is None or b is None:
+            stack.append(None)  # a node over a child that is not a polynomial
+        elif kind is Neg:
+            stack.append(a)
+        elif kind is BinOp and node.op in "+-":
+            stack.append(max(a, b))
+        elif kind is BinOp and node.op == "*":
+            stack.append(a + b)
+        elif kind is BinOp:
+            stack.append(a if b == 0 else None)
+        elif kind is Pow and a != 0:
+            stack.append(None if node.exponent < 0 else a * node.exponent)
+        else:
+            stack.append(0 if a == 0 else None)  # a call, or a power of a constant
+    return stack.pop()
 
 
-def _subs_node(node, repl, variables):
-    if isinstance(node, Num):
-        return node
-    if isinstance(node, Var):
-        if node.name in repl:
-            return repl[node.name]
-        return Var(variables.index(node.name), node.name)
-    if isinstance(node, Neg):
-        return Neg(_subs_node(node.child, repl, variables))
-    if isinstance(node, BinOp):
-        return BinOp(node.op, _subs_node(node.left, repl, variables),
-                     _subs_node(node.right, repl, variables))
-    if isinstance(node, Pow):
-        return Pow(_subs_node(node.child, repl, variables), node.exponent)
-    if isinstance(node, Call):
-        return Call(node.func, _subs_node(node.arg, repl, variables))
-    raise TypeError(f"bad node {node!r}")
+def _substituted(nodes, repl, variables):
+    """The tree whose postorder is ``nodes`` with ``repl[name]`` for each
+    variable of that name, and every other variable indexed in ``variables``."""
+    stack = []
+    for node in nodes:
+        kind = type(node)
+        if kind is Var and node.name in repl:
+            node = repl[node.name]
+        elif kind is Var:
+            node = Var(variables.index(node.name), node.name)
+        elif kind is BinOp:
+            b = stack.pop()
+            node = BinOp(node.op, stack.pop(), b)
+        elif kind is Neg:
+            node = Neg(stack.pop())
+        elif kind is Pow:
+            node = Pow(stack.pop(), node.exponent)
+        elif kind is Call:
+            node = Call(node.func, stack.pop())
+        stack.append(node)
+    return stack.pop()
 
 
-def _print_node(node) -> str:
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        inner = _print_node(node.child)
-        if isinstance(node.child, Pow):
-            # '-' binds tighter than '^' in the grammar; keep Neg(Pow) intact
-            inner = f"({inner})"
-        return f"(-{inner})"
-    if isinstance(node, BinOp):
-        return f"({_print_node(node.left)} {node.op} {_print_node(node.right)})"
-    if isinstance(node, Pow):
-        inner = _print_node(node.child)
-        if isinstance(node.child, Pow):
-            inner = f"({inner})"
-        return f"{inner}^{node.exponent}"
-    if isinstance(node, Call):
-        return f"{node.func}({_print_node(node.arg)})"
-    raise TypeError(f"bad node {node!r}")
+def _text(nodes) -> str:
+    """``Expr.to_string`` of the tree whose postorder is ``nodes``."""
+    stack = []
+    for node in nodes:
+        kind = type(node)
+        if kind is Num:
+            stack.append(repr(node.value))
+        elif kind is Var:
+            stack.append(node.name)
+        elif kind is BinOp:
+            b = stack.pop()
+            stack.append(f"({stack.pop()} {node.op} {b})")
+        elif kind is Neg or kind is Pow:
+            a = stack.pop()
+            if type(node.child) is Pow:  # '-' binds tighter than '^' in the grammar
+                a = f"({a})"
+            stack.append(f"(-{a})" if kind is Neg else f"{a}^{node.exponent}")
+        else:
+            stack.append(f"{node.func}({stack.pop()})")
+    return stack.pop()
 
 
 # --- parser ----------------------------------------------------------------
@@ -888,114 +892,103 @@ _DIGITS = re.compile(r"[0-9]+")
 
 
 class _Parser:
-    """Recursive descent by precedence climbing.
-
-    Every node, and every pair of parentheses, is a level of nesting; an
-    expression more than MAX_DEPTH levels deep is a ParseError.  ``expr``
-    and ``base`` return a node and its depth, and take the number of
-    levels above them, so that a deep input is refused before the recursion
-    here (at most two Python frames a level) or in a tree walker (one a
-    level) could exhaust the stack.
-    """
+    """Precedence climbing by the grammar of the module docstring, as a loop
+    over an explicit stack, so nesting costs memory, not Python frames.
+    The stack holds, innermost last: a minus sign (None), an open
+    parenthesis ("") or call (its function name), and a left operand with
+    its operator.  A finished factor takes its minus signs, then a power;
+    an operator first folds the operands of the open group whose operators
+    bind at least as tightly.  The text is read, and every ParseError
+    raised, as recursive descent by the grammar would."""
 
     def __init__(self, text: str, variables):
         self.text = text
         self.pos = 0
         self.variables = tuple(variables)
+        self.nodes = []  # each node as it is made, so after its children: the postorder
 
-    def error(self, message):
-        raise ParseError(message, self.pos)
-
-    def check(self, depth: int) -> int:
-        if depth > MAX_DEPTH:
-            self.error(f"expression nested deeper than {MAX_DEPTH} levels")
-        return depth
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch):
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def parse(self):
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            self.error("empty expression")
-        node, _ = self.expr(0)
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error("unexpected trailing input")
+    def made(self, node):
+        self.nodes.append(node)
         return node
 
-    def expr(self, level: int, precedence: int = 0):
-        """factor (op factor)* over the operators of ``precedence`` and up,
-        where factor := base ("^" integer)?."""
-        node, depth = self.base(level)
-        if self.peek() == "^":
+    def peek(self):
+        """The character after any whitespace, which is skipped ("" at the end)."""
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
-            node, depth = Pow(node, self.integer()), self.check(depth + 1)
-        while _BINARY.get(self.peek(), -1) >= precedence:
-            op = self.text[self.pos]
-            self.pos += 1
-            right, right_depth = self.expr(self.check(level + 1), _BINARY[op] + 1)
-            node, depth = BinOp(op, node, right), self.check(max(depth, right_depth) + 1)
-        return node, depth
+        return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def base(self, level: int):
-        ch = self.peek()
-        if ch == "-":
-            self.pos += 1
-            child, depth = self.base(self.check(level + 1))
-            return Neg(child), self.check(depth + 1)
-        if ch == "(":
-            self.pos += 1
-            node, depth = self.expr(self.check(level + 1))
-            self.expect(")")
-            return node, self.check(depth + 1)
+    def parse(self):
+        stack = []
+        while True:
+            ch = self.peek()
+            if ch == "-" or ch == "(":
+                self.pos += 1
+                stack.append(None if ch == "-" else "")
+                continue
+            node = self.leaf(stack)
+            while node is not None:  # a factor or a group is complete
+                while stack and stack[-1] is None:
+                    stack.pop()
+                    node = self.made(Neg(node))
+                if self.peek() == "^":
+                    self.pos += 1
+                    node = self.made(Pow(node, self.integer()))
+                op = self.peek()
+                precedence = _BINARY.get(op, -1)
+                while stack and type(stack[-1]) is tuple and _BINARY[stack[-1][1]] >= precedence:
+                    left, left_op = stack.pop()
+                    node = self.made(BinOp(left_op, left, node))
+                if precedence >= 0:
+                    self.pos += 1
+                    stack.append((node, op))
+                    break
+                if not stack:
+                    if self.pos != len(self.text):
+                        raise ParseError("unexpected trailing input", self.pos)
+                    return node
+                if self.peek() != ")":
+                    raise ParseError("expected ')'", self.pos)
+                self.pos += 1
+                func = stack.pop()
+                node = self.made(Call(func, node)) if func else node
+
+    def leaf(self, stack):
+        """A number or a variable, or None with a call opened on ``stack``."""
         number = self.scan(_NUMBER)
         if number:
-            return Num(float(number)), 1
+            return self.made(Num(float(number)))
         start = self.pos  # a name error points at the name
         name = self.scan(_NAME)
-        if name:
-            if self.peek() == "(":
-                if name not in FUNCTIONS:
-                    raise ParseError(f"unknown function {name!r}", start)
-                self.pos += 1
-                arg, depth = self.expr(self.check(level + 1))
-                self.expect(")")
-                return Call(name, arg), self.check(depth + 1)
-            if name in FUNCTIONS:
-                raise ParseError(f"function {name!r} used without arguments", start)
-            if name not in self.variables:
-                raise ParseError(f"unknown identifier {name!r}", start)
-            return Var(self.variables.index(name), name), 1
-        self.error("expected a number, identifier or parenthesis")
+        if not name:
+            raise ParseError("expected a number, identifier or parenthesis", self.pos)
+        if self.peek() == "(":
+            if name not in FUNCTIONS:
+                raise ParseError(f"unknown function {name!r}", start)
+            self.pos += 1
+            stack.append(name)
+            return None
+        if name in FUNCTIONS:
+            raise ParseError(f"function {name!r} used without arguments", start)
+        if name not in self.variables:
+            raise ParseError(f"unknown identifier {name!r}", start)
+        return self.made(Var(self.variables.index(name), name))
 
     def scan(self, token) -> str:
-        """Advance over the match of the regex ``token`` here; return it
-        ("" if there is none)."""
+        """Advance over the regex ``token``'s match here; return it ("" if none)."""
         found = token.match(self.text, self.pos)
         self.pos = found.end() if found else self.pos
         return found.group() if found else ""
 
     def integer(self) -> int:
-        self.skip_ws()
+        sign = self.peek()
         start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
+        if sign == "-":
             self.pos += 1
         digits = self.pos
         if not self.scan(_DIGITS):
-            self.error("expected an integer exponent")
+            raise ParseError("expected an integer exponent", self.pos)
         if self.pos < len(self.text) and self.text[self.pos] == ".":
-            self.error("non-integer exponent")
+            raise ParseError("non-integer exponent", self.pos)
         # a power costs |k| multiplications; compare digits before int() so
         # that no digit string is too long to convert
         magnitude = self.text[digits:self.pos].lstrip("0")
@@ -1009,4 +1002,7 @@ def parse(text: str, variables) -> Expr:
     """Parse ``text`` against the declared variable list."""
     if not text.strip():
         raise ParseError("empty expression", 0)
-    return Expr(_Parser(text, variables).parse(), tuple(variables))
+    parser = _Parser(text, variables)
+    expr = Expr(parser.parse(), tuple(variables))
+    expr.__dict__["_nodes"] = parser.nodes  # cached: made in postorder
+    return expr

@@ -338,13 +338,6 @@ class GridSpec:
         return tuple(by_name.get(v, np.array(float(self.fixed.get(v, 0.0))))
                      for v in CHART_VARIABLES)
 
-    def columns(self) -> tuple:
-        """The five chart coordinates of every cell, one array each, in the
-        order of :meth:`indices`: :meth:`axis_columns` spread over the grid.
-        """
-        shape = self.shape()
-        return tuple(np.broadcast_to(c, shape).flatten() for c in self.axis_columns())
-
 
 @dataclass(frozen=True)
 class CellResult:

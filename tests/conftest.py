@@ -3,7 +3,7 @@
 import math
 
 from macontact.contact import CHART_VARIABLES
-from macontact.expr import Expr, _Lanes
+from macontact.expr import Expr, _Lanes, multi_indices
 
 
 def poly_from_monomials(variables, monomials) -> Expr:
@@ -88,3 +88,11 @@ def column_jets(expr, columns, order) -> tuple:
     lanes that raised."""
     lanes = _Lanes(len(columns[0]))
     return expr._jets(columns, order, lanes), lanes.raised
+
+
+def quintic_terms(variables) -> list:
+    """A term, with a coefficient, for each of the 252 monomials of degree at
+    most 5 in five variables: a general quintic is their sum."""
+    return ["*".join([repr((k % 7 - 3) / 4 or 0.5)]
+                     + [f"{name}^{e}" for name, e in zip(variables, alpha) if e])
+            for k, alpha in enumerate(multi_indices(5, 5))]

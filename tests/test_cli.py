@@ -6,8 +6,10 @@ import time
 import numpy as np
 import pytest
 
+from conftest import quintic_terms
 from macontact import cli
 from macontact.cli import dumps, find_nan, main
+from macontact.contact import CHART_VARIABLES
 from macontact.expr import MAX_EXPONENT
 
 RUN = [sys.executable, "-m", "macontact.cli"]
@@ -425,10 +427,10 @@ def test_near_bends_accepted_by_the_span_check_exit_0(argv, capsys):
       "--param-range", "nan"], 2, b"argument --param-range: must be positive"),
     (["rmanifold", "--k", "2", "--l", "2", "--kind", "minus", "--radius", "nan"], 2,
      b"argument --radius: must be positive"),
-    (["classify", "--A", "(" * 2000 + "x1" + ")" * 2000], 2,
-     b"expression nested deeper than 250 levels"),
-    (["verify", "--A", "1", "--C", "1", "--f", "+".join(["x1"] * 20000)], 2,
-     b"expression nested deeper than 250 levels"),
+    # expressions nest as deep as memory allows: nothing recurses over them
+    (["classify", "--A", "(" * 2000 + "x1" + ")" * 2000], 0, b'"cells": [{"index": [0, 0]'),
+    (["verify", "--A", "1", "--C", "1", "--f", "+".join(["x1"] * 20000)], 0,
+     b'"passed": true'),
     # a NaN tolerance makes every comparison against it false
     (["classify", "--A", "1", "--C", "1", "--band", "nan"], 2,
      b"argument --band: must be finite and at least 0, got nan"),
@@ -462,10 +464,11 @@ def test_near_bends_accepted_by_the_span_check_exit_0(argv, capsys):
       "--count", "100001"], 2, b"point cloud has 100001 points, above the cap 100000"),
 ])
 def test_out_of_range_input_ends_in_its_exit_code_without_warnings(argv, code, message):
+    # the message is on stderr with an empty stdout, or on stdout at exit 0
     proc = run_cli(*argv)
     assert proc.returncode == code
-    assert proc.stdout == b""
-    assert message in proc.stderr
+    assert (proc.stdout == b"") == (code != 0)
+    assert message in (proc.stderr if code else proc.stdout)
     assert b"Warning" not in proc.stderr and b"Traceback" not in proc.stderr
 
 
@@ -564,6 +567,20 @@ def test_rmanifold_report_at_large_radius_keeps_its_tangents(k, kind, capsys):
     assert all(s["det"] != 0 and s["rank2_ok"] for s in data["samples"])
     assert data["origin_base_derivative"] == 0 and data["origin_rank0_ok"] is True
     assert data["unique_singular_point"] is True
+
+
+# --- long coefficients ---------------------------------------------------------------
+
+@pytest.mark.parametrize("coefficient", [" + ".join(quintic_terms(CHART_VARIABLES)),
+                                         " + ".join(["0.5*x1*x2"] * 10_000)],
+                         ids=["quintic", "flat"])
+def test_long_coefficients_classify_exit_0(coefficient, capsys):
+    # a general quintic in the chart variables has 252 terms; a sum of n terms
+    # nests n levels, and no depth of nesting is refused
+    assert coefficient.count("+") + 1 in (252, 10_000)
+    code, out, err = _run_main(["classify", "--A", coefficient, "--C", "1"], capsys)
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["cells"]) == 25
 
 
 # --- exponent cap ------------------------------------------------------------------

@@ -1,15 +1,19 @@
+import functools
+import inspect
 import itertools
 import math
+import operator
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import column_jets, column_values, random_poly_expr
-from macontact.expr import (MAX_DEPTH, BinOp, EvalDomainError, Expr, ParseError, Pow,
-                            _Lanes, multi_indices, parse)
+from conftest import column_jets, column_values, quintic_terms, random_poly_expr
+from macontact.expr import (BinOp, EvalDomainError, Expr, ParseError, Pow, _Lanes,
+                            multi_indices, parse)
 
 XY = ("x1", "x2")
 ALL5 = ("x1", "x2", "u", "p1", "p2")
@@ -363,16 +367,46 @@ def _nested(shape, depth):
 
 @pytest.mark.parametrize("shape", ["chain", "minus", "calls", "parens", "right"])
 def test_nesting_up_to_the_cap_reaches_every_tree_walker(shape):
-    expr = parse(_nested(shape, MAX_DEPTH), ("x1", "x2"))
-    value = expr.eval((0.5, 0.0))
-    values, flagged = column_values(expr, [np.array([0.5, 0.25]), np.zeros(2)])
-    assert values[0] == value and not flagged.any()
-    assert expr.eval_jet((0.5, 0.0), 2).value == value
-    assert expr.degree_bound() is not None or shape == "calls"
-    assert expr.to_string().count("x1") == _nested(shape, MAX_DEPTH).count("x1")
-    assert expr.subs({"x1": parse("x2", ("x1", "x2"))}).eval((0.0, 0.5)) == value
-    with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels"):
-        parse(_nested(shape, MAX_DEPTH + 1), ("x1", "x2"))
+    # no cap is left: at 10,000 levels, with the recursion limit about 100
+    # frames above this test, a walk spending a frame a level would fail
+    text = _nested(shape, 10_000)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        expr = parse(text, XY)
+        value = expr.eval((0.5, 0.0))
+        values, flagged = column_values(expr, [np.array([0.5, 0.25]), np.zeros(2)])
+        assert values[0] == value and not flagged.any()
+        assert expr.eval_jet((0.5, 0.0), 2).value == value
+        assert expr.degree_bound() is not None or shape == "calls"
+        printed = expr.to_string()
+        assert printed.count("x1") == text.count("x1")
+        assert parse(printed, XY).to_string() == printed
+        assert expr.subs({"x1": parse("x2", XY)}).eval((0.0, 0.5)) == value
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _flat_terms() -> list:
+    """10,000 terms of a flat sum over ALL5."""
+    return [f"{(k % 13 - 6) / 8!r}*{ALL5[k % 5]}" for k in range(10_000)]
+
+
+@pytest.mark.parametrize("terms", [quintic_terms(ALL5), _flat_terms()], ids=["quintic", "flat"])
+def test_a_long_sum_is_the_left_fold_of_its_terms(terms):
+    # a general quintic coefficient, and a sum far past any nesting the
+    # recursive walks could take: values, lanes and jets bit for bit
+    expr = parse(" + ".join(terms), ALL5)
+    parts = [parse(t, ALL5) for t in terms]
+    point = (0.3, -0.7, 1.1, 0.4, -0.2)
+    columns = [np.linspace(-1.0, 1.0, 7) * (i + 1) for i in range(5)]
+    assert len(terms) in (252, 10_000)
+    assert expr.eval(point).hex() == functools.reduce(
+        operator.add, [p.eval(point) for p in parts]).hex()
+    assert column_values(expr, columns)[0].tobytes() == functools.reduce(
+        operator.add, [column_values(p, columns)[0] for p in parts]).tobytes()
+    assert expr.eval_jet(point, 2).data.tobytes() == functools.reduce(
+        operator.add, [p.eval_jet(point, 2).data for p in parts]).tobytes()
 
 
 # exp(709.782712893384) is the largest finite exp of a double; the next double

@@ -333,8 +333,9 @@ def _scalar_region(eq, grid, band):
 
 
 def test_grid_columns_are_row_major_with_fixed_values():
+    # the axis columns spread over the grid list the cells in the order of indices()
     grid = GridSpec({"x1": (0, 1, 2), "u": (-1, 1, 3)}, fixed={"p2": 0.5})
-    x1, x2, u, p1, p2 = grid.columns()
+    x1, x2, u, p1, p2 = (np.broadcast_to(c, grid.shape()).ravel() for c in grid.axis_columns())
     assert list(grid.indices()) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
     assert x1.tolist() == [0, 0, 0, 1, 1, 1]
     assert u.tolist() == [-1, 0, 1, -1, 0, 1]
@@ -361,7 +362,7 @@ def test_grid_refuses_a_fixed_value_for_an_axis():
 def test_grid_without_axes_is_one_cell():
     grid = GridSpec({}, fixed={"u": 2.0})
     assert list(grid.indices()) == [()]
-    assert [c.tolist() for c in grid.columns()] == [[0.0], [0.0], [2.0], [0.0], [0.0]]
+    assert [c.tolist() for c in grid.axis_columns()] == [0.0, 0.0, 2.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("coeffs", [
