@@ -74,14 +74,18 @@ def _require_finite(values: np.ndarray) -> None:
         raise NonFiniteError(values[~finite][0])
 
 
+_BLOCK_CELLS = 10_000  # cells or rows per written block (README)
+
+
 class Rows:
     """A list of dicts with the same keys, held as columns: each column is
     float64 or bool, and 1-D (a value per row) or 2-D (a list per row).
 
-    ``dumps`` writes it with one ``%`` template per row, ``%.17g`` being
+    ``blocks`` writes it with one ``%`` template per row, ``%.17g`` being
     ``_format_float``'s text for a finite float and a bool written
-    ``true``/``false``, after one finiteness check over the float columns;
-    ``find_nan`` reads it as the list of dicts it stands for.
+    ``true``/``false``, ``_BLOCK_CELLS`` rows at a time; ``require_finite``
+    checks the float columns beforehand.  ``find_nan`` reads it as the
+    list of dicts it stands for.
     """
 
     __slots__ = ("columns",)
@@ -94,29 +98,38 @@ class Rows:
         return [dict(zip(keys, row))
                 for row in zip(*(column.tolist() for column in self.columns.values()))]
 
-    def render(self) -> str:
+    def require_finite(self) -> None:
+        """Raise NonFiniteError on the first NaN or infinity of a float column."""
+        for column in self.columns.values():
+            if column.dtype != bool:
+                _require_finite(column)
+
+    def blocks(self):
+        """The JSON array of the rows as texts of up to ``_BLOCK_CELLS`` rows."""
         fields, cells = [], []
         for key, column in self.columns.items():
+            spec = "%.17g"
             if column.dtype == bool:
                 spec, column = "%s", _BOOL_TEXT[column.view(np.uint8)]
-            else:
-                spec = "%.17g"
-                _require_finite(column)
             if column.ndim > 1:
                 spec = "[" + ", ".join([spec] * column.shape[1]) + "]"
             fields.append(f"{_quote(key)}: {spec}")
             cells.append(column)
         template = "{" + ", ".join(fields) + "}"
-        rows = np.column_stack(cells).tolist()
-        return "[" + ", ".join([template % tuple(row) for row in rows]) + "]"
+        yield "["
+        for start in range(0, len(cells[0]), _BLOCK_CELLS):
+            rows = np.column_stack([c[start:start + _BLOCK_CELLS] for c in cells]).tolist()
+            yield (", " if start else "") + ", ".join([template % tuple(row) for row in rows])
+        yield "]"
 
 
-def dumps(obj) -> str:
-    """JSON with floats at 17 significant digits (bitwise reproducible).
+def _json_parts(obj) -> tuple:
+    """The JSON of ``obj`` as a list of texts with each ``Rows`` left in
+    place, its float columns checked, and the positions of the ``Rows``.
 
     Raises NonFiniteError on a NaN or infinity; ``find_nan`` names where.
     """
-    parts = []
+    parts, rows_at = [], []
     append = parts.append
 
     def walk(obj):
@@ -153,7 +166,9 @@ def dumps(obj) -> str:
                 sep = ", "
             append("]")
         elif kind is Rows:
-            append(obj.render())
+            obj.require_finite()
+            rows_at.append(len(parts))
+            append(obj)
         elif obj is None:
             append("null")
         elif kind is bool:
@@ -162,7 +177,26 @@ def dumps(obj) -> str:
             raise TypeError(f"cannot serialize {type(obj)!r}")
 
     walk(obj)
-    return "".join(parts)
+    return parts, rows_at
+
+
+def _texts(parts, rows_at):
+    """The texts of ``_json_parts``: each run of texts joined into one, each
+    ``Rows`` as its blocks."""
+    lo = 0
+    for i in rows_at:
+        yield "".join(parts[lo:i])
+        yield from parts[i].blocks()
+        lo = i + 1
+    yield "".join(parts[lo:])
+
+
+def dumps(obj) -> str:
+    """JSON with floats at 17 significant digits (bitwise reproducible).
+
+    Raises NonFiniteError on a NaN or infinity; ``find_nan`` names where.
+    """
+    return "".join(_texts(*_json_parts(obj)))
 
 
 def find_nan(obj, path="$"):
@@ -187,18 +221,20 @@ def find_nan(obj, path="$"):
 
 
 def _emit(payload, args) -> int:
-    """Write ``payload`` as JSON to --out or stdout.
+    """Write ``payload`` as JSON to --out or stdout, in one write, or one
+    per block of a ``Rows`` in it.
 
-    Rendering is the only walk over the payload; if it meets a non-finite
-    float, nothing is written, ``find_nan`` names the place and the exit
-    code is 3.
+    One walk over the payload renders it and checks the ``Rows`` columns
+    before anything is written; if it meets a non-finite float, nothing is
+    written, ``find_nan`` names the place and the exit code is 3.
     """
     try:
-        text = dumps(payload) + "\n"
+        parts, rows_at = _json_parts(payload)
     except NonFiniteError:
         print(f"error: non-finite value at {find_nan(payload)}", file=sys.stderr)
         return EXIT_NUMERIC
-    _write((text,), args)
+    parts.append("\n")
+    _write(_texts(parts, rows_at), args)
     return EXIT_OK
 
 
@@ -221,7 +257,6 @@ def _write(texts, args):
 
 _JSON_TYPES = np.array([_quote(t) if t else "null" for t in monge_ampere.TYPE_NAMES], dtype=object)
 _CSV_TYPES = np.array([t or "" for t in monge_ampere.TYPE_NAMES], dtype=object)
-_BLOCK_CELLS = 10_000  # cells per written block (README)
 
 
 def _region_blocks(region, sep, row, error_row, joiner, quote, types):

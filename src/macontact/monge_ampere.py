@@ -191,6 +191,9 @@ class InvarianceReport:
     residual: float
 
 
+_BASE_BLOCK = 4_096  # base points per pass of invariance_defects
+
+
 def invariance_defect(eq: MAEquation, f: Expr, base) -> InvarianceReport:
     """How far the structure operator frak_A moves the tangent plane of the
     Legendrian graph.
@@ -212,34 +215,41 @@ def invariance_defect(eq: MAEquation, f: Expr, base) -> InvarianceReport:
 
 
 def invariance_defects(eq: MAEquation, f: Expr, bases) -> InvarianceReport:
-    """``invariance_defect`` at every base point (x1, x2) in one pass.
+    """``invariance_defect`` at every base point (x1, x2), in passes over
+    blocks of ``_BASE_BLOCK`` points, which bound the passes' temporaries.
 
     The report holds one array entry per point.  f is lifted by one
-    order-2 jet pass over all points and N..D are evaluated as columns at
-    the lifts.  Both give each point the bits of the scalar jet and
-    ``Expr.eval``, or write the error they raise into one failure channel,
-    where a point's first error wins (its jet's, then N..D in order); the
-    lowest point's is raised, as a loop over the points would.  The rest
-    is elementwise column arithmetic in the order of the one-point
-    formulas, and the images under the stacked structure operators come
-    from one ``np.matmul``, which makes per matrix the BLAS call of a
-    single ``m @ z``; so every entry is bitwise the one-point value.
+    order-2 jet pass over a block's points and N..D are evaluated as
+    columns at the lifts.  Both give each point the bits of the scalar jet
+    and ``Expr.eval``, or write the error they raise into the block's
+    failure channel, where a point's first error wins (its jet's, then N..D
+    in order); the lowest point's is raised before the next block, as a
+    loop over the points would.  The rest is elementwise column arithmetic
+    in the order of the one-point formulas, and the images under the
+    stacked structure operators come from one ``np.matmul``, which makes
+    per matrix the BLAS call of a single ``m @ z``; so every entry is
+    bitwise the one-point value.
     """
     bases = np.asarray(bases, dtype=float)
     if bases.ndim != 2:
         raise ValueError("base points must be a sequence of (x1, x2) pairs")
-    lanes = _Lanes(len(bases))
-    with np.errstate(all="ignore"):
-        u, p1, p2, *values = _jet_lift(f._jets(tuple(bases.T), 2, lanes))
-        lift = (bases[:, 0], bases[:, 1], u, p1, p2)
-        values += [coeff._columns(lift, lanes) for coeff in (eq.N, eq.A, eq.B, eq.C, eq.D)]
-        lanes.raise_first()
-        return _defect_columns(*values)
+    reports = []
+    for start in range(0, max(len(bases), 1), _BASE_BLOCK):  # no points: one empty pass
+        block = bases[start:start + _BASE_BLOCK]
+        lanes = _Lanes(len(block))
+        with np.errstate(all="ignore"):
+            u, p1, p2, *values = _jet_lift(f._jets(tuple(block.T), 2, lanes))
+            lift = (block[:, 0], block[:, 1], u, p1, p2)
+            values += [coeff._columns(lift, lanes) for coeff in (eq.N, eq.A, eq.B, eq.C, eq.D)]
+            lanes.raise_first()
+            reports.append(_defect_columns(*values))
+    return InvarianceReport(*map(np.concatenate, zip(*reports)))
 
 
-def _defect_columns(f11, f12, f22, n, a, b, c, d) -> InvarianceReport:
-    """The invariance report from columns of second derivatives and
-    coefficients, in the order of the one-point formulas."""
+def _defect_columns(f11, f12, f22, n, a, b, c, d) -> tuple:
+    """The invariance report's columns (defect, deviation, residual) from
+    columns of second derivatives and coefficients, in the order of the
+    one-point formulas."""
     e_val = n * (f11 * f22 - f12 * f12) + a * f11 + b * f12 + c * f22 + d
     m = _structure_matrix(n, a, b, c, d)
     one, zero = np.ones_like(f11), np.zeros_like(f11)
@@ -256,7 +266,7 @@ def _defect_columns(f11, f12, f22, n, a, b, c, d) -> InvarianceReport:
     predicted = ((b - 2 * f12 * n)[:, None] * z1 + (2 * (c + f11 * n))[:, None] * z2
                  - (2 * e_val)[:, None] * np.array([0.0, 0.0, 0.0, 1.0]))
     deviation = np.abs(images[0] - predicted).max(axis=-1)
-    return InvarianceReport(defect, deviation, e_val)
+    return defect, deviation, e_val
 
 
 @dataclass(frozen=True)
@@ -406,7 +416,7 @@ def classify_region(eq: MAEquation, grid: GridSpec,
     codes = type_codes(deltas, band)
     codes[raised] = ERROR
     deltas[raised] = np.nan
-    return RegionClassification(grid, band, deltas, codes, dict(sorted(lanes.errors.items())))
+    return RegionClassification(grid, band, deltas, codes, lanes.errors)
 
 
 # --- a fixed contact transformation -------------------------------------------

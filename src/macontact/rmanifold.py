@@ -58,7 +58,6 @@ __all__ = [
     "write_point_cloud",
 ]
 
-_SIGN_BIT = np.int64(-2 ** 63)  # a float64's sign bit, as int64
 _BLOCK_ROWS = 64  # point-cloud rows per write; 32-128 rows measured the same
 
 
@@ -392,23 +391,23 @@ def singular_point_report(spec: RManifoldSpec, radius: float = 0.5,
         float(angle), float(angle_swapped), bend_ok, unique)
 
 
-def _copy_plan(columns) -> list:
-    """``(root, negated)`` per column: the first column whose bits equal
-    this one's (``negated``: its sign bits flipped) on every row, or the
-    column itself.  Only roots are looked up, so a copy of a copy resolves
-    to its root.  A hit of the bytes' hash is confirmed bit for bit.
-    """
-    roots, plan = {}, []  # hash of a root's bits -> its indices
-    for i, col in enumerate(columns):
-        bits = col.view(np.int64)
-        match = next(((j, negated)
-                      for negated, probe in ((False, bits), (True, bits ^ _SIGN_BIT))
-                      for j in roots.get(hash(probe.tobytes()), ())
-                      if np.array_equal(probe, columns[j].view(np.int64))), None)
-        if match is None:
-            roots.setdefault(hash(bits.tobytes()), []).append(i)
-            match = (i, False)
-        plan.append(match)
+# the op of zeta^(2j) for even and for odd j >= 1 (see _copy_plan)
+_POWER_OPS = {ZetaKind.PLUS: ("", ""), ZetaKind.MINUS: ("", "-"), ZetaKind.ZERO: ("0", "0")}
+
+
+def _copy_plan(spec: RManifoldSpec) -> list:
+    """``(root, op)`` per cloud column, from ``(k, kind)`` alone: its text is
+    the root's ``%.17g`` text as is (``""``), sign-flipped (``"-"``) or as
+    the zero of its sign (``"0"``).  u_{k,0} is a, u_{k-1,1} is b, and
+    u_{p,q} = zeta^(2j) u_{p+2j,q-2j}, j = q // 2, is j products by zeta^2
+    in {1, -1, 0}, each exact for the finite values the writer lets through."""
+    k, ops = spec.k, _POWER_OPS[spec.kind]
+    column = {key: 2 + i for i, key in enumerate(layout_keys(k))}
+    column[k, 0], column[k - 1, 1] = 0, 1
+    plan = [(0, ""), (1, ""), (2, ""), (3, "")]
+    for p, q in jet_indices(k):
+        j, rest = divmod(q, 2)
+        plan.append((column[p + 2 * j, rest], ops[j % 2] if j else ""))
     return plan
 
 
@@ -419,11 +418,9 @@ def write_point_cloud(spec: RManifoldSpec, params, path) -> None:
     point is computed before the file is opened; a NaN or infinity (say
     from overflowing powers) raises EvalDomainError and writes nothing.
 
-    Each distinct column is formatted with ``%.17g``, which depends on a
-    float's bits alone: a column bitwise equal to an earlier one reuses its
-    text, and one equal to its negation (the prolonged equation's
-    u_{p,q} = -u_{p+2,q-2} for the complex numbers) the text with its
-    leading ``-`` flipped, ``0``/``-0`` included.  The rows go out
+    Only the roots of ``_copy_plan`` are formatted with ``%.17g``; every
+    other column's text is its root's, unchanged, with its leading ``-``
+    flipped, or the zero ``0``/``-0`` of the root's sign.  The rows go out
     ``_BLOCK_ROWS`` at a time, each block formatted by one template and
     written in one call, so the writer holds one block's text beside the
     computed columns.
@@ -437,9 +434,9 @@ def write_point_cloud(spec: RManifoldSpec, params, path) -> None:
     _require_finite("point of the family", cols, pairs)
     keys = jet_indices(spec.k)  # (k + 1)(k + 2)/2 of them: after the overflow check
     columns = [pairs[:, 0], pairs[:, 1], *cols]
-    plan = _copy_plan(columns)
+    plan = _copy_plan(spec)
     roots = sorted({root for root, _ in plan})
-    negated = {root for root, neg in plan if neg}
+    derived = {step for step in plan if step[1]}
     with open(path, "w", newline="") as handle:
         csv.writer(handle).writerow(["a", "b", "x", "y"]
                                     + [f"u_{{{p},{q}}}" for p, q in keys])
@@ -449,10 +446,12 @@ def write_point_cloud(spec: RManifoldSpec, params, path) -> None:
                                      for root in roots]).tolist()
             rows = len(values) // len(roots)
             texts = (",".join(["%.17g"] * len(values)) % tuple(values)).split(",")
-            text = {root: texts[n * rows:(n + 1) * rows] for n, root in enumerate(roots)}
-            flipped = {root: [t[1:] if t[0] == "-" else "-" + t for t in text[root]]
-                       for root in negated}
+            text = {(root, ""): texts[n * rows:(n + 1) * rows] for n, root in enumerate(roots)}
+            for root, op in derived:
+                own = text[root, ""]
+                text[root, op] = ([t[1:] if t[0] == "-" else "-" + t for t in own] if op == "-"
+                                  else ["-0" if t[0] == "-" else "0" for t in own])
             # numbers need no CSV quoting: a row is 17-digit values joined
             # by commas, ended like the csv module's rows
-            parts = [(flipped if neg else text)[root] for root, neg in plan]
+            parts = [text[step] for step in plan]
             handle.write("\r\n".join(map(",".join, zip(*parts))) + "\r\n")

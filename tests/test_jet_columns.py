@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import column_jets
+from macontact import monge_ampere
 from macontact.contact import CHART_VARIABLES
 from macontact.expr import (FUNCTIONS, BinOp, Call, EvalDomainError, Expr, Jet,
                             Neg, Num, Pow, Var, _Lanes, _product, _product_table, _scale,
@@ -466,6 +467,49 @@ def test_structure_operator_keeps_its_matrix():
     eq = MAEquation.from_strings(N="2", A="3", B="5", C="7", D="11")
     m = structure_operator(eq, DarbouxPoint(0, 0, 0, 0, 0)).matrix
     assert m.tolist() == [[5, -6, 0, -4], [14, -5, 4, 0], [0, 22, 5, 14], [-22, 0, -6, -5]]
+
+
+# --- blocks of base points ------------------------------------------------------------
+
+_BLOCK_EQ = MAEquation.from_strings(N="0.1*u", A="1 + p1^2", B="p1*p2*sin(x1)",
+                                    C="1 + p2^2", D="ln(x1 + 2)")
+_BLOCK_F = parse("0.3*x1^2 - 1.7*x1*x2 + 0.9*x2^2 + sin(x1 - 2*x2) + 1/x1", ("x1", "x2"))
+
+
+def _report_bytes(report) -> tuple:
+    return tuple(a.tobytes() for a in (report.defect, report.decomposition_deviation,
+                                       report.residual))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 11, None])
+def test_blocked_defects_equal_one_block(block, monkeypatch):
+    count = 11 if block else 2 * monge_ampere._BASE_BLOCK + 3
+    bases = np.random.default_rng(3).uniform(0.1, 1.5, (count, 2))
+    monkeypatch.setattr(monge_ampere, "_BASE_BLOCK", 10 ** 9)
+    whole = invariance_defects(_BLOCK_EQ, _BLOCK_F, bases)
+    monkeypatch.undo()
+    if block:
+        monkeypatch.setattr(monge_ampere, "_BASE_BLOCK", block)
+    assert _report_bytes(invariance_defects(_BLOCK_EQ, _BLOCK_F, bases)) == _report_bytes(whole)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 11])
+@pytest.mark.parametrize("lift_first", [False, True])
+def test_blocked_defects_raise_the_lowest_failing_point(block, lift_first, monkeypatch):
+    # sample 5 and 6 fail, one in the lift (1/x1 at x1 = 0) and one in D
+    # (ln at x1 + 2 <= 0); blocks of 2 and 3 put them on either side of an edge
+    bases = np.random.default_rng(4).uniform(0.1, 1.5, (11, 2))
+    bases[[5, 6] if lift_first else [6, 5]] = [(0.0, 0.5), (-2.5, 0.5)]
+    message = ("division by a jet with zero constant term" if lift_first
+               else "ln of nonpositive value -0.5")
+    monkeypatch.setattr(monge_ampere, "_BASE_BLOCK", block)
+    with pytest.raises(EvalDomainError) as exc:
+        invariance_defects(_BLOCK_EQ, _BLOCK_F, bases)
+    assert str(exc.value) == message
+    with pytest.raises(EvalDomainError) as point:
+        for base in bases:
+            _reference_defect(_BLOCK_EQ, _BLOCK_F, base)
+    assert str(point.value) == message
 
 
 # --- one error channel: failing samples are never evaluated again -------------------

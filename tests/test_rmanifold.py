@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -392,34 +393,88 @@ def test_point_cloud_bytes_match_the_oracle_on_hand_made_pairs(tmp_path, kind, k
 
 
 def test_copy_plan_resolves_a_copy_of_a_copy_to_its_root(tmp_path):
-    # for the complex numbers u_{0,4} = -u_{2,2} = u_{4,0}; u_{0,4} comes first
+    # for the complex numbers u_{0,4} = -u_{2,2} = u_{4,0}: both resolve to u_{4,0}
     spec = RManifoldSpec(6, 2, ZetaKind.MINUS)
     params = np.random.default_rng(5).uniform(-1.3, 1.3, size=(40, 2))
     cols = _family_columns(spec, params[:, 0], params[:, 1])
     columns = [params[:, 0], params[:, 1], *cols]
-    plan = rmanifold._copy_plan(columns)
+    plan = rmanifold._copy_plan(spec)
     pos = {key: 2 + i for i, key in enumerate(layout_keys(6))}
-    assert plan[pos[(0, 4)]] == (pos[(0, 4)], False)
-    assert plan[pos[(2, 2)]] == (pos[(0, 4)], True)
-    assert plan[pos[(4, 0)]] == (pos[(0, 4)], False)
-    assert plan[pos[(6, 0)]] == (0, False) and plan[pos[(5, 1)]] == (1, False)
-    for i, (root, negated) in enumerate(plan):
-        assert plan[root] == (root, False)
-        sign = -1.0 if negated else 1.0
+    assert plan[pos[(4, 0)]] == (pos[(4, 0)], "")
+    assert plan[pos[(2, 2)]] == (pos[(4, 0)], "-")
+    assert plan[pos[(0, 4)]] == (pos[(4, 0)], "")
+    assert plan[pos[(6, 0)]] == (0, "") and plan[pos[(5, 1)]] == (1, "")
+    for i, (root, op) in enumerate(plan):
+        assert plan[root] == (root, "")
+        sign = -1.0 if op == "-" else 1.0
         assert (sign * columns[root]).tobytes() == columns[i].tobytes()
     _assert_cloud_matches_oracle(tmp_path, spec, params)
 
 
-@pytest.mark.parametrize("collide", [False, True])
-def test_copy_plan_confirms_every_row(monkeypatch, tmp_path, collide):
-    if collide:  # every column's bytes hash alike: only the bits decide
-        monkeypatch.setattr(rmanifold, "hash", lambda data: 0, raising=False)
-    # equal on all rows but the last, where the bits differ only in sign
-    base = np.array([0.5, -0.0, 2.0, 0.0])
-    columns = [base, base.copy(), -base, base * np.array([1, 1, 1, -1.0])]
-    assert rmanifold._copy_plan(columns) == [(0, False), (0, False), (0, True), (3, False)]
-    _assert_cloud_matches_oracle(tmp_path, RManifoldSpec(6, 2, ZetaKind.MINUS),
-                                 _HAND_PARAMS["mixed"])
+@pytest.mark.parametrize("kind", list(ZetaKind))
+def test_copy_plan_formats_17_of_the_40_values_of_an_L_7_4_row(kind):
+    plan = rmanifold._copy_plan(RManifoldSpec(7, 4, kind))
+    assert len(plan) == 40 and len({root for root, _ in plan}) == 17
+
+
+def _finite_k_l() -> list:
+    """Every (k, l) whose scaling constants are finite (760 pairs, k <= 13)."""
+    found = []
+    for k in itertools.count(2):
+        size = len(found)
+        for l in itertools.count(2):
+            try:
+                _scaling_constants(k, l)
+            except ValueError:
+                break
+            found.append((k, l))
+        if len(found) == size:
+            return found
+
+
+_FINITE_K_L = _finite_k_l()
+_TEXT_OPS = {"": lambda t: t, "-": lambda t: t[1:] if t.startswith("-") else "-" + t,
+             "0": lambda t: "-0" if t.startswith("-") else "0"}
+
+
+def _assert_texts_follow_the_plan(spec, params) -> int:
+    """Each column's %.17g text is its root's text under its op, on every
+    row that the writer lets through; returns the number of such rows."""
+    params = np.asarray(params, dtype=float).reshape(-1, 2)
+    cols = _family_columns(spec, params[:, 0], params[:, 1])
+    finite = np.isfinite(cols).all(axis=0)
+    columns = [params[finite, 0], params[finite, 1], *cols[:, finite]]
+    texts = [["%.17g" % v for v in column.tolist()] for column in columns]
+    for i, (root, op) in enumerate(rmanifold._copy_plan(spec)):
+        assert texts[i] == [_TEXT_OPS[op](t) for t in texts[root]], (spec, i, root, op)
+    return int(finite.sum())
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1.0, -0.75, 0.5]
+
+
+@pytest.mark.parametrize("kind", list(ZetaKind))
+def test_copy_plan_texts_hold_for_every_finite_k_l(kind):
+    assert len(_FINITE_K_L) == 760 and max(k for k, _ in _FINITE_K_L) == 13
+    special = list(itertools.product(_SPECIAL, repeat=2))
+    for k, l in _FINITE_K_L:
+        spec = RManifoldSpec(k, l, kind)
+        rng = np.random.default_rng(1000 * k + l)
+        drawn = rng.uniform(-1.2, 1.2, size=(8, 2))
+        mirrored = np.column_stack([drawn[:, 0], -drawn[:, 0]])
+        assert _assert_texts_follow_the_plan(spec, [*special, *drawn, *mirrored]) > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(list(ZetaKind)), k_l=st.sampled_from(_FINITE_K_L),
+       pairs=st.lists(st.tuples(st.sampled_from(_SPECIAL) | st.floats(-1.5, 1.5),
+                                st.sampled_from(_SPECIAL) | st.floats(-1.5, 1.5)),
+                      min_size=1, max_size=8),
+       mirror=st.booleans())
+def test_copy_plan_texts_hold_on_drawn_pairs(kind, k_l, pairs, mirror):
+    if mirror:
+        pairs = [(a, -a) for a, _ in pairs]
+    _assert_texts_follow_the_plan(RManifoldSpec(*k_l, kind), pairs)
 
 
 _BLOCK = rmanifold._BLOCK_ROWS
@@ -452,9 +507,7 @@ def test_point_cloud_block_edge_on_signed_zeros_and_subnormals(tmp_path, kind, k
     if mirror:
         params[:, 1] = -params[:, 0]
     spec = RManifoldSpec(k, l, kind)
-    cols = _family_columns(spec, params[:, 0], params[:, 1])
-    plan = rmanifold._copy_plan([params[:, 0], params[:, 1], *cols])
-    assert any(negated for _, negated in plan) or not (mirror or kind is ZetaKind.MINUS)
+    assert any(op == "-" for _, op in rmanifold._copy_plan(spec)) == (kind is ZetaKind.MINUS)
     _assert_cloud_matches_oracle(tmp_path, spec, params)
 
 

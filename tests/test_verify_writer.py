@@ -137,3 +137,44 @@ def test_verify_names_a_non_finite_sample_in_one_line_and_exits_3(samples, row, 
         assert _run(_argv(samples)) == (3, "", line)
         assert _run(_argv(samples, "--out", out)) == (3, "", line)
         assert not os.path.exists(out)
+
+
+# --- Rows stream in blocks of rows ----------------------------------------------------
+
+def _collect_emit(monkeypatch, payload) -> tuple:
+    """``_emit``'s exit code and the texts it hands to one write call."""
+    written = []
+    monkeypatch.setattr(cli, "_write", lambda texts, args: written.append(list(texts)))
+    code = cli._emit(payload, cli.build_parser().parse_args(_argv(1)))
+    return code, written
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 10_000])
+@pytest.mark.parametrize("rows", [0, 1, 2, 3, 7])
+def test_emit_streams_rows_in_blocks_with_the_bytes_of_dumps(monkeypatch, block, rows):
+    monkeypatch.setattr(cli, "_BLOCK_CELLS", block)
+    columns = _columns(iter(np.random.default_rng(rows).uniform(-9, 9, 9 * rows)).__next__, rows)
+    payload = {"samples": Rows(**columns), "n": 1,
+               "more": Rows(params=columns["base"], ok=columns["defect"] > 0)}
+    code, written = _collect_emit(monkeypatch, payload)
+    oracle = {"samples": _dicts(columns), "n": 1,
+              "more": [{"params": p, "ok": ok} for p, ok in
+                       zip(columns["base"].tolist(), (columns["defect"] > 0).tolist())]}
+    assert code == 0 and len(written) == 1
+    assert "".join(written[0]) == dumps(payload) + "\n" == dumps(oracle) + "\n"
+    # each text holds at most one block of rows
+    assert max(t.count('"residual"') for t in written[0]) <= block
+    assert max(t.count('"params"') for t in written[0]) <= block
+
+
+def test_emit_writes_a_payload_without_rows_as_one_text(monkeypatch):
+    payload = {"a": 1.5, "b": [np.array([0.25, -0.0])], "c": "x"}
+    assert _collect_emit(monkeypatch, payload) == (0, [[dumps(payload) + "\n"]])
+
+
+def test_emit_checks_every_block_before_the_first_byte(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_BLOCK_CELLS", 2)
+    columns = _columns(iter(np.linspace(-1, 1, 9 * 7)).__next__, 7)
+    columns["defect"][6] = np.nan  # in the last block
+    assert _collect_emit(monkeypatch, {"samples": Rows(**columns)}) == (3, [])
+    assert capsys.readouterr().err == "error: non-finite value at $.samples[6].defect\n"
