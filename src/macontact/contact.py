@@ -11,6 +11,7 @@ generating function omega(Z).  Vector fields at a point are handled as
 arithmetic (exact for polynomial data), never by symbolic differentiation.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,10 +206,15 @@ def contact_field(chart: ContactChart, nu: Expr, pt: DarbouxPoint) -> VectorFiel
 def is_contact_field(chart: ContactChart, field, points,
                      tol: float = GATES["contact_field"].threshold) -> bool:
     """Check [e_i, Z] in D for every frame field at every sample point; an
-    empty point set is a ValueError, since it would check nothing."""
+    empty point set, or a NaN or infinite coordinate of a sample point, is
+    a ValueError, since the check would decide nothing."""
     points = list(points)
     if not points:
         raise ValueError("is_contact_field needs a sample point: the point set is empty")
+    for pt in points:
+        for name, value in zip(CHART_VARIABLES, pt.as_tuple()):
+            if not math.isfinite(value):
+                raise ValueError(f"sample point coordinate {name} must be finite, not {value!r}")
     for pt in points:
         z = field_jets_from_exprs(field, pt, 1)
         for e in frame_field_jets(pt, 1):

@@ -25,7 +25,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -53,43 +53,6 @@ class ParseError(ValueError):
 
 class EvalDomainError(ArithmeticError):
     """Evaluation left a function's domain (log of nonpositive, 1/0, ...)."""
-
-
-# --- AST nodes -------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    index: int
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    child: object
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * /
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    child: object
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: object
 
 
 # --- multi-indices ---------------------------------------------------------
@@ -512,49 +475,43 @@ def _operator(op: str, reflected: bool = False):
     """The ``Expr`` method of the binary operator ``op``, with the
     expression on the left, or on the right if ``reflected``."""
     def method(self, other):
-        left, right = self.node, self._coerce(other).node
+        left, right = self.tape, self._coerce(other).tape
         if reflected:
             left, right = right, left
-        return Expr(BinOp(op, left, right), self.variables)
+        return Expr(left + right + ((op, None),), self.variables)
     return method
 
 
 @dataclass(frozen=True)
 class Expr:
-    """An expression tree over a fixed tuple of declared variables."""
+    """An expression over a fixed tuple of declared variables, held as its
+    tape: the flat ``(op, arg)`` entries of its operations in postorder
+    (operands first, the left before the right).  An entry is
 
-    node: object
+    * ``("num", value)``, a float, or ``("var", i)``, the i-th variable;
+    * ``("neg", None)``, a minus sign;
+    * ``(op, None)`` for each binary operator ``+ - * /``;
+    * ``("^", k)``, the integer power k;
+    * ``(func, None)`` for each function name in FUNCTIONS.
+
+    Every walk (values, jets, degree, substitution, text) is one loop over
+    the tape with a stack of operands, and equality, hashing and repr are
+    those of a flat tuple, so nothing recurses over an expression.
+    """
+
+    tape: tuple
     variables: tuple
-
-    @cached_property
-    def _nodes(self) -> list:
-        """The nodes in postorder (children first, left before right) for every walk."""
-        out, todo = [], [self.node]
-        while todo:  # right before left, then reversed
-            node = todo.pop()
-            out.append(node)
-            kind = type(node)
-            if kind is BinOp:
-                todo += (node.left, node.right)
-            elif kind is Neg or kind is Pow:
-                todo.append(node.child)
-            elif kind is Call:
-                todo.append(node.arg)
-            elif kind is not Num and kind is not Var:
-                raise TypeError(f"bad node {node!r}")
-        out.reverse()
-        return out
 
     # -- construction helpers
 
     @staticmethod
     def const(value, variables) -> "Expr":
-        return Expr(Num(float(value)), tuple(variables))
+        return Expr((("num", float(value)),), tuple(variables))
 
     @staticmethod
     def var(name, variables) -> "Expr":
         variables = tuple(variables)
-        return Expr(Var(variables.index(name), name), variables)
+        return Expr((("var", variables.index(name)),), variables)
 
     def _coerce(self, other) -> "Expr":
         if isinstance(other, Expr):
@@ -571,15 +528,15 @@ class Expr:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             raise TypeError("exponent must be an integer")
-        return Expr(Pow(self.node, k), self.variables)
+        return Expr(self.tape + (("^", k),), self.variables)
 
     def __neg__(self):
-        return Expr(Neg(self.node), self.variables)
+        return Expr(self.tape + (("neg", None),), self.variables)
 
     def apply(self, func: str) -> "Expr":
         if func not in FUNCTIONS:
             raise ValueError(f"unknown function {func!r}")
-        return Expr(Call(func, self.node), self.variables)
+        return Expr(self.tape + ((func, None),), self.variables)
 
     def degree_bound(self):
         """An upper bound on the total degree, or None if not a polynomial.
@@ -588,7 +545,7 @@ class Expr:
         polynomial; so do division by, negative powers of and functions of
         subexpressions free of variables, which are constants.
         """
-        return _degree(self._nodes)
+        return _degree(self.tape)
 
     # -- evaluation
 
@@ -602,14 +559,15 @@ class Expr:
         if len(point) != len(self.variables):
             raise ValueError(f"point has {len(point)} entries for "
                              f"{len(self.variables)} variables")
-        return _values(self._nodes, point, None)
+        return _values(self.tape, point, None)
 
     def _columns(self, columns, lanes) -> np.ndarray:
         """Evaluate at many points at once: one array per declared variable,
         each of which broadcasts to the lane shape ``lanes.raised.shape``
         (a grid axis along its own dimension, a fixed value as a 0-d
-        array).  Each subtree is evaluated at the shape of the variables it
-        reads, and the result is a read-only view at the lane shape.
+        array).  Each subexpression is evaluated at the shape of the
+        variables it reads, and the result is a read-only view at the lane
+        shape.
 
         Each lane where :meth:`eval` raises (a zero divisor, zero to a
         negative power, a function leaving its domain or overflowing)
@@ -619,7 +577,7 @@ class Expr:
         it is the same walk over float64 arrays."""
         columns = self._lane_columns(columns)
         with np.errstate(all="ignore"):
-            values = _values(self._nodes, columns, lanes)
+            values = _values(self.tape, columns, lanes)
         return np.broadcast_to(values, lanes.raised.shape)
 
     def _lane_columns(self, columns) -> tuple:
@@ -634,7 +592,7 @@ class Expr:
         if len(base) != len(self.variables):
             raise ValueError(f"base has {len(base)} entries for "
                              f"{len(self.variables)} variables")
-        return _jet(self._nodes, _zero_jet(base, order), None)
+        return _jet(self.tape, _zero_jet(base, order), None)
 
     def _jets(self, columns, order: int, lanes) -> Jet:
         """Jets at many points at once: one array per declared variable.
@@ -644,10 +602,11 @@ class Expr:
         failure channel ``lanes``, as in :meth:`_columns`, and its column
         is meaningless; on every other lane each coefficient is bitwise
         :meth:`eval_jet`, finite or not, up to the sign of a NaN."""
-        return _jet(self._nodes, _zero_jet(self._lane_columns(columns), order), lanes)
+        return _jet(self.tape, _zero_jet(self._lane_columns(columns), order), lanes)
 
     def subs(self, mapping: dict) -> "Expr":
-        """Substitute expressions for variables (by name)."""
+        """Substitute expressions for variables (by name): each one's tape
+        is spliced in where the variable was."""
         repl = {}
         variables = None
         for name, ex in mapping.items():
@@ -657,14 +616,23 @@ class Expr:
                 variables = ex.variables
             elif ex.variables != variables:
                 raise ValueError("substitution expressions disagree on variables")
-            repl[name] = ex.node
+            repl[name] = ex.tape
         if variables is None:
             variables = self.variables
-        return Expr(_substituted(self._nodes, repl, variables), variables)
+        tape = []
+        for entry in self.tape:
+            if entry[0] == "var":
+                name = self.variables[entry[1]]
+                if name in repl:
+                    tape += repl[name]
+                    continue
+                entry = ("var", variables.index(name))
+            tape.append(entry)
+        return Expr(tuple(tape), variables)
 
     def to_string(self) -> str:
         """Canonical, re-parseable rendering (fully parenthesized)."""
-        return _text(self._nodes)
+        return _text(self.tape, self.variables)
 
     __str__ = to_string
 
@@ -710,92 +678,95 @@ class _Lanes:
             raise EvalDomainError(self.errors[min(self.errors)])
 
 
-def _values(nodes, point, lanes):
-    """Value of the tree whose postorder is ``nodes`` at ``point``: Python
+def _values(tape, point, lanes):
+    """Value of the expression whose tape is ``tape`` at ``point``: Python
     floats at one point (``lanes`` None, where errors raise), or over lanes
     float64 arrays, each at the broadcast shape of the variables its
-    subtree reads, whose lanes that raise are recorded in ``lanes``.  Both
+    operands read, whose lanes that raise are recorded in ``lanes``.  Both
     modes run the same operations in the same order, and each check is one
     ``_fail`` on a bool or a mask, so a lane fails where the point walk
     raises and every other lane keeps its bits, non-finite ones too."""
     stack = []
     push, pop = stack.append, stack.pop
-    for node in nodes:
-        kind = type(node)
-        if kind is BinOp:
-            b, a = pop(), pop()
-            if node.op == "+":
-                push(a + b)
-            elif node.op == "-":
-                push(a - b)
-            elif node.op == "*":
-                push(a * b)
-            else:
-                _fail(lanes, b == 0.0, "division by zero")
-                push(a / b)
-        elif kind is Var:
-            push(point[node.index])
-        elif kind is Num:  # over lanes a float64, which divides by a failed lane's zero
-            push(node.value if lanes is None else np.float64(node.value))
-        elif kind is Neg:
-            push(-pop())
-        elif kind is Pow:
-            base, k = pop(), node.exponent
-            if k < 0:
+    for op, arg in tape:  # the commonest entries of a polynomial first
+        if op == "num":  # over lanes a float64, which divides by a failed lane's zero
+            push(arg if lanes is None else np.float64(arg))
+        elif op == "var":
+            push(point[arg])
+        elif op == "*":
+            b = pop()
+            push(pop() * b)
+        elif op == "+":
+            b = pop()
+            push(pop() + b)
+        elif op == "^":
+            base = pop()
+            if arg < 0:
                 _fail(lanes, base == 0.0, "zero raised to a negative power")
-                base, k = 1.0 / base, -k
+                base, arg = 1.0 / base, -arg
             # repeated multiplication, mirroring jet arithmetic bit for bit
             out = 1.0 if lanes is None else np.float64(1.0)
-            for _ in range(k):
+            for _ in range(arg):
                 out = out * base
             push(out)
+        elif op == "-":
+            b = pop()
+            push(pop() - b)
+        elif op == "neg":
+            push(-pop())
+        elif op == "/":
+            b = pop()
+            _fail(lanes, b == 0.0, "division by zero")
+            push(pop() / b)
         else:
-            push(_call(node.func, pop(), lanes))
+            push(_call(op, pop(), lanes))
     return pop()
 
 
-def _jet(nodes, zero: Jet, lanes) -> Jet:
-    """Jet of the tree whose postorder is ``nodes`` at the base point and
+def _jet(tape, zero: Jet, lanes) -> Jet:
+    """Jet of the expression whose tape is ``tape`` at the base point and
     order of the jet ``zero``, by the kernels of the ``Jet`` operations;
-    lanes that raise go to ``lanes`` (or raise).  The stack entry of a
-    number, or of a negated one, is its node: as a factor of ``*`` it
-    scales the other factor's data (``_scale``) and has no data of its
-    own; anywhere else it becomes its constant (``_built``)."""
+    lanes that raise go to ``lanes`` (or raise).  A stack entry is a data
+    array, or for a number its tape entry ``("num", v)`` and for a
+    negated number ``("neg", v)``: as a factor of ``*`` either scales the
+    other factor's data (``_scale``) and has no data of its own; anywhere
+    else it becomes its data (``_built``).  The two stay apart, since
+    ``-_constant(v)`` writes -0.0 rows where ``_constant(-v)`` writes 0.0."""
     if zero.order < 0:
         raise ValueError("jet order must be nonnegative")
     n, order, data = zero.n, zero.order, zero.data
     stack = []
     push, pop = stack.append, stack.pop
     with np.errstate(all="ignore"):
-        for node in nodes:
-            kind = type(node)
-            if kind is BinOp:
+        for entry in tape:
+            op, arg = entry
+            if op in _BINARY:
                 b, a = pop(), pop()
-                if node.op == "*" and not type(a) is type(b) is np.ndarray:
+                if op == "*" and not type(a) is type(b) is np.ndarray:
                     factor, other = (a, b) if type(a) is not np.ndarray else (b, a)
-                    sign, factor = (-1.0, factor.child) if type(factor) is Neg else (1.0, factor)
-                    push(_scale(sign * factor.value, _built(other, data)))
+                    sign = -1.0 if factor[0] == "neg" else 1.0
+                    push(_scale(sign * factor[1], _built(other, data)))
                     continue
                 a, b = _built(a, data), _built(b, data)
-                if node.op == "+":
+                if op == "+":
                     push(a + b)
-                elif node.op == "-":
+                elif op == "-":
                     push(a - b)
-                elif node.op == "*":
+                elif op == "*":
                     push(_product(a, b, n, order))
                 else:
                     push(_quotient(a, b, n, order, lanes))
-            elif kind is Var:
-                push(_coordinate(data, zero.base, node.index))
-            elif kind is Num:
-                push(node)
-            elif kind is Neg:
+            elif op == "var":
+                push(_coordinate(data, zero.base, arg))
+            elif op == "num":
+                push(entry)
+            elif op == "neg":
                 a = pop()
-                push(node if type(a) is Num else -_built(a, data))
-            elif kind is Pow:
-                push(_power(_built(pop(), data), node.exponent, n, order, lanes))
+                push(("neg", a[1]) if type(a) is tuple and a[0] == "num" else -_built(a, data))
+            elif op == "^":
+                push(_power(_built(pop(), data), arg, n, order, lanes))
             else:
-                push(_apply(_built(pop(), data), node.func, n, order, lanes))
+                push(_apply(_built(pop(), data), op, n, order, lanes))
         return Jet(zero.base, order, _built(pop(), data))
 
 
@@ -803,81 +774,58 @@ def _built(entry, zero):
     """The data of a ``_jet`` stack entry, shaped as the jet data ``zero``."""
     if type(entry) is np.ndarray:
         return entry
-    if type(entry) is Num:
-        return _constant(zero, entry.value)
-    return -_constant(zero, entry.child.value)  # a negated number
+    op, value = entry
+    return _constant(zero, value) if op == "num" else -_constant(zero, value)
 
 
-def _degree(nodes):
-    """``Expr.degree_bound`` of the tree whose postorder is ``nodes``."""
+def _degree(tape):
+    """``Expr.degree_bound`` of the expression whose tape is ``tape``."""
     stack = []
-    for node in nodes:
-        kind = type(node)
-        if kind is Num or kind is Var:
-            stack.append(int(kind is Var))
+    for op, arg in tape:
+        if op == "num" or op == "var":
+            stack.append(int(op == "var"))
             continue
-        b = stack.pop() if kind is BinOp else 0
+        b = stack.pop() if op in _BINARY else 0
         a = stack.pop()
         if a is None or b is None:
-            stack.append(None)  # a node over a child that is not a polynomial
-        elif kind is Neg:
+            stack.append(None)  # an operation on an operand that is not a polynomial
+        elif op == "neg":
             stack.append(a)
-        elif kind is BinOp and node.op in "+-":
+        elif op == "+" or op == "-":
             stack.append(max(a, b))
-        elif kind is BinOp and node.op == "*":
+        elif op == "*":
             stack.append(a + b)
-        elif kind is BinOp:
+        elif op == "/":
             stack.append(a if b == 0 else None)
-        elif kind is Pow and a != 0:
-            stack.append(None if node.exponent < 0 else a * node.exponent)
+        elif op == "^" and a != 0:
+            stack.append(None if arg < 0 else a * arg)
         else:
             stack.append(0 if a == 0 else None)  # a call, or a power of a constant
     return stack.pop()
 
 
-def _substituted(nodes, repl, variables):
-    """The tree whose postorder is ``nodes`` with ``repl[name]`` for each
-    variable of that name, and every other variable indexed in ``variables``."""
+def _text(tape, variables) -> str:
+    """``Expr.to_string`` of the expression whose tape is ``tape``.  Each
+    stack entry is a text and whether a power made it: '-' binds tighter
+    than '^' in the grammar, so a power under a minus sign or another
+    power is parenthesized."""
     stack = []
-    for node in nodes:
-        kind = type(node)
-        if kind is Var and node.name in repl:
-            node = repl[node.name]
-        elif kind is Var:
-            node = Var(variables.index(node.name), node.name)
-        elif kind is BinOp:
-            b = stack.pop()
-            node = BinOp(node.op, stack.pop(), b)
-        elif kind is Neg:
-            node = Neg(stack.pop())
-        elif kind is Pow:
-            node = Pow(stack.pop(), node.exponent)
-        elif kind is Call:
-            node = Call(node.func, stack.pop())
-        stack.append(node)
-    return stack.pop()
-
-
-def _text(nodes) -> str:
-    """``Expr.to_string`` of the tree whose postorder is ``nodes``."""
-    stack = []
-    for node in nodes:
-        kind = type(node)
-        if kind is Num:
-            stack.append(repr(node.value))
-        elif kind is Var:
-            stack.append(node.name)
-        elif kind is BinOp:
-            b = stack.pop()
-            stack.append(f"({stack.pop()} {node.op} {b})")
-        elif kind is Neg or kind is Pow:
-            a = stack.pop()
-            if type(node.child) is Pow:  # '-' binds tighter than '^' in the grammar
+    for op, arg in tape:
+        if op == "num":
+            stack.append((repr(arg), False))
+        elif op == "var":
+            stack.append((variables[arg], False))
+        elif op in _BINARY:
+            b = stack.pop()[0]
+            stack.append((f"({stack.pop()[0]} {op} {b})", False))
+        elif op == "neg" or op == "^":
+            a, powered = stack.pop()
+            if powered:
                 a = f"({a})"
-            stack.append(f"(-{a})" if kind is Neg else f"{a}^{node.exponent}")
+            stack.append((f"(-{a})", False) if op == "neg" else (f"{a}^{arg}", True))
         else:
-            stack.append(f"{node.func}({stack.pop()})")
-    return stack.pop()
+            stack.append((f"{op}({stack.pop()[0]})", False))
+    return stack.pop()[0]
 
 
 # --- parser ----------------------------------------------------------------
@@ -895,21 +843,19 @@ class _Parser:
     """Precedence climbing by the grammar of the module docstring, as a loop
     over an explicit stack, so nesting costs memory, not Python frames.
     The stack holds, innermost last: a minus sign (None), an open
-    parenthesis ("") or call (its function name), and a left operand with
-    its operator.  A finished factor takes its minus signs, then a power;
-    an operator first folds the operands of the open group whose operators
-    bind at least as tightly.  The text is read, and every ParseError
-    raised, as recursive descent by the grammar would."""
+    parenthesis ("") or call (its function name), and a binary operator
+    waiting for its right operand.  Each tape entry is appended as its
+    operation is complete, which is postorder.  A finished factor takes
+    its minus signs, then a power; an operator first folds the operators
+    of the open group that bind at least as tightly.  The text is read,
+    and every ParseError raised, as recursive descent by the grammar
+    would."""
 
     def __init__(self, text: str, variables):
         self.text = text
         self.pos = 0
         self.variables = tuple(variables)
-        self.nodes = []  # each node as it is made, so after its children: the postorder
-
-    def made(self, node):
-        self.nodes.append(node)
-        return node
+        self.tape = []
 
     def peek(self):
         """The character after any whitespace, which is skipped ("" at the end)."""
@@ -917,46 +863,48 @@ class _Parser:
             self.pos += 1
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def parse(self):
-        stack = []
+    def parse(self) -> tuple:
+        stack, tape = [], self.tape
         while True:
             ch = self.peek()
             if ch == "-" or ch == "(":
                 self.pos += 1
                 stack.append(None if ch == "-" else "")
                 continue
-            node = self.leaf(stack)
-            while node is not None:  # a factor or a group is complete
+            complete = self.leaf(stack)
+            while complete:  # a factor or a group is complete
                 while stack and stack[-1] is None:
                     stack.pop()
-                    node = self.made(Neg(node))
+                    tape.append(("neg", None))
                 if self.peek() == "^":
                     self.pos += 1
-                    node = self.made(Pow(node, self.integer()))
+                    tape.append(("^", self.integer()))
                 op = self.peek()
                 precedence = _BINARY.get(op, -1)
-                while stack and type(stack[-1]) is tuple and _BINARY[stack[-1][1]] >= precedence:
-                    left, left_op = stack.pop()
-                    node = self.made(BinOp(left_op, left, node))
+                while stack and stack[-1] in _BINARY and _BINARY[stack[-1]] >= precedence:
+                    tape.append((stack.pop(), None))
                 if precedence >= 0:
                     self.pos += 1
-                    stack.append((node, op))
+                    stack.append(op)
                     break
                 if not stack:
                     if self.pos != len(self.text):
                         raise ParseError("unexpected trailing input", self.pos)
-                    return node
+                    return tuple(tape)
                 if self.peek() != ")":
                     raise ParseError("expected ')'", self.pos)
                 self.pos += 1
                 func = stack.pop()
-                node = self.made(Call(func, node)) if func else node
+                if func:
+                    tape.append((func, None))
 
-    def leaf(self, stack):
-        """A number or a variable, or None with a call opened on ``stack``."""
+    def leaf(self, stack) -> bool:
+        """Append a number or a variable and return True, or open a call
+        on ``stack`` and return False."""
         number = self.scan(_NUMBER)
         if number:
-            return self.made(Num(float(number)))
+            self.tape.append(("num", float(number)))
+            return True
         start = self.pos  # a name error points at the name
         name = self.scan(_NAME)
         if not name:
@@ -966,12 +914,13 @@ class _Parser:
                 raise ParseError(f"unknown function {name!r}", start)
             self.pos += 1
             stack.append(name)
-            return None
+            return False
         if name in FUNCTIONS:
             raise ParseError(f"function {name!r} used without arguments", start)
         if name not in self.variables:
             raise ParseError(f"unknown identifier {name!r}", start)
-        return self.made(Var(self.variables.index(name), name))
+        self.tape.append(("var", self.variables.index(name)))
+        return True
 
     def scan(self, token) -> str:
         """Advance over the regex ``token``'s match here; return it ("" if none)."""
@@ -1002,7 +951,4 @@ def parse(text: str, variables) -> Expr:
     """Parse ``text`` against the declared variable list."""
     if not text.strip():
         raise ParseError("empty expression", 0)
-    parser = _Parser(text, variables)
-    expr = Expr(parser.parse(), tuple(variables))
-    expr.__dict__["_nodes"] = parser.nodes  # cached: made in postorder
-    return expr
+    return Expr(_Parser(text, variables).parse(), tuple(variables))

@@ -1,9 +1,14 @@
 """Shared builders for the test suite."""
 
 import math
+import operator
+
+from hypothesis import strategies as st
 
 from macontact.contact import CHART_VARIABLES
 from macontact.expr import Expr, _Lanes, multi_indices
+
+BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 def poly_from_monomials(variables, monomials) -> Expr:
@@ -96,3 +101,15 @@ def quintic_terms(variables) -> list:
     return ["*".join([repr((k % 7 - 3) / 4 or 0.5)]
                      + [f"{name}^{e}" for name, e in zip(variables, alpha) if e])
             for k, alpha in enumerate(multi_indices(5, 5))]
+
+
+def leaf_expressions(numbers, variables):
+    """Hypothesis leaves: a number of the strategy ``numbers`` or a declared
+    variable, as an ``Expr`` over ``variables``."""
+    return st.one_of(numbers.map(lambda v: Expr.const(v, variables)),
+                     st.sampled_from([Expr.var(name, variables) for name in variables]))
+
+
+def binary(op: str, a: Expr, b: Expr) -> Expr:
+    """``a op b`` through the ``Expr`` operator of the character ``op``."""
+    return BINARY[op](a, b)

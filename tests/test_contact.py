@@ -176,6 +176,21 @@ def test_is_contact_field_refuses_an_empty_point_set(points):
         is_contact_field(CHART, DU, points)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("coordinate", CHART_VARIABLES)
+def test_is_contact_field_refuses_a_non_finite_sample_point(coordinate, value):
+    # X_u = u d/du + p1 d/dp1 + p2 d/dp2 is a contact field, but a sample
+    # point with a NaN or infinite coordinate gives no number to decide from
+    field = (_const(0), _const(0), _var("u"), _var("p1"), _var("p2"))
+    coords = dict(zip(CHART_VARIABLES, (0.1, 0.2, 0.3, 0.4, 0.5)), **{coordinate: value})
+    points = [DarbouxPoint(0.1, 0.2, 0.3, 0.4, 0.5), DarbouxPoint(**coords)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^sample point coordinate {coordinate} "
+                                             f"must be finite, not {value!r}$"):
+            is_contact_field(CHART, field, points)
+
+
 # --- Lagrange bracket -------------------------------------------------------------
 
 def test_bracket_of_one_and_u_is_one():

@@ -12,8 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import column_jets, column_values, quintic_terms, random_poly_expr
-from macontact.expr import (BinOp, EvalDomainError, Expr, ParseError, Pow, _Lanes,
-                            multi_indices, parse)
+from macontact.expr import EvalDomainError, Expr, ParseError, _Lanes, multi_indices, parse
+from macontact.monge_ampere import MAEquation
 
 XY = ("x1", "x2")
 ALL5 = ("x1", "x2", "u", "p1", "p2")
@@ -23,7 +23,7 @@ ALL5 = ("x1", "x2", "u", "p1", "p2")
 
 def test_parse_sum_of_square_and_product():
     e = parse("p1^2 + x1*x2", ALL5)
-    assert isinstance(e.node, BinOp) and e.node.op == "+"
+    assert e.tape[-1] == ("+", None)
     assert e.eval((1, 2, 0, 3, 0)) == 11
 
 
@@ -308,19 +308,19 @@ def test_print_parse_round_trip():
     rng = np.random.default_rng(17)
     for _ in range(60):
         e = _random_node_expr(rng)
-        assert parse(e.to_string(), XY).node == e.node
+        assert parse(e.to_string(), XY) == e
 
 
 def test_round_trip_keeps_float_literals():
     e = Expr.const(0.1, XY) * Expr.var("x1", XY)
     again = parse(e.to_string(), XY)
-    assert again.node == e.node
+    assert again == e
 
 
 def test_power_of_power_round_trip():
     e = (Expr.var("x1", XY) ** 2) ** 3
-    assert isinstance(e.node, Pow)
-    assert parse(e.to_string(), XY).node == e.node
+    assert e.tape[-2:] == (("^", 2), ("^", 3))
+    assert parse(e.to_string(), XY) == e
 
 
 def test_substitution():
@@ -409,6 +409,24 @@ def test_a_long_sum_is_the_left_fold_of_its_terms(terms):
         operator.add, [p.eval_jet(point, 2).data for p in parts]).tobytes()
 
 
+def test_long_sums_compare_hash_and_print_without_recursion():
+    # equality, hashing and repr are those of the flat tape, so two parsed
+    # 10,000-term sums, and equations holding them, need no Python frame a
+    # term at CPython's default recursion limit
+    text = " + ".join(_flat_terms())
+    a, b = parse(text, ALL5), parse(text, ALL5)
+    other = parse(text + " + x1", ALL5)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert a == b and a != other and hash(a) == hash(b)
+        assert repr(a) == repr(b) and repr(a).count("'num'") == 10_000
+        eq_a, eq_b = MAEquation(a, a, a, a, a), MAEquation(b, b, b, b, b)
+        assert eq_a == eq_b and hash(eq_a) == hash(eq_b)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 # exp(709.782712893384) is the largest finite exp of a double; the next double
 # overflows in every evaluation path, with one error text
 EXP_EDGE = 709.782712893384
@@ -450,7 +468,7 @@ def test_exp_of_infinities_and_nan_is_not_an_error():
     ("x^1000", 1000), ("x^-1000", -1000), ("x^0001000", 1000), ("x^-0", 0),
 ])
 def test_exponents_up_to_the_cap_parse(text, exponent):
-    assert parse(text, ("x",)).node == Pow(parse("x", ("x",)).node, exponent)
+    assert parse(text, ("x",)).tape == (("var", 0), ("^", exponent))
 
 
 @pytest.mark.parametrize("text", ["x^1001", "x^-1001", "x^" + "9" * 5000, "2*x^00010000"])

@@ -4,6 +4,7 @@ fails exactly where ``eval`` raises, with its text, and every other lane
 holds the bits ``eval`` returns, finite or not."""
 
 import math
+import operator
 import struct
 
 import numpy as np
@@ -11,25 +12,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import column_values
-from macontact.expr import (FUNCTIONS, BinOp, Call, EvalDomainError, Expr, Neg,
-                            Num, Pow, Var, _call, _Lanes, _pow, parse)
+from conftest import binary, column_values, leaf_expressions
+from macontact.expr import FUNCTIONS, EvalDomainError, Expr, _call, _Lanes, _pow, parse
 from macontact.monge_ampere import GridSpec, MAEquation, classify_region
 
 VARS = ("x", "y", "z")
 
 numbers = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0, 0.5, 1e300]),
                     st.floats(-5, 5, allow_nan=False))
-leaves = st.one_of(numbers.map(Num),
-                   st.sampled_from([Var(i, n) for i, n in enumerate(VARS)]))
+leaves = leaf_expressions(numbers, VARS)
 
 
 def _extend(children):
     return st.one_of(
-        children.map(Neg),
-        st.builds(BinOp, st.sampled_from("+-*/"), children, children),
-        st.builds(Pow, children, st.integers(-3, 4)),
-        st.builds(Call, st.sampled_from(FUNCTIONS), children),
+        children.map(operator.neg),
+        st.builds(binary, st.sampled_from("+-*/"), children, children),
+        st.builds(operator.pow, children, st.integers(-3, 4)),
+        st.builds(Expr.apply, children, st.sampled_from(FUNCTIONS)),
     )
 
 
@@ -47,8 +46,7 @@ def _same_bits(a: float, b: float) -> bool:
 
 @settings(max_examples=300, deadline=None)
 @given(trees, lanes)
-def test_columns_match_scalar_eval_bitwise(node, points):
-    expr = Expr(node, VARS)
+def test_columns_match_scalar_eval_bitwise(expr, points):
     columns = [np.array(c) for c in zip(*points)]
     values, flagged = column_values(expr, columns)
     assert values.shape == flagged.shape == (len(points),)
@@ -64,9 +62,8 @@ def test_columns_match_scalar_eval_bitwise(node, points):
 
 @settings(max_examples=300, deadline=None)
 @given(trees, st.tuples(numbers, numbers, numbers))
-def test_eval_returns_a_python_float(node, point):
+def test_eval_returns_a_python_float(expr, point):
     # cli.dumps writes only an exact float: no numpy scalar may leak from the walk
-    expr = Expr(node, VARS)
     try:
         value = expr.eval(point)
     except EvalDomainError:
@@ -128,8 +125,7 @@ def test_column_count_must_match_variables():
 # leaves that overflow, are infinite or NaN, so that lanes raise in every
 # way and carry non-finite intermediates that Expr.eval keeps
 wide_numbers = st.one_of(numbers, st.sampled_from([math.inf, -math.inf, math.nan, 1e308]))
-wide_leaves = st.one_of(wide_numbers.map(Num),
-                        st.sampled_from([Var(i, n) for i, n in enumerate(VARS)]))
+wide_leaves = leaf_expressions(wide_numbers, VARS)
 wide_trees = st.recursive(wide_leaves, _extend, max_leaves=12)
 wide_lanes = st.lists(st.tuples(wide_numbers, wide_numbers, wide_numbers),
                       min_size=1, max_size=8)
@@ -137,8 +133,7 @@ wide_lanes = st.lists(st.tuples(wide_numbers, wide_numbers, wide_numbers),
 
 @settings(max_examples=400, deadline=None)
 @given(wide_trees, wide_lanes)
-def test_column_errors_and_values_match_scalar_eval(node, points):
-    expr = Expr(node, VARS)
+def test_column_errors_and_values_match_scalar_eval(expr, points):
     lanes = _Lanes(len(points))
     values = expr._columns([np.array(c) for c in zip(*points)], lanes)
     flagged, errors = lanes.raised, lanes.errors
@@ -219,10 +214,9 @@ grid_axes = st.lists(wide_numbers, min_size=1, max_size=4)
 
 @settings(max_examples=400, deadline=None)
 @given(wide_trees, grid_axes, grid_axes, wide_numbers)
-def test_broadcast_columns_match_scalar_eval(node, xs, ys, z):
+def test_broadcast_columns_match_scalar_eval(expr, xs, ys, z):
     # x runs along the first lane axis, y along the second and z is 0-d, as
     # GridSpec.axis_columns lays out a grid
-    expr = Expr(node, VARS)
     lanes = _Lanes((len(xs), len(ys)))
     columns = (np.array(xs)[:, None], np.array(ys)[None, :], np.array(z))
     values = expr._columns(columns, lanes)

@@ -8,6 +8,7 @@ computed point by point with 4x4 numpy arithmetic.
 """
 
 import math
+import operator
 import struct
 import warnings
 
@@ -16,12 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import column_jets
+from conftest import binary, column_jets, leaf_expressions
 from macontact import monge_ampere
 from macontact.contact import CHART_VARIABLES
-from macontact.expr import (FUNCTIONS, BinOp, Call, EvalDomainError, Expr, Jet,
-                            Neg, Num, Pow, Var, _Lanes, _product, _product_table, _scale,
-                            multi_indices, parse)
+from macontact.expr import (FUNCTIONS, EvalDomainError, Expr, Jet, _Lanes, _product,
+                            _product_table, _scale, multi_indices, parse)
 from macontact.monge_ampere import (MAEquation, invariance_defect, invariance_defects,
                                     residual, structure_operator)
 from macontact.contact import DarbouxPoint
@@ -184,13 +184,11 @@ points = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 1e300
 
 
 def _trees(names):
-    leaves = st.one_of(numbers.map(Num),
-                       st.sampled_from([Var(i, v) for i, v in enumerate(names)]))
-    return st.recursive(leaves, lambda children: st.one_of(
-        children.map(Neg),
-        st.builds(BinOp, st.sampled_from("+-*/"), children, children),
-        st.builds(Pow, children, st.integers(-3, 4)),
-        st.builds(Call, st.sampled_from(FUNCTIONS), children),
+    return st.recursive(leaf_expressions(numbers, names), lambda children: st.one_of(
+        children.map(operator.neg),
+        st.builds(binary, st.sampled_from("+-*/"), children, children),
+        st.builds(operator.pow, children, st.integers(-3, 4)),
+        st.builds(Expr.apply, children, st.sampled_from(FUNCTIONS)),
     ), max_leaves=10)
 
 
@@ -224,8 +222,8 @@ def test_lane_jets_match_point_jets_bitwise(n, order):
 
     @settings(max_examples=60 if n == 2 else 25, deadline=None)
     @given(_trees(names), st.lists(st.tuples(*[points] * n), min_size=1, max_size=6))
-    def check(node, lanes):
-        _check_lanes(Expr(node, names), order, lanes)
+    def check(expr, lanes):
+        _check_lanes(expr, order, lanes)
 
     check()
 
@@ -398,8 +396,8 @@ base_values = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, 1.0, -1.0, 1e150, 1e
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(range(len(EQUATIONS))), _trees(("x1", "x2")),
        st.lists(st.tuples(base_values, base_values), min_size=1, max_size=6))
-def test_batched_defects_match_point_defects_bitwise(which, node, bases):
-    eq, f = EQUATIONS[which], Expr(node, ("x1", "x2"))
+def test_batched_defects_match_point_defects_bitwise(which, f, bases):
+    eq = EQUATIONS[which]
     expected, error = [], None
     for base in bases:
         try:

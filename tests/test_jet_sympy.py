@@ -7,64 +7,66 @@ arguments are shaped to stay inside their domains.
 """
 
 import math
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import column_jets
+from conftest import BINARY, binary, column_jets, leaf_expressions
 from macontact.contact import CHART_VARIABLES
-from macontact.expr import BinOp, Call, Expr, Neg, Num, Pow, Var, multi_indices
+from macontact.expr import Expr, multi_indices
 
 sympy = pytest.importorskip("sympy")
 
 
-def _to_sympy(node, symbols):
-    if isinstance(node, Num):
-        return sympy.Rational(node.value)
-    if isinstance(node, Var):
-        return symbols[node.index]
-    if isinstance(node, Neg):
-        return -_to_sympy(node.child, symbols)
-    if isinstance(node, BinOp):
-        a, b = _to_sympy(node.left, symbols), _to_sympy(node.right, symbols)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        return a * b if node.op == "*" else a / b
-    if isinstance(node, Pow):
-        return _to_sympy(node.child, symbols) ** node.exponent
-    funcs = {"sin": sympy.sin, "cos": sympy.cos, "exp": sympy.exp,
-             "ln": sympy.log, "sqrt": sympy.sqrt}
-    return funcs[node.func](_to_sympy(node.arg, symbols))
+FUNCS = {"sin": sympy.sin, "cos": sympy.cos, "exp": sympy.exp, "ln": sympy.log,
+         "sqrt": sympy.sqrt}
 
 
-def _positive(node):
-    """2 + node^2: an argument safely inside the domain of ln, sqrt and 1/x."""
-    return BinOp("+", Num(2.0), Pow(node, 2))
+def _to_sympy(expr, symbols):
+    """The sympy expression of an ``Expr``, one tape entry at a time."""
+    stack = []
+    for op, arg in expr.tape:
+        if op == "num":
+            stack.append(sympy.Rational(arg))
+        elif op == "var":
+            stack.append(symbols[arg])
+        elif op == "neg":
+            stack.append(-stack.pop())
+        elif op == "^":
+            stack.append(stack.pop() ** arg)
+        elif op in BINARY:
+            b, a = stack.pop(), stack.pop()
+            stack.append(BINARY[op](a, b))
+        else:
+            stack.append(FUNCS[op](stack.pop()))
+    return stack.pop()
+
+
+def _positive(expr):
+    """2 + expr^2: an argument safely inside the domain of ln, sqrt and 1/x."""
+    return 2.0 + expr ** 2
 
 
 def _trees(names):
-    leaves = st.one_of(st.sampled_from([0.5, -1.25, 2.0, 3.0]).map(Num),
-                       st.sampled_from([Var(i, v) for i, v in enumerate(names)]))
-    return st.recursive(leaves, lambda children: st.one_of(
-        children.map(Neg),
-        st.builds(BinOp, st.sampled_from("+-*"), children, children),
-        st.builds(lambda a, b: BinOp("/", a, _positive(b)), children, children),
-        st.builds(Pow, children, st.integers(0, 3)),
-        st.builds(lambda f, a: Call(f, a), st.sampled_from(["sin", "cos"]), children),
-        st.builds(lambda a: Call("exp", BinOp("*", Num(0.25), a)), children),
-        st.builds(lambda f, a: Call(f, _positive(a)), st.sampled_from(["ln", "sqrt"]),
+    numbers = st.sampled_from([0.5, -1.25, 2.0, 3.0])
+    return st.recursive(leaf_expressions(numbers, names), lambda children: st.one_of(
+        children.map(operator.neg),
+        st.builds(binary, st.sampled_from("+-*"), children, children),
+        st.builds(lambda a, b: a / _positive(b), children, children),
+        st.builds(operator.pow, children, st.integers(0, 3)),
+        st.builds(Expr.apply, children, st.sampled_from(["sin", "cos"])),
+        st.builds(lambda a: (0.25 * a).apply("exp"), children),
+        st.builds(lambda f, a: _positive(a).apply(f), st.sampled_from(["ln", "sqrt"]),
                   children),
     ), max_leaves=6)
 
 
-def _check(node, names, point, order):
-    expr = Expr(node, names)
+def _check(expr, names, point, order):
     symbols = sympy.symbols(names)
-    target = _to_sympy(node, symbols)
+    target = _to_sympy(expr, symbols)
     at = dict(zip(symbols, (sympy.Rational(p) for p in point)))
     jet = expr.eval_jet(point, order)
     lanes, flagged = column_jets(expr, [np.array([p, p]) for p in point], order)
@@ -87,11 +89,11 @@ coords = st.sampled_from([-1.5, -0.75, -0.25, 0.0, 0.5, 1.0, 1.25])
 
 @settings(max_examples=40, deadline=None)
 @given(_trees(("x", "y")), st.tuples(coords, coords), st.integers(0, 3))
-def test_jet_coefficients_match_sympy_in_two_variables(node, point, order):
-    _check(node, ("x", "y"), point, order)
+def test_jet_coefficients_match_sympy_in_two_variables(expr, point, order):
+    _check(expr, ("x", "y"), point, order)
 
 
 @settings(max_examples=15, deadline=None)
 @given(_trees(CHART_VARIABLES), st.tuples(*[coords] * 5))
-def test_jet_coefficients_match_sympy_on_the_chart(node, point):
-    _check(node, CHART_VARIABLES, point, 2)
+def test_jet_coefficients_match_sympy_on_the_chart(expr, point):
+    _check(expr, CHART_VARIABLES, point, 2)

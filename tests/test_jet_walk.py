@@ -1,5 +1,5 @@
 """The jet walk over coefficient arrays against the ``Jet``-object walk it
-replaced, kept here as the oracle: one ``Jet`` per tree node, a power by
+replaced, kept here as the oracle: one ``Jet`` per tape entry, a power by
 repeated multiplication from the constant 1.0, a function by Horner's rule
 from a constant jet, and every product a ``Jet * Jet``.
 
@@ -9,6 +9,7 @@ so the sign of a NaN is not part of a result (README).
 """
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macontact import expr as expr_module
-from macontact.expr import (BinOp, EvalDomainError, Expr, Jet, Neg, Num, Pow, Var, _Lanes,
-                            _series_for, parse)
+from conftest import BINARY, leaf_expressions
+from macontact.expr import EvalDomainError, Expr, Jet, _Lanes, _series_for, parse
 from test_expr_columns import VARS, _extend, wide_numbers
 
 # --- the oracle ---------------------------------------------------------------------
@@ -48,36 +49,31 @@ def _oracle_divide(a, b, lanes):
     return a * _oracle_compose(b, _series_for("1/x", b.value, b.order, lanes))
 
 
-def _jet_node(node, zero, lanes):
-    """Jet of the subtree at the base point and order of the jet ``zero``."""
-    if isinstance(node, Num):
-        return zero._constant(node.value)
-    if isinstance(node, Var):
-        out = zero._constant(zero.base[node.index])
-        if zero.order >= 1:
-            out.data[zero.n - node.index] = 1.0  # degree-1 rows run from e_(n-1) to e_0
-        return out
-    if isinstance(node, Neg):
-        return -_jet_node(node.child, zero, lanes)
-    if isinstance(node, BinOp):
-        a = _jet_node(node.left, zero, lanes)
-        b = _jet_node(node.right, zero, lanes)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        return _oracle_divide(a, b, lanes)
-    if isinstance(node, Pow):
-        return _oracle_power(_jet_node(node.child, zero, lanes), node.exponent, lanes)
-    arg = _jet_node(node.arg, zero, lanes)
-    return _oracle_compose(arg, _series_for(node.func, arg.value, arg.order, lanes))
-
-
-def _oracle(node, base, order, lanes=None):
+def _oracle(expr, base, order, lanes=None):
+    """Jet of ``expr`` at the base point and order, one ``Jet`` per tape
+    entry, each from the ``Jet`` objects of its operands."""
+    zero = Jet.constant(0.0, base, order)
+    stack = []
     with np.errstate(all="ignore"):
-        return _jet_node(node, Jet.constant(0.0, base, order), lanes)
+        for op, arg in expr.tape:
+            if op == "num":
+                stack.append(zero._constant(arg))
+            elif op == "var":
+                out = zero._constant(zero.base[arg])
+                if zero.order >= 1:
+                    out.data[zero.n - arg] = 1.0  # degree-1 rows run from e_(n-1) to e_0
+                stack.append(out)
+            elif op == "neg":
+                stack.append(-stack.pop())
+            elif op in BINARY:
+                b, a = stack.pop(), stack.pop()
+                stack.append(_oracle_divide(a, b, lanes) if op == "/" else BINARY[op](a, b))
+            elif op == "^":
+                stack.append(_oracle_power(stack.pop(), arg, lanes))
+            else:
+                a = stack.pop()
+                stack.append(_oracle_compose(a, _series_for(op, a.value, a.order, lanes)))
+    return stack.pop()
 
 
 def _bits(data):
@@ -88,19 +84,19 @@ def _bits(data):
 # --- strategies ---------------------------------------------------------------------
 
 # a number or a negated number as a factor of a product, on either side
-factors = st.one_of(wide_numbers.map(Num), wide_numbers.map(lambda v: Neg(Num(v))))
+numbers = wide_numbers.map(lambda v: Expr.const(v, VARS))
+factors = st.one_of(numbers, numbers.map(operator.neg))
 
 
 def _more(children):
     return st.one_of(
         _extend(children),
-        st.builds(BinOp, st.just("*"), factors, children),
-        st.builds(BinOp, st.just("*"), children, factors),
+        st.builds(operator.mul, factors, children),
+        st.builds(operator.mul, children, factors),
     )
 
 
-leaves = st.one_of(wide_numbers.map(Num), st.sampled_from([Var(i, n) for i, n in enumerate(VARS)]))
-trees = st.recursive(leaves, _more, max_leaves=10)
+trees = st.recursive(leaf_expressions(wide_numbers, VARS), _more, max_leaves=10)
 bases = st.tuples(wide_numbers, wide_numbers, wide_numbers)
 orders = st.integers(0, 3)
 
@@ -109,10 +105,9 @@ orders = st.integers(0, 3)
 
 @settings(max_examples=400, deadline=None)
 @given(trees, bases, orders)
-def test_point_walk_matches_the_jet_object_walk(node, base, order):
-    expr = Expr(node, VARS)
+def test_point_walk_matches_the_jet_object_walk(expr, base, order):
     try:
-        expected = _oracle(node, base, order)
+        expected = _oracle(expr, base, order)
     except EvalDomainError as exc:
         with pytest.raises(EvalDomainError) as got:
             expr.eval_jet(base, order)
@@ -127,12 +122,11 @@ def test_point_walk_matches_the_jet_object_walk(node, base, order):
 
 @settings(max_examples=300, deadline=None)
 @given(trees, st.lists(bases, min_size=1, max_size=6), orders)
-def test_lane_walk_matches_the_jet_object_walk(node, points, order):
-    expr = Expr(node, VARS)
+def test_lane_walk_matches_the_jet_object_walk(expr, points, order):
     columns = [np.array(c) for c in zip(*points)]
     lanes, expected_lanes = _Lanes(len(points)), _Lanes(len(points))
     jet = expr._jets(columns, order, lanes)
-    expected = _oracle(node, tuple(columns), order, expected_lanes)
+    expected = _oracle(expr, tuple(columns), order, expected_lanes)
     assert lanes.raised.tolist() == expected_lanes.raised.tolist(), expr.to_string()
     assert lanes.errors == expected_lanes.errors, expr.to_string()
     assert np.array_equal(_bits(jet.data), _bits(expected.data)), (expr.to_string(), points)
@@ -145,28 +139,27 @@ def test_lane_walk_matches_the_jet_object_walk(node, points, order):
     assert first[0] == first[1]
 
 
-X = Var(0, "x")
-EDGE_NODES = [parse(text, ("x",)).node for text in (
+X = Expr.var("x", ("x",))
+EDGE_EXPRESSIONS = [parse(text, ("x",)) for text in (
     "-0.0*x", "x*-2.5", "(-0.0)*(1/x)", "0*exp(800*x)", "x^-2*-1e308", "(x - x)^-1",
     "1e308*x*x^3", "sqrt(x)*-0.0", "ln(x)/(x^0 - 1)", "-(2*x)^2*-(x^-1)")] + [
-    BinOp("*", Num(math.inf), X), BinOp("*", X, Neg(Num(math.nan))),
-    Pow(BinOp("+", Num(-math.inf), X), -2), BinOp("/", Num(math.nan), X)]
+    math.inf * X, X * -Expr.const(math.nan, ("x",)), (-math.inf + X) ** -2, math.nan / X]
 EDGE_POINTS = [0.0, -0.0, 1e-200, 5e-324, math.inf, -math.inf, math.nan, 2.0]
 
 
-@pytest.mark.parametrize("node", EDGE_NODES)
+@pytest.mark.parametrize("node", EDGE_EXPRESSIONS)  # the name keeps the test ids
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_walk_edge_cases_match_the_oracle(node, order):
-    expr = Expr(node, ("x",))
+    expr = node
     column = np.array(EDGE_POINTS)
     lanes, expected_lanes = _Lanes(len(column)), _Lanes(len(column))
     jet = expr._jets([column], order, lanes)
-    expected = _oracle(node, (column,), order, expected_lanes)
+    expected = _oracle(expr, (column,), order, expected_lanes)
     assert lanes.errors == expected_lanes.errors
     assert np.array_equal(_bits(jet.data), _bits(expected.data))
     for point in EDGE_POINTS:
         try:
-            want = _oracle(node, (point,), order).data
+            want = _oracle(expr, (point,), order).data
         except EvalDomainError as exc:
             with pytest.raises(EvalDomainError) as got:
                 expr.eval_jet((point,), order)
