@@ -126,52 +126,65 @@ def field_jets_from_exprs(field, pt: DarbouxPoint, order: int) -> list:
 
 
 def contact_field_jets(nu: Expr, pt: DarbouxPoint, order: int) -> list:
-    """Jet field of the contact vector field with generating function nu; the
-    partials come from one gather, the four products from one ``_product``."""
+    """Jet field of the contact vector field with generating function nu."""
     jet = nu.eval_jet(pt.as_tuple(), order + 1)
-    rows, factors = _partial_table(5, order + 1)
     with np.errstate(all="ignore"):  # IEEE overflow, as with Python floats
-        d = jet.data[rows] * factors  # d[i] is the i-th partial
-        p = [_coordinate(d[0], jet.base, i) for i in (_DP1, _DP2)]
-        terms = _product(np.stack(p + p, axis=1),
-                         np.stack([d[_DP1], d[_DP2], d[_DU], d[_DU]], axis=1), 5, order)
-        field = [-d[_DP1], -d[_DP2], jet.data[:len(d[0])] - terms[:, 0] - terms[:, 1],
-                 d[_DX1] + terms[:, 2], d[_DX2] + terms[:, 3]]
-    return [Jet(jet.base, order, data) for data in field]
+        field = _contact_field(jet)
+    return [Jet(jet.base, order, field[:, i]) for i in range(5)]
+
+
+def _contact_field(jet):
+    """The contact field whose generating function has the jet ``jet`` at
+    one point, one order lower, as (row, component) data: the partials
+    come from one gather, the four products from one ``_product``."""
+    order, data = jet.order - 1, jet.data
+    rows, factors = _partial_table(5, jet.order)
+    d = data[rows] * factors  # d[i] is the i-th partial
+    p = [_coordinate(d[0], jet.base, i) for i in (_DP1, _DP2)]
+    terms = _product(np.stack(p + p, axis=1),
+                     np.stack([d[_DP1], d[_DP2], d[_DU], d[_DU]], axis=1), 5, order)
+    return np.stack([-d[_DP1], -d[_DP2], data[:len(d[0])] - terms[:, 0] - terms[:, 1],
+                     d[_DX1] + terms[:, 2], d[_DX2] + terms[:, 3]], axis=1)
 
 
 def bracket_fields(x_field: list, y_field: list) -> list:
-    """Commutator [X, Y] of jet fields; the jet order drops by one.
-
-    Component i is the sum over j of X_j d_j Y_i - Y_j d_j X_i.  Both
-    fields are stacked, every partial of every component comes from one
-    gather, and the 25 terms X_j d_j Y_i, then the 25 terms Y_j d_j X_i,
-    are one ``_product`` call, lane (i, j) holding one term.  The sums
-    add the terms in the order of the jet arithmetic ``acc + P - Q`` for
-    j = 0..4, so every coefficient has the bits of that arithmetic.
-    """
+    """Commutator [X, Y] of jet fields; the jet order drops by one."""
     first = x_field[0]
     for jet in (*x_field, *y_field):
         first._check(jet)
     if first.order < 1:
         raise ValueError("order-0 jet cannot be differentiated")
-    n, order = first.n, first.order - 1
-    rows, factors = _partial_table(n, first.order)
-    lanes = first.data.shape[1:]
-    factors = factors.reshape(factors.shape + (1,) * (1 + len(lanes)))
-    # (row, component) stacks; b[rows] * factors is (j, row, i) = d_j B_i
     x, y = (np.stack([jet.data for jet in field], axis=1) for field in (x_field, y_field))
-    terms = []
     with np.errstate(all="ignore"):  # IEEE overflow, as with Python floats
-        for a, b in ((x, y), (y, x)):
-            low = a[:len(rows[0])]
-            left = np.broadcast_to(low[:, None], low.shape[:1] + (5,) + low.shape[1:])
-            terms.append(_product(left, np.moveaxis(b[rows] * factors, 0, 2), n, order))
-        acc = np.zeros(terms[0].shape[:2] + lanes)
-        for j in range(5):
-            acc = acc + terms[0][:, :, j]
-            acc = acc + (-terms[1][:, :, j])
-    return [Jet(first.base, order, acc[:, i]) for i in range(5)]
+        acc = _bracket(x, y, first.n, first.order)
+    return [Jet(first.base, first.order - 1, acc[:, i]) for i in range(5)]
+
+
+def _bracket(x, y, n: int, order: int):
+    """[X, Y] on stacked fields: ``x`` and ``y`` hold the order-``order``
+    components as (row, component) arrays, any lane axes after those two.
+
+    Component i is the sum over j of X_j d_j Y_i - Y_j d_j X_i.  Every
+    partial of every component comes from one gather, and the 25 terms
+    X_j d_j Y_i, then the 25 terms Y_j d_j X_i, are one ``_product`` call,
+    lane (i, j) holding one term.  The sums add the terms in the order of
+    the jet arithmetic ``acc + P - Q`` for j = 0..4, so every coefficient
+    has the bits of that arithmetic.
+    """
+    rows, factors = _partial_table(n, order)
+    lanes = x.shape[2:]
+    factors = factors.reshape(factors.shape + (1,) * (1 + len(lanes)))
+    # b[rows] * factors is (j, row, i) = d_j B_i
+    terms = []
+    for a, b in ((x, y), (y, x)):
+        low = a[:len(rows[0])]
+        left = np.broadcast_to(low[:, None], low.shape[:1] + (5,) + low.shape[1:])
+        terms.append(_product(left, np.moveaxis(b[rows] * factors, 0, 2), n, order - 1))
+    acc = np.zeros(terms[0].shape[:2] + lanes)
+    for j in range(5):
+        acc = acc + terms[0][:, :, j]
+        acc = acc + (-terms[1][:, :, j])
+    return acc
 
 
 def omega_of_field(pt: DarbouxPoint, field: list) -> float:
@@ -227,6 +240,7 @@ def is_contact_field(chart: ContactChart, field, points,
 def lagrange_bracket(chart: ContactChart, mu: Expr, nu: Expr,
                      pt: DarbouxPoint) -> float:
     """{mu, nu}(pt) = omega([X_mu, X_nu]) at the point."""
-    x_mu = contact_field_jets(mu, pt, 1)
-    x_nu = contact_field_jets(nu, pt, 1)
-    return omega_of_field(pt, bracket_fields(x_mu, x_nu))
+    jets = [f.eval_jet(pt.as_tuple(), 2) for f in (mu, nu)]
+    with np.errstate(all="ignore"):  # IEEE overflow, as with Python floats
+        acc = _bracket(*map(_contact_field, jets), 5, 1)
+    return contact_form_value(pt, acc[0].tolist())

@@ -126,7 +126,8 @@ def _product(a, b, n: int, order: int):
     Each coefficient is 0.0 plus its terms in table order, skipping a term
     with a zero factor (so 0 * inf adds nothing).  The sum of all terms is
     kept unless it holds a NaN, as it then may by 0 * inf (README); if so,
-    each skipped term is -0.0, which leaves every sum as it was.
+    each skipped term is -0.0, which leaves every sum as it was.  Like
+    every kernel here it runs under its caller's ``np.errstate``.
     """
     rows = len(a)
     left, right, target = _product_table(n, order)
@@ -134,22 +135,20 @@ def _product(a, b, n: int, order: int):
     lanes = a.size // len(a)
     if a.ndim > 1:  # flat (row, lane) positions, term by term and lane by lane
         target = (target[:, None] * lanes + np.arange(lanes)).ravel()
-    with np.errstate(all="ignore"):
-        terms = a * b
+    terms = a * b
+    data = np.bincount(target, terms.ravel(), minlength=rows * lanes)
+    if math.isnan(data.sum()):  # a NaN anywhere (or inf - inf)
+        terms = np.where((a != 0.0) & (b != 0.0), terms, -0.0)
         data = np.bincount(target, terms.ravel(), minlength=rows * lanes)
-        if math.isnan(data.sum()):  # a NaN anywhere (or inf - inf)
-            terms = np.where((a != 0.0) & (b != 0.0), terms, -0.0)
-            data = np.bincount(target, terms.ravel(), minlength=rows * lanes)
     return data.reshape((rows,) + a.shape[1:])
 
 
 def _scale(c, b):
     """``_product`` of the constant jet ``c`` (a number, or one per lane) and
     the data ``b`` without the table: 0.0 plus the one term c * b of each row."""
-    with np.errstate(all="ignore"):
-        data = c * b + 0.0
-        if math.isnan(data.sum()):
-            data = np.where((b != 0.0) & (c != 0.0), data, 0.0)
+    data = c * b + 0.0
+    if math.isnan(data.sum()):
+        data = np.where((b != 0.0) & (c != 0.0), data, 0.0)
     return data
 
 
@@ -165,37 +164,39 @@ def _value(data):
     return float(data[0]) if data.ndim == 1 else data[0]
 
 
-def _power(data, k: int, n: int, order: int, lanes=None):
+def _power(x, k: int, kernels):
     """Integer power by repeated multiplication, as ``Expr.eval`` does."""
     if k < 0:
-        data, k = _apply(data, "1/x", n, order, lanes), -k
-    out = _scale(1.0, data) if k else _constant(data, 1.0)
+        x, k = _apply(x, "1/x", kernels), -k
+    out = kernels.scale(1.0, x) if k else kernels.constant(1.0)
     for _ in range(k - 1):
-        out = _product(out, data, n, order)
+        out = kernels.product(out, x)
     return out
 
 
-def _apply(data, func: str, n: int, order: int, lanes=None):
+def _apply(x, func: str, kernels):
     """``func`` (in FUNCTIONS, or "1/x") of the jet; leaving its domain fails."""
-    return _compose(data, _series_for(func, _value(data), order, lanes), n, order)
+    series = _series_for(func, kernels.value(x), kernels.order, kernels.lanes)
+    return _compose(x, series, kernels)
 
 
-def _quotient(a, b, n: int, order: int, lanes=None):
+def _quotient(a, b, kernels):
     """``a / b``; dividing by a zero constant term fails."""
-    if order == 0:
+    if kernels.order == 0:
         # keep order-0 jets bitwise identical to plain evaluation
-        _series_for("1/x", _value(b), 0, lanes)  # fails where b is 0
-        return _constant(a, _value(a) / _value(b))
-    return _product(a, _apply(b, "1/x", n, order, lanes), n, order)
+        _series_for("1/x", kernels.value(b), 0, kernels.lanes)  # fails where b is 0
+        return kernels.constant(kernels.value(a) / kernels.value(b))
+    return kernels.product(a, _apply(b, "1/x", kernels))
 
 
-def _compose(data, series, n: int, order: int):
+def _compose(x, series, kernels):
     """g of the jet, from g's Taylor coefficients ``series`` at its value, by Horner."""
-    t = data - _constant(data, data[0])
-    out = _constant(data, series[order])
+    order = kernels.order
+    t = kernels.sub(x, kernels.constant(kernels.value(x)))
+    out = kernels.constant(series[order])
     for m in range(order - 1, -1, -1):
-        out = _product(out, t, n, order) if m < order - 1 else _scale(series[order], t)
-        out[0] += series[m]
+        out = kernels.product(out, t) if m < order - 1 else kernels.scale(series[order], t)
+        out = kernels.shift(out, series[m])
     return out
 
 
@@ -205,6 +206,185 @@ def _coordinate(zero, base, i: int):
     if len(zero) > 1:  # order >= 1; degree-1 rows run from e_(n-1) to e_0
         data[len(base) - i] = 1.0
     return data
+
+
+class _ArrayKernels:
+    """The jet kernels on data arrays (rows, then any lane axes) at the
+    base point and order of the jet ``zero``; series errors go to
+    ``lanes``, or raise if it is None.  ``_power``, ``_apply``,
+    ``_quotient`` and ``_compose`` run on either kernel set."""
+
+    __slots__ = ("n", "order", "base", "zero", "lanes")
+
+    def __init__(self, zero: "Jet", lanes):
+        self.n, self.order, self.base, self.zero = zero.n, zero.order, zero.base, zero.data
+        self.lanes = lanes
+
+    def constant(self, value):
+        return _constant(self.zero, value)
+
+    def coordinate(self, i: int):
+        return _coordinate(self.zero, self.base, i)
+
+    def built(self, entry):
+        """The jet of a ``_jet`` stack entry: a number ``("num", v)`` or a
+        negated number ``("neg", v)`` becomes its constant jet."""
+        if type(entry) is not tuple:
+            return entry
+        op, value = entry
+        return self.constant(value) if op == "num" else self.neg(self.constant(value))
+
+    def dense(self, x):
+        return x
+
+    def value(self, x):
+        return _value(x)
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def neg(self, a):
+        return -a
+
+    def product(self, a, b):
+        return _product(a, b, self.n, self.order)
+
+    def scale(self, c, x):
+        return _scale(c, x)
+
+    def shift(self, x, c):
+        """The fresh jet ``x`` plus the constant ``c``, in place."""
+        x[0] += c
+        return x
+
+
+_CUT_PAIRS, _CUT_DIVISOR = 32, 32  # the size cut: 32 pairs plus one per 32 table terms
+
+
+@lru_cache(maxsize=None)
+def _pair_rows(n: int, order: int) -> tuple:
+    """``_product_table`` as Python lists for ``_point_product``: where each
+    left row's terms start in the table, how many right rows (a prefix of
+    the index list) pair with it, and each term's target row; and the size
+    cut, the most pairs of stored rows a product forms in Python floats.
+    On a 2-vCPU VM the loop took about 0.13 us a pair, and the numpy
+    kernel about 3 us plus 3.4 ns a table term, plus 1-2 us to spread
+    each dict over an array."""
+    left, _, target = _product_table(n, order)
+    counts = np.bincount(left, minlength=len(multi_indices(n, order)))
+    pairs = (np.cumsum(counts) - counts).tolist(), counts.tolist(), target.tolist()
+    return pairs, _CUT_PAIRS + len(target) // _CUT_DIVISOR
+
+
+def _point_product(a: dict, b: dict, pairs: tuple) -> dict:
+    """``_product`` of two point jets (``_PointKernels``) in Python floats,
+    by the coefficient loop: the pairs of rows in table order (left row,
+    then right row), skipping a term with a zero factor, each row summed
+    from 0.0; ``pairs`` is ``_pair_rows`` of the jets' shape."""
+    starts, counts, targets = pairs
+    right = [term for term in sorted(b.items()) if term[1] != 0.0]
+    out = {-1: 0.0}
+    get = out.get
+    for i, x in sorted(a.items()):
+        if x == 0.0:  # the fill, or a zero row
+            continue
+        start, count = starts[i], counts[i]
+        for j, y in right:
+            if j >= count:  # the right rows that pair with row i are a prefix
+                break
+            t = targets[start + j]
+            out[t] = get(t, 0.0) + x * y
+    return out
+
+
+class _PointKernels(_ArrayKernels):
+    """The jet kernels at one point (errors raise) on Python floats.  A
+    point jet is a dict from row to float whose key -1 holds the fill,
+    the value (+0.0 or -0.0) of every row it leaves out.  Each kernel does
+    its ``_ArrayKernels`` twin's float operations in the same order, so
+    every row keeps its bits: add, sub and neg act on the fill too, and a
+    product or a scale sums each row from 0.0 over the terms whose two
+    factors are nonzero, in table order, with fill 0.0.  A product whose
+    operands' stored rows would pair more than the size cut of
+    ``_pair_rows`` spreads both jets over data arrays and takes the numpy
+    kernel, and every operation on such an array does too."""
+
+    __slots__ = ("rows", "pairs", "cut", "spread")
+
+    def __init__(self, base: tuple, order: int):
+        self.n, self.order, self.base, self.lanes = len(base), order, base, None
+        self.rows = len(multi_indices(self.n, order))
+        self.pairs, self.cut = _pair_rows(self.n, order)
+        self.spread = (None, None)
+
+    def dense(self, x):
+        """The data array of a point jet: the fill's key -1 writes a spare
+        last row, which is cut off.  The last dict spread is kept with its
+        array, as a power or a series multiplies by one jet again and again;
+        a dict never changes once made, but for ``shift`` of a fresh one."""
+        if type(x) is not dict:
+            return x
+        if self.spread[0] is not x:
+            data = np.full(self.rows + 1, x[-1])
+            for r, v in x.items():
+                data[r] = v
+            self.spread = (x, data[:-1])
+        return self.spread[1]
+
+    def constant(self, value):
+        return {-1: 0.0, 0: value}
+
+    def coordinate(self, i: int):
+        if self.order == 0:
+            return {-1: 0.0, 0: self.base[i]}
+        return {-1: 0.0, 0: self.base[i], self.n - i: 1.0}  # as in _coordinate
+
+    def value(self, x):
+        return x.get(0, x[-1]) if type(x) is dict else float(x[0])
+
+    def add(self, a, b):
+        if type(a) is not dict or type(b) is not dict:
+            return self.dense(a) + self.dense(b)
+        fill_a, fill_b, get = a[-1], b[-1], b.get
+        out = {r: v + get(r, fill_b) for r, v in a.items()}
+        for r, v in b.items():
+            if r not in out:
+                out[r] = fill_a + v
+        return out
+
+    def sub(self, a, b):
+        if type(a) is not dict or type(b) is not dict:
+            return self.dense(a) - self.dense(b)
+        fill_a, fill_b, get = a[-1], b[-1], b.get
+        out = {r: v - get(r, fill_b) for r, v in a.items()}
+        for r, v in b.items():
+            if r not in out:
+                out[r] = fill_a - v
+        return out
+
+    def neg(self, a):
+        return {r: -v for r, v in a.items()} if type(a) is dict else -a
+
+    def product(self, a, b):
+        if type(a) is dict and type(b) is dict and (len(a) - 1) * (len(b) - 1) <= self.cut:
+            return _point_product(a, b, self.pairs)
+        return _product(self.dense(a), self.dense(b), self.n, self.order)
+
+    def scale(self, c, x):
+        if type(x) is not dict:
+            return _scale(c, x)
+        out = {r: c * v + 0.0 for r, v in x.items() if v != 0.0} if c != 0.0 else {}
+        out[-1] = 0.0
+        return out
+
+    def shift(self, x, c):
+        if type(x) is not dict:
+            return super().shift(x, c)
+        x[0] = x.get(0, x[-1]) + c
+        return x
 
 
 def _zero_jet(base, order: int) -> "Jet":
@@ -328,7 +508,9 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet(self.base, self.order, self.data * other)
         self._check(other)
-        return Jet(self.base, self.order, _product(self.data, other.data, self.n, self.order))
+        with np.errstate(all="ignore"):
+            data = _product(self.data, other.data, self.n, self.order)
+        return Jet(self.base, self.order, data)
 
     def __rmul__(self, other):
         return self * other
@@ -339,18 +521,24 @@ class Jet:
     def divide(self, other) -> "Jet":
         """``self / other``; dividing by a zero constant term raises."""
         other = self._lift(other).data
-        return Jet(self.base, self.order, _quotient(self.data, other, self.n, self.order))
+        with np.errstate(all="ignore"):
+            data = _quotient(self.data, other, _ArrayKernels(self, None))
+        return Jet(self.base, self.order, data)
 
     def power(self, k: int) -> "Jet":
         """Integer power by repeated multiplication, as ``Expr.eval`` does."""
         if not isinstance(k, int):
             raise TypeError("jet exponent must be an integer")
-        return Jet(self.base, self.order, _power(self.data, k, self.n, self.order))
+        with np.errstate(all="ignore"):
+            data = _power(self.data, k, _ArrayKernels(self, None))
+        return Jet(self.base, self.order, data)
 
     __truediv__, __pow__ = divide, power
 
     def reciprocal(self) -> "Jet":
-        return Jet(self.base, self.order, _apply(self.data, "1/x", self.n, self.order))
+        with np.errstate(all="ignore"):
+            data = _apply(self.data, "1/x", _ArrayKernels(self, None))
+        return Jet(self.base, self.order, data)
 
     def __repr__(self):
         lanes = "" if self.data.ndim == 1 else f", lanes={self.data.shape[1]}"
@@ -592,7 +780,7 @@ class Expr:
         if len(base) != len(self.variables):
             raise ValueError(f"base has {len(base)} entries for "
                              f"{len(self.variables)} variables")
-        return _jet(self.tape, _zero_jet(base, order), None)
+        return _jet(self.tape, base, order, None)
 
     def _jets(self, columns, order: int, lanes) -> Jet:
         """Jets at many points at once: one array per declared variable.
@@ -602,7 +790,7 @@ class Expr:
         failure channel ``lanes``, as in :meth:`_columns`, and its column
         is meaningless; on every other lane each coefficient is bitwise
         :meth:`eval_jet`, finite or not, up to the sign of a NaN."""
-        return _jet(self.tape, _zero_jet(self._lane_columns(columns), order), lanes)
+        return _jet(self.tape, self._lane_columns(columns), order, lanes)
 
     def subs(self, mapping: dict) -> "Expr":
         """Substitute expressions for variables (by name): each one's tape
@@ -723,18 +911,27 @@ def _values(tape, point, lanes):
     return pop()
 
 
-def _jet(tape, zero: Jet, lanes) -> Jet:
-    """Jet of the expression whose tape is ``tape`` at the base point and
-    order of the jet ``zero``, by the kernels of the ``Jet`` operations;
-    lanes that raise go to ``lanes`` (or raise).  A stack entry is a data
-    array, or for a number its tape entry ``("num", v)`` and for a
-    negated number ``("neg", v)``: as a factor of ``*`` either scales the
-    other factor's data (``_scale``) and has no data of its own; anywhere
-    else it becomes its data (``_built``).  The two stay apart, since
-    ``-_constant(v)`` writes -0.0 rows where ``_constant(-v)`` writes 0.0."""
-    if zero.order < 0:
+def _jet(tape, base: tuple, order: int, lanes) -> Jet:
+    """Jet of the expression whose tape is ``tape`` at the base point (a
+    float or an array of lanes per variable), by the kernels of the ``Jet``
+    operations: at one point (``lanes`` None, where errors raise)
+    ``_PointKernels``, over lanes ``_ArrayKernels``, whose lanes that raise
+    go to ``lanes``.
+    A stack entry is a jet of the kernel set, or for a number its tape
+    entry ``("num", v)`` and for a negated number ``("neg", v)``: as a
+    factor of ``*`` either scales the other factor (``scale``) and has no
+    jet of its own; anywhere else it becomes its jet (``built``).  The
+    two stay apart, since ``-constant(v)`` has -0.0 rows where
+    ``constant(-v)`` has 0.0."""
+    if order < 0:
         raise ValueError("jet order must be nonnegative")
-    n, order, data = zero.n, zero.order, zero.data
+    if lanes is None:
+        kernels = _PointKernels(base, order)
+    else:
+        kernels = _ArrayKernels(_zero_jet(base, order), lanes)
+    built = kernels.built
+    add, sub, neg = kernels.add, kernels.sub, kernels.neg
+    product, scale = kernels.product, kernels.scale
     stack = []
     push, pop = stack.append, stack.pop
     with np.errstate(all="ignore"):
@@ -742,40 +939,33 @@ def _jet(tape, zero: Jet, lanes) -> Jet:
             op, arg = entry
             if op in _BINARY:
                 b, a = pop(), pop()
-                if op == "*" and not type(a) is type(b) is np.ndarray:
-                    factor, other = (a, b) if type(a) is not np.ndarray else (b, a)
+                if op == "*" and (type(a) is tuple or type(b) is tuple):
+                    factor, other = (a, b) if type(a) is tuple else (b, a)
                     sign = -1.0 if factor[0] == "neg" else 1.0
-                    push(_scale(sign * factor[1], _built(other, data)))
+                    push(scale(sign * factor[1], built(other)))
                     continue
-                a, b = _built(a, data), _built(b, data)
+                if type(a) is tuple or type(b) is tuple:
+                    a, b = built(a), built(b)
                 if op == "+":
-                    push(a + b)
+                    push(add(a, b))
                 elif op == "-":
-                    push(a - b)
+                    push(sub(a, b))
                 elif op == "*":
-                    push(_product(a, b, n, order))
+                    push(product(a, b))
                 else:
-                    push(_quotient(a, b, n, order, lanes))
+                    push(_quotient(a, b, kernels))
             elif op == "var":
-                push(_coordinate(data, zero.base, arg))
+                push(kernels.coordinate(arg))
             elif op == "num":
                 push(entry)
             elif op == "neg":
                 a = pop()
-                push(("neg", a[1]) if type(a) is tuple and a[0] == "num" else -_built(a, data))
+                push(("neg", a[1]) if type(a) is tuple and a[0] == "num" else neg(built(a)))
             elif op == "^":
-                push(_power(_built(pop(), data), arg, n, order, lanes))
+                push(_power(built(pop()), arg, kernels))
             else:
-                push(_apply(_built(pop(), data), op, n, order, lanes))
-        return Jet(zero.base, order, _built(pop(), data))
-
-
-def _built(entry, zero):
-    """The data of a ``_jet`` stack entry, shaped as the jet data ``zero``."""
-    if type(entry) is np.ndarray:
-        return entry
-    op, value = entry
-    return _constant(zero, value) if op == "num" else -_constant(zero, value)
+                push(_apply(built(pop()), op, kernels))
+        return Jet(base, order, kernels.dense(built(pop())))
 
 
 def _degree(tape):

@@ -226,9 +226,9 @@ def invariance_defects(eq: MAEquation, f: Expr, bases) -> InvarianceReport:
     in order); the lowest point's is raised before the next block, as a
     loop over the points would.  The rest is elementwise column arithmetic
     in the order of the one-point formulas, and the images under the
-    stacked structure operators come from one ``np.matmul``, which makes
-    per matrix the BLAS call of a single ``m @ z``; so every entry is
-    bitwise the one-point value.
+    stacked structure operators come from one ``np.einsum``, elementwise
+    per point and without BLAS; so every entry is bitwise the one-point
+    value, under any OpenBLAS kernel.
     """
     bases = np.asarray(bases, dtype=float)
     if bases.ndim != 2:
@@ -255,7 +255,9 @@ def _defect_columns(f11, f12, f22, n, a, b, c, d) -> tuple:
     one, zero = np.ones_like(f11), np.zeros_like(f11)
     z1 = np.stack([one, zero, f11, f12], axis=-1)
     z2 = np.stack([zero, one, f12, f22], axis=-1)
-    images = [np.matmul(m, z[..., None])[..., 0] for z in (z1, z2)]
+    # einsum adds each image's terms in pairs from 0.0, (t0 + t2) + (t1 + t3),
+    # without BLAS, so the bits do not depend on the OpenBLAS kernel
+    images = [np.einsum("sij,sj->si", m, z) for z in (z1, z2)]
 
     defect = 0.0
     for image in images:

@@ -4,9 +4,9 @@ The benchmark pools of seeds 1-8 (``perfbench/workloads.py``), warm-ups
 included, are run through ``perfbench/worker.py``'s ``Runner`` in this
 process, and the SHA-256 of each output (exit code, stdout, ``--out`` or
 ``--export`` file, library value) must match ``golden/output_digests.json``.
-The manifest holds the 240 ops whose bytes do not depend on the OpenBLAS
-kernel numpy picks: ``classify``, ``eval_jet``, ``contact``, ``bracket``
-and ``export``.  ``verify``, ``bend``, ``prolong``, ``report`` and
+The manifest holds the 352 ops whose bytes do not depend on the OpenBLAS
+kernel numpy picks: ``classify``, ``eval_jet``, ``contact``, ``bracket``,
+``export`` and ``verify``.  ``bend``, ``prolong``, ``report`` and
 ``selfadjoint`` outputs differ between kernels (README), so they are left
 out.  Every export goes to one fixed relative scratch path, since its
 stdout names the file.
@@ -25,7 +25,7 @@ ROOT = os.path.dirname(HERE)
 BENCH = os.path.join(ROOT, "perfbench")
 MANIFEST = os.path.join(HERE, "golden", "output_digests.json")
 SEEDS = range(1, 9)
-TYPES = ("classify", "eval_jet", "contact", "bracket", "export")
+TYPES = ("classify", "eval_jet", "contact", "bracket", "export", "verify")
 SCRATCH = "scratch"  # relative, so the export ops' stdout is the same in every run
 
 
@@ -63,7 +63,7 @@ def test_kernel_independent_outputs_keep_their_bytes(tmp_path, monkeypatch):
     with open(MANIFEST) as handle:
         expected = json.load(handle)
     got = list(_outputs())
-    assert len(got) == len(expected) == 240
+    assert len(got) == len(expected) == 352
     for (workload, seed, slot, kind, call, digest), row in zip(got, expected):
         assert [workload, seed, slot, kind] == row[:4], "the benchmark pools changed"
         assert digest == row[4], (
