@@ -210,9 +210,9 @@ def _coordinate(zero, base, i: int):
 
 class _ArrayKernels:
     """The jet kernels on data arrays (rows, then any lane axes) at the
-    base point and order of the jet ``zero``; series errors go to
-    ``lanes``, or raise if it is None.  ``_power``, ``_apply``,
-    ``_quotient`` and ``_compose`` run on either kernel set."""
+    base point and order of the jet ``zero``; series errors go to the
+    ``_Lanes`` ``lanes``.  ``_power``, ``_apply``, ``_quotient`` and
+    ``_compose`` run on either kernel set."""
 
     __slots__ = ("n", "order", "base", "zero", "lanes")
 
@@ -401,23 +401,21 @@ def _same_point(a, b) -> bool:
 
 
 class Jet:
-    """Degree-``order`` Taylor truncation of a function at base points.
+    """Degree-``order`` Taylor truncation of a function at base points:
+    the value that ``Expr.eval_jet`` and ``Expr._jets`` return.
 
     ``data`` is a dense float64 array with one row per multi-index of
     ``multi_indices(n, order)``.  A jet at one point (a base of floats)
     is the one-lane case, a 1-D array; a jet over lanes (a base of n
     arrays, one entry per point, as ``Expr._jets`` builds) has one column
-    per lane.  Every operation acts on all lanes at once with the float64
-    operations the one-point case performs, so each lane is bitwise the
-    jet at its point, up to the sign of a NaN (numpy's add may return
-    either NaN operand).  Products are truncated at the order, so a Jet
-    is an element of the truncated polynomial ring and all ring
-    identities hold exactly up to floating point roundoff.  Arithmetic
-    may overflow to inf or NaN; the library runs it under
-    ``np.errstate``, so numpy does not warn.
+    per lane, and each lane is bitwise the jet at its point, up to the
+    sign of a NaN (numpy's add may return either NaN operand).
+    Coefficients may be inf or NaN.
 
     ``value``, ``coefficient``, ``derivative`` and ``coeffs`` give Python
-    floats at one point and one array per coefficient over lanes.
+    floats at one point and one array per coefficient over lanes.  The
+    product of two jets is truncated at the order and runs under
+    ``np.errstate``, so numpy does not warn.
     """
 
     __slots__ = ("base", "n", "order", "data")
@@ -455,89 +453,30 @@ class Jet:
         return dict(zip(multi_indices(self.n, self.order), rows))
 
     def coefficient(self, alpha):
-        return _value(self.data[_positions(self.n, self.order)[tuple(alpha)]:])
+        """The coefficient of the multi-index; one with the wrong length, a
+        negative entry or a degree above the order is refused by name."""
+        row = _positions(self.n, self.order).get(tuple(alpha))
+        if row is None:
+            raise ValueError(f"multi-index {tuple(alpha)} is not one of a jet "
+                             f"with n={self.n}, order={self.order}")
+        return _value(self.data[row:])
 
     def derivative(self, alpha):
         """Partial derivative for the multi-index (coefficient times alpha!)."""
         alpha = tuple(alpha)
-        if sum(alpha) > self.order:
-            raise ValueError(f"jet of order {self.order} has no derivative {alpha}")
         return self.coefficient(alpha) * _factorial_multi(alpha)
-
-    def truncate(self, order: int) -> "Jet":
-        if order > self.order:
-            raise ValueError("cannot truncate upward")
-        return Jet(self.base, order, self.data[:len(multi_indices(self.n, order))])
-
-    def partial(self, i: int) -> "Jet":
-        """Jet of the i-th partial derivative; the order drops by one."""
-        if self.order < 1:
-            raise ValueError("order-0 jet cannot be differentiated")
-        rows, factors = _partial_table(self.n, self.order)
-        # lanes are columns and the factors scale rows
-        return Jet(self.base, self.order - 1, (self.data[rows[i]].T * factors[i]).T)
-
-    # -- ring operations
 
     def _check(self, other):
         if self.order != other.order or not _same_point(self.base, other.base):
             raise ValueError("jet base point / order mismatch")
 
-    def _lift(self, other):
-        if isinstance(other, Jet):
-            self._check(other)
-            return other
-        return self._constant(other)
-
-    def __add__(self, other):
-        other = self._lift(other)
-        return Jet(self.base, self.order, self.data + other.data)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(self.base, self.order, -self.data)
-
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
+        """The truncated product of two jets at one base point and order."""
         if not isinstance(other, Jet):
-            return Jet(self.base, self.order, self.data * other)
+            return NotImplemented
         self._check(other)
         with np.errstate(all="ignore"):
             data = _product(self.data, other.data, self.n, self.order)
-        return Jet(self.base, self.order, data)
-
-    def __rmul__(self, other):
-        return self * other
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
-
-    def divide(self, other) -> "Jet":
-        """``self / other``; dividing by a zero constant term raises."""
-        other = self._lift(other).data
-        with np.errstate(all="ignore"):
-            data = _quotient(self.data, other, _ArrayKernels(self, None))
-        return Jet(self.base, self.order, data)
-
-    def power(self, k: int) -> "Jet":
-        """Integer power by repeated multiplication, as ``Expr.eval`` does."""
-        if not isinstance(k, int):
-            raise TypeError("jet exponent must be an integer")
-        with np.errstate(all="ignore"):
-            data = _power(self.data, k, _ArrayKernels(self, None))
-        return Jet(self.base, self.order, data)
-
-    __truediv__, __pow__ = divide, power
-
-    def reciprocal(self) -> "Jet":
-        with np.errstate(all="ignore"):
-            data = _apply(self.data, "1/x", _ArrayKernels(self, None))
         return Jet(self.base, self.order, data)
 
     def __repr__(self):
@@ -603,14 +542,14 @@ def _pow(x, m: int, lanes=None):
     (numpy's power differs on some lanes); where it overflows, it fails with
     Python's text.  Python raises exactly where a finite ``x`` gives inf."""
     text = None
-    def power(v):
+    def raised(v):
         nonlocal text
         try:
             return v ** m
         except OverflowError as exc:
             text = f"evaluation overflow: {exc}"
             return math.inf
-    out = power(x) if lanes is None else _elementwise(power, x)
+    out = raised(x) if lanes is None else _elementwise(raised, x)
     _fail(lanes, np.isinf(out) & np.isfinite(x), text)
     return out
 
@@ -625,14 +564,7 @@ def _series_for(func: str, c0, order: int, lanes=None) -> list:
     """Taylor coefficients 0..order of ``func`` (in FUNCTIONS, or "1/x")
     around ``c0``, one float or a column of lanes.  Each failure is a mask
     taken before its operation, in the order of the one-point formula, so
-    a lane fails as its point jet does first.  Lanes outside a pass raise
-    the lowest failing lane's error."""
-    if lanes is None and isinstance(c0, np.ndarray):
-        lanes = _Lanes(len(c0))
-        with np.errstate(all="ignore"):
-            series = _series_for(func, c0, order, lanes)
-        lanes.raise_first()
-        return series
+    a lane fails as its point jet does first."""
     if func in ("exp", "sin", "cos"):
         if func == "exp":
             cycle = [_call("exp", c0, lanes)]

@@ -70,11 +70,11 @@ def _orth(m: np.ndarray, name: str = "rank", *scales) -> np.ndarray:
     return u[:, :int(np.sum(passes(name, s, *scales, s[0])))]
 
 
-def _nullspace(m: np.ndarray, rtol=None) -> np.ndarray:
-    """Orthonormal null-space basis, rank cut by the ``rank`` gate (``rtol``,
-    if given, in place of its threshold) times the largest singular value."""
+def _nullspace(m: np.ndarray) -> np.ndarray:
+    """Orthonormal null-space basis, rank cut by the ``rank`` gate times
+    the largest singular value."""
     _, s, vh = np.linalg.svd(m)
-    return _fix_signs(vh[int(np.sum(passes("rank", s, s[0], threshold=rtol))):].T)
+    return _fix_signs(vh[int(np.sum(passes("rank", s, s[0]))):].T)
 
 
 def _sigma_ratios(stack: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -15,7 +16,7 @@ from macontact.contact import (CHART_VARIABLES, ContactChart, DarbouxPoint,
                                curvature_gram, field_jets_from_exprs,
                                is_contact_field, lagrange_bracket,
                                omega_of_field)
-from macontact.expr import Expr, Jet, _Lanes, multi_indices
+from macontact.expr import Expr, Jet, _Lanes, _partial_table, _product, multi_indices
 
 CHART = ContactChart()
 ORIGIN = DarbouxPoint(0, 0, 0, 0, 0)
@@ -72,7 +73,7 @@ def _omega_expr(field):
 
 def _directional_derivative(field, scalar, pt):
     jet = scalar.eval_jet(pt.as_tuple(), 1)
-    return sum(field[i].eval(pt.as_tuple()) * jet.partial(i).value
+    return sum(field[i].eval(pt.as_tuple()) * jet.derivative([int(k == i) for k in range(5)])
                for i in range(5))
 
 
@@ -280,18 +281,26 @@ def test_overflowing_bracket_is_quiet():
 
 # --- the stacked bracket against the jet arithmetic it replaced -----------------
 
+def _partial(jet, j):
+    """Data of the j-th partial of the jet, one order lower."""
+    rows, factors = _partial_table(jet.n, jet.order)
+    return (jet.data[rows[j]].T * factors[j]).T  # lanes are columns
+
+
 def _bracket_oracle(x_field, y_field):
-    """[X, Y] by jet arithmetic: 50 products, each summed into its component
-    in the order acc + X_j d_j Y_i - Y_j d_j X_i, j = 0..4."""
-    order = x_field[0].order
+    """[X, Y] by jet arithmetic on data arrays: 50 products, each summed
+    into its component in the order acc + X_j d_j Y_i - Y_j d_j X_i, j = 0..4."""
+    first = x_field[0]
+    n, order = first.n, first.order - 1
     out = []
     with np.errstate(all="ignore"):
         for i in range(5):
-            acc = Jet.constant(0.0, x_field[0].base, order - 1)
+            acc = Jet.constant(0.0, first.base, order).data
             for j in range(5):
-                acc = acc + x_field[j].truncate(order - 1) * y_field[i].partial(j)
-                acc = acc - y_field[j].truncate(order - 1) * x_field[i].partial(j)
-            out.append(acc)
+                x_low, y_low = (field[j].data[:len(acc)] for field in (x_field, y_field))
+                acc = acc + _product(x_low, _partial(y_field[i], j), n, order)
+                acc = acc - _product(y_low, _partial(x_field[i], j), n, order)
+            out.append(Jet(first.base, order, acc))
     return out
 
 
@@ -338,10 +347,9 @@ def test_bracket_fields_keeps_the_summation_order():
     # X_1 d_1 Y_0 = 1: the jet arithmetic gives ((0 + 1e16) - 1e16) + 1 = 1,
     # where summing each product stack first gives (1e16 + 1) - 1e16 = 0
     base = (0.0,) * 5
-    zero = Jet.constant(0.0, base, 1)
-    x = [zero + 1e16 + 1e16 * Jet.variable(0, base, 1), zero + 1.0, zero, zero, zero]
-    y = [zero + 1.0 + Jet.variable(0, base, 1) + Jet.variable(1, base, 1),
-         zero, zero, zero, zero]
+    zero, one = Jet.constant(0.0, base, 1), Jet.constant(1.0, base, 1)
+    x = [(1e16 + 1e16 * _var("x1")).eval_jet(base, 1), one, zero, zero, zero]
+    y = [(1.0 + _var("x1") + _var("x2")).eval_jet(base, 1), zero, zero, zero, zero]
     got = bracket_fields(x, y)
     assert got[0].value == 1.0
     assert _bits(got) == _bits(_bracket_oracle(x, y))
@@ -356,10 +364,12 @@ def test_bracket_fields_at_lanes_is_the_bracket_at_each_point():
         fields = []
         for g in (mu, nu):
             jet = g._jets(columns, order + 1, _Lanes(len(pts)))
-            d = [jet.partial(k) for k in range(5)]
-            p1, p2 = Jet.variable(3, jet.base, order), Jet.variable(4, jet.base, order)
-            fields.append([-d[3], -d[4], jet.truncate(order) - p1 * d[3] - p2 * d[4],
-                           d[0] + p1 * d[2], d[1] + p2 * d[2]])
+            d = [_partial(jet, k) for k in range(5)]
+            p1, p2 = (Jet.variable(i, jet.base, order).data for i in (3, 4))
+            mul = functools.partial(_product, n=5, order=order)
+            components = [-d[3], -d[4], jet.data[:len(d[0])] - mul(p1, d[3]) - mul(p2, d[4]),
+                          d[0] + mul(p1, d[2]), d[1] + mul(p2, d[2])]
+            fields.append([Jet(jet.base, order, c) for c in components])
         lanes = bracket_fields(*fields)
         for k, pt in enumerate(pts):
             one = bracket_fields(contact_field_jets(mu, pt, order),

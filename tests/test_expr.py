@@ -218,18 +218,17 @@ def test_jet_derivatives_match_central_differences():
 
 
 def test_jet_ring_identities():
+    # both sides of each identity are expressions, compared by their jets
     rng = np.random.default_rng(13)
     pt = (0.4, -0.7)
-    a = random_poly_expr(rng, XY).eval_jet(pt, 3)
-    b = random_poly_expr(rng, XY).eval_jet(pt, 3)
-    c = random_poly_expr(rng, XY).eval_jet(pt, 3)
-    for alpha in multi_indices(2, 3):
-        assert (a * b).coefficient(alpha) == pytest.approx(
-            (b * a).coefficient(alpha), rel=1e-13, abs=1e-14)
-        assert ((a * b) * c).coefficient(alpha) == pytest.approx(
-            (a * (b * c)).coefficient(alpha), rel=1e-12, abs=1e-13)
-        assert ((a + b) + c).coefficient(alpha) == pytest.approx(
-            (a + (b + c)).coefficient(alpha), abs=1e-14)
+    a, b, c = (random_poly_expr(rng, XY) for _ in range(3))
+    for left, right, rel, tol in ((a * b, b * a, 1e-13, 1e-14),
+                                  ((a * b) * c, a * (b * c), 1e-12, 1e-13),
+                                  ((a + b) + c, a + (b + c), None, 1e-14)):
+        left, right = left.eval_jet(pt, 3), right.eval_jet(pt, 3)
+        for alpha in multi_indices(2, 3):
+            assert left.coefficient(alpha) == pytest.approx(
+                right.coefficient(alpha), rel=rel, abs=tol)
 
 
 def test_jet_division_by_zero_constant_term():
@@ -244,25 +243,8 @@ def test_jet_composition_with_functions():
     assert jet.derivative((1,)) == pytest.approx(2 * 0.7 * math.cos(0.49), rel=1e-12)
 
 
-def test_jet_partial_lowers_order():
-    jet = parse("x1^3 * x2", XY).eval_jet((2.0, 3.0), 3)
-    dx = jet.partial(0)
-    assert dx.order == 2
-    assert dx.value == pytest.approx(3 * 4 * 3)  # 3 x^2 y at (2, 3)
-
-
-def test_jet_operator_forms_agree():
+def test_jet_repr_names_the_point_or_the_lanes():
     j = parse("x1^2 + x2 + 1", XY).eval_jet((0.5, 2.0), 3)
-    x = parse("x1", XY).eval_jet((0.5, 2.0), 3)
-    two = j._constant(2.0)
-    # == compares values, so a zero may differ in sign between two forms
-    assert (2.0 - j).data.tolist() == (two - j).data.tolist()
-    assert (2.0 * j).data.tolist() == (j * 2.0).data.tolist()
-    assert (2.0 / j).data.tolist() == (two / j).data.tolist()
-    assert (j / x).data.tolist() == j.divide(x).data.tolist()
-    assert (j / x).data.tolist() == parse("(x1^2 + x2 + 1)/x1", XY).eval_jet((0.5, 2.0), 3).data.tolist()
-    assert (j ** 3).data.tolist() == (j * j * j).data.tolist()
-    assert (j ** -2).data.tolist() == (j.reciprocal() * j.reciprocal()).data.tolist()
     assert repr(j) == "Jet(order=3, base=(0.5, 2.0))"
     lanes, _ = column_jets(parse("x1", XY), [np.array([1.0, 2.0]), np.array([3.0, 4.0])], 2)
     assert repr(lanes) == "Jet(order=2, n=2, lanes=2)"

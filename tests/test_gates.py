@@ -142,7 +142,7 @@ CASES = {
 }
 # rows whose site takes a threshold from a parameter or flag
 OVERRIDABLE = {"self_adjoint", "dim4_self_adjoint", "dim4_scalar", "dim4_min_poly",
-               "dim4_band", "rank", "bend_nonscalar", "bend_kind", "family_consistency",
+               "dim4_band", "bend_nonscalar", "bend_kind", "family_consistency",
                "contact_field", "type_band", "verify_residual", "verify_defect",
                "error_fraction"}
 

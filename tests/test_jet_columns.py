@@ -10,6 +10,7 @@ einsum sums it, and the invariance defect computed point by point with
 
 import math
 import operator
+import re
 import struct
 import warnings
 
@@ -312,14 +313,21 @@ def test_lane_jet_accessors_return_lane_arrays():
         assert jet.value[lane] == one.value
         assert jet.derivative((1, 1))[lane] == one.derivative((1, 1))
         assert [c[lane] for c in jet.coeffs.values()] == list(one.coeffs.values())
-        assert jet.partial(0).data[:, lane].tolist() == one.partial(0).data.tolist()
-        assert jet.truncate(1).data[:, lane].tolist() == one.truncate(1).data.tolist()
 
 
-def test_lane_jet_without_flags_raises_the_point_error():
-    jet, _ = column_jets(parse("x", ("x",)), [np.array([1.0, 0.0])], 1)
-    with pytest.raises(EvalDomainError, match="zero constant term"):
-        jet.reciprocal()
+# the wrong length, a negative entry, a degree above the order
+@pytest.mark.parametrize("alpha", [(1,), (0, 1, 0), (-1, 2), (0, -1), (3, 0), (1, 2)])
+@pytest.mark.parametrize("lanes", [False, True])
+def test_jet_accessors_refuse_a_bad_multi_index_by_name(alpha, lanes):
+    expr = parse("x1^2*x2 + sin(x2)", ("x1", "x2"))
+    columns = [np.array([0.5, -1.0]), np.array([2.0, 0.25])]
+    jet = column_jets(expr, columns, 2)[0] if lanes else expr.eval_jet((0.5, 2.0), 2)
+    message = re.escape(f"multi-index {alpha} ") + ".*n=2, order=2"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for accessor in (jet.coefficient, jet.derivative):
+            with pytest.raises(ValueError, match=message):
+                accessor(list(alpha))
 
 
 # --- the images under the structure operators ---------------------------------------

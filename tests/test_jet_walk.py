@@ -1,7 +1,8 @@
 """The jet walk over coefficient arrays against the ``Jet``-object walk it
-replaced, kept here as the oracle: one ``Jet`` per tape entry, a power by
-repeated multiplication from the constant 1.0, a function by Horner's rule
-from a constant jet, and every product a ``Jet * Jet``.
+replaced, kept here as the oracle on data arrays: one array per tape
+entry, a power by repeated multiplication from the constant 1.0, a
+function by Horner's rule from a constant jet, every sum or difference
+the arrays' own and every product a ``_product``.
 
 Every comparison is bitwise on the int64 views, every NaN read as one
 pattern: numpy's add returns either operand's NaN depending on its loop,
@@ -18,62 +19,70 @@ from hypothesis import strategies as st
 
 from macontact import expr as expr_module
 from conftest import BINARY, leaf_expressions
-from macontact.expr import EvalDomainError, Expr, Jet, _Lanes, _series_for, parse
+from macontact.expr import (EvalDomainError, Expr, Jet, _constant, _Lanes, _product,
+                            _series_for, _value, parse)
 from test_expr_columns import VARS, _extend, wide_numbers
 
 # --- the oracle ---------------------------------------------------------------------
+#
+# ``data`` is a jet's data array, and ``n`` and ``order`` its shape.
 
 
-def _oracle_compose(jet, series):
-    t = jet - jet.value
-    out = jet._constant(series[jet.order])
-    for m in range(jet.order - 1, -1, -1):
-        out = out * t + series[m]
+def _oracle_compose(data, series, n, order):
+    t = data - _constant(data, _value(data))
+    out = _constant(data, series[order])
+    for m in range(order - 1, -1, -1):
+        out = _product(out, t, n, order) + _constant(data, series[m])
     return out
 
 
-def _oracle_power(jet, k, lanes):
+def _oracle_power(data, k, n, order, lanes):
     if k < 0:
-        recip = _oracle_compose(jet, _series_for("1/x", jet.value, jet.order, lanes))
-        return _oracle_power(recip, -k, lanes)
-    out = jet._constant(1.0)
+        series = _series_for("1/x", _value(data), order, lanes)
+        return _oracle_power(_oracle_compose(data, series, n, order), -k, n, order, lanes)
+    out = _constant(data, 1.0)
     for _ in range(k):
-        out = out * jet
+        out = _product(out, data, n, order)
     return out
 
 
-def _oracle_divide(a, b, lanes):
-    if a.order == 0:
-        _series_for("1/x", b.value, 0, lanes)  # fails where b is 0
-        return a._constant(a.value / b.value)
-    return a * _oracle_compose(b, _series_for("1/x", b.value, b.order, lanes))
+def _oracle_divide(a, b, n, order, lanes):
+    if order == 0:
+        _series_for("1/x", _value(b), 0, lanes)  # fails where b is 0
+        return _constant(a, _value(a) / _value(b))
+    series = _series_for("1/x", _value(b), order, lanes)
+    return _product(a, _oracle_compose(b, series, n, order), n, order)
 
 
 def _oracle(expr, base, order, lanes=None):
-    """Jet of ``expr`` at the base point and order, one ``Jet`` per tape
-    entry, each from the ``Jet`` objects of its operands."""
+    """Jet of ``expr`` at the base point and order, one data array per tape
+    entry, each from the arrays of its operands."""
     zero = Jet.constant(0.0, base, order)
-    stack = []
+    n, stack = zero.n, []
     with np.errstate(all="ignore"):
         for op, arg in expr.tape:
             if op == "num":
-                stack.append(zero._constant(arg))
+                stack.append(_constant(zero.data, arg))
             elif op == "var":
-                out = zero._constant(zero.base[arg])
-                if zero.order >= 1:
-                    out.data[zero.n - arg] = 1.0  # degree-1 rows run from e_(n-1) to e_0
+                out = _constant(zero.data, zero.base[arg])
+                if order >= 1:
+                    out[n - arg] = 1.0  # degree-1 rows run from e_(n-1) to e_0
                 stack.append(out)
             elif op == "neg":
                 stack.append(-stack.pop())
             elif op in BINARY:
                 b, a = stack.pop(), stack.pop()
-                stack.append(_oracle_divide(a, b, lanes) if op == "/" else BINARY[op](a, b))
+                if op == "/":
+                    stack.append(_oracle_divide(a, b, n, order, lanes))
+                else:
+                    stack.append(_product(a, b, n, order) if op == "*" else BINARY[op](a, b))
             elif op == "^":
-                stack.append(_oracle_power(stack.pop(), arg, lanes))
+                stack.append(_oracle_power(stack.pop(), arg, n, order, lanes))
             else:
                 a = stack.pop()
-                stack.append(_oracle_compose(a, _series_for(op, a.value, a.order, lanes)))
-    return stack.pop()
+                stack.append(_oracle_compose(a, _series_for(op, _value(a), order, lanes),
+                                             n, order))
+    return Jet(zero.base, order, stack.pop())
 
 
 def _bits(data):

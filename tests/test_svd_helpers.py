@@ -34,7 +34,7 @@ def test_nullspace_spans_scipy_null_space():
         rows, cols = rng.integers(2, 10, size=2)
         rank = rng.integers(1, min(rows, cols) + 1)
         m = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
-        ours = _nullspace(m, 1e-10)
+        ours = _nullspace(m)
         ref = _fix_signs(linalg.null_space(m, rcond=1e-10))
         assert ours.shape == ref.shape
         assert np.allclose(ours.T @ ours, np.eye(ours.shape[1]), atol=1e-12)
